@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ConfigInvalid, NegativeComponent, ZeroRate
+from .tables import write_table
 
 # Hall-effect sensor reaction time; wiring propagation is negligible next
 # to it, so this constant is the whole signal-path contribution.
@@ -79,12 +81,11 @@ class ErrorBudget:
         )
 
     def to_csv(self) -> str:
-        header = "e_sync_ns,e_circuit_ns,e_kernel_ns,e_calib_ns,e_total_ns,in_precision_band"
-        row = (
-            f"{self.e_sync_ns},{self.e_circuit_ns},{self.e_kernel_ns},"
-            f"{self.e_calib_ns},{self.e_total_ns},{str(self.in_precision_band).lower()}"
+        parts = ("e_sync_ns", "e_circuit_ns", "e_kernel_ns", "e_calib_ns", "e_total_ns")
+        return write_table(
+            parts + ("in_precision_band",),
+            [attrgetter(*parts)(self) + (str(self.in_precision_band).lower(),)],
         )
-        return header + "\n" + row + "\n"
 
 
 def total_error(

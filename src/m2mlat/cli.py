@@ -30,6 +30,7 @@ Examples:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import threading
 from pathlib import Path
@@ -49,6 +50,17 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigInvalid(message)
 
 
+def _finite_float(text: str) -> float:
+    """Argparse type for every float flag: nan and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="m2mlat", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"m2mlat {__version__}")
@@ -66,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--operator", type=Path, required=True)
     p_an.add_argument("--vehicle", type=Path, required=True)
     p_an.add_argument("--format", choices=[f.value for f in LogFormat], default="csv")
-    p_an.add_argument("--debounce-ms", type=float, default=500.0)
-    p_an.add_argument("--min-latency-ms", type=float, default=0.0)
-    p_an.add_argument("--max-window-ms", type=float, default=2000.0)
+    p_an.add_argument("--debounce-ms", type=_finite_float, default=500.0)
+    p_an.add_argument("--min-latency-ms", type=_finite_float, default=0.0)
+    p_an.add_argument("--max-window-ms", type=_finite_float, default=2000.0)
     p_an.add_argument(
-        "--threshold-ms", type=float, action="append",
+        "--threshold-ms", type=_finite_float, action="append",
         help="report the fraction of samples above this (repeatable; default 1000)",
     )
     p_an.add_argument("--label", default="analysis")
@@ -87,25 +99,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--listen", metavar="HOST:PORT", help="answer requests")
     p_probe.add_argument("--peer", metavar="HOST:PORT", help="send requests")
     p_probe.add_argument("--count", type=int, default=10)
-    p_probe.add_argument("--interval-ms", type=float, default=1000.0)
-    p_probe.add_argument("--timeout-ms", type=float, default=1000.0)
+    p_probe.add_argument("--interval-ms", type=_finite_float, default=1000.0)
+    p_probe.add_argument("--timeout-ms", type=_finite_float, default=1000.0)
     p_probe.add_argument("--out", type=Path, help="output path prefix")
 
     p_bud = sub.add_parser("budget", help="additive measurement-error budget")
-    p_bud.add_argument("--sync-ms", type=float, required=True)
-    p_bud.add_argument("--circuit-us", type=float, default=2.0)
-    p_bud.add_argument("--kernel-ms", type=float)
+    p_bud.add_argument("--sync-ms", type=_finite_float, required=True)
+    p_bud.add_argument("--circuit-us", type=_finite_float, default=2.0)
+    p_bud.add_argument("--kernel-ms", type=_finite_float)
     p_bud.add_argument("--sched-a", type=Path, help="per-sample ns latencies, node a")
     p_bud.add_argument("--sched-b", type=Path, help="per-sample ns latencies, node b")
-    p_bud.add_argument("--calib-angle-deg", type=float, required=True)
-    p_bud.add_argument("--steer-rate-dps", type=float, required=True)
+    p_bud.add_argument("--calib-angle-deg", type=_finite_float, required=True)
+    p_bud.add_argument("--steer-rate-dps", type=_finite_float, required=True)
     p_bud.add_argument("--out", type=Path, help="output path prefix")
 
     p_rep = sub.add_parser("report", help="stats and box-plot data for a sample file")
     p_rep.add_argument("--samples", type=Path, required=True,
                        help="pairing CSV (m2m_ns column) or one ns value per line")
     p_rep.add_argument("--label", default="report")
-    p_rep.add_argument("--threshold-ms", type=float, action="append")
+    p_rep.add_argument("--threshold-ms", type=_finite_float, action="append")
     p_rep.add_argument("--out", type=Path, help="output path prefix")
 
     return parser
@@ -183,25 +195,9 @@ def _cmd_analyze(args) -> int:
         print("error: EmptyLog: no event pairs inside the matching window",
               file=sys.stderr)
         return 1
-    thresholds = [int(round(t * MS_NS)) for t in (args.threshold_ms or [1000.0])]
-    rep = report.build_report(
-        args.label,
-        pairing.m2m_values,
-        report.make_provenance(None, report.input_digest(op_raw, veh_raw)),
-        thresholds,
-        pairing,
+    return _emit_report(
+        args, pairing.m2m_values, report.input_digest(op_raw, veh_raw), pairing
     )
-    text = report.render_text(rep)
-    print(text, end="")
-    if args.out:
-        _write_prefixed(args.out, {
-            ".report.txt": text,
-            ".pairs.csv": pairing.to_csv(),
-            ".meta.txt": pairing.meta_text(),
-            ".stats.csv": stats.stats_csv(rep.stats),
-            ".boxplot.csv": stats.boxplot_csv(rep.boxplot),
-        })
-    return 0
 
 
 def _cmd_precision(args) -> int:
@@ -289,13 +285,27 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _read_sched_samples(path: Path) -> list[int]:
+def _read_int_column(path: Path, column: str) -> list[int]:
+    """Integers of one CSV column, or of bare one-value lines without a header.
+
+    The first non-blank line is the header when it names ``column``. A cell
+    that is no integer (bytes that are not UTF-8 included) raises
+    ConfigInvalid naming the file and the line.
+    """
+    text = path.read_text(encoding="utf-8", errors="replace")
+    lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
+    idx = None
+    if lines:
+        header = [c.strip() for c in lines[0][1].split(",")]
+        if column in header:
+            idx = header.index(column)
+            lines = lines[1:]
     values = []
-    for line in path.read_text(encoding="utf-8").split("\n"):
-        cell = line.strip()
-        if not cell or cell == "latency_ns":
-            continue
-        values.append(int(cell))
+    for line_no, line in lines:
+        try:
+            values.append(int(line if idx is None else line.split(",")[idx]))
+        except (ValueError, IndexError):
+            raise ConfigInvalid(f"{path} line {line_no}: no integer {column}: {line!r}")
     return values
 
 
@@ -304,10 +314,10 @@ def _cmd_budget(args) -> int:
         kernel_ns = int(round(args.kernel_ms * MS_NS))
     elif args.sched_a and args.sched_b:
         a = clocks.SchedulingStats.from_samples(
-            NodeId("node_a", Role.OPERATOR), _read_sched_samples(args.sched_a)
+            NodeId("node_a", Role.OPERATOR), _read_int_column(args.sched_a, "latency_ns")
         )
         b = clocks.SchedulingStats.from_samples(
-            NodeId("node_b", Role.VEHICLE), _read_sched_samples(args.sched_b)
+            NodeId("node_b", Role.VEHICLE), _read_int_column(args.sched_b, "latency_ns")
         )
         kernel_ns = clocks.kernel_asymmetry(a, b)
     else:
@@ -327,36 +337,30 @@ def _cmd_budget(args) -> int:
     return 0
 
 
-def _read_samples_file(path: Path) -> list[int]:
-    """m2m_ns column of a pairing CSV, or bare one-value-per-line ns."""
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln.strip()]
-    if not lines:
-        raise ConfigInvalid(f"{path} contains no samples")
-    header = [c.strip() for c in lines[0].split(",")]
-    if "m2m_ns" in header:
-        idx = header.index("m2m_ns")
-        return [int(ln.split(",")[idx]) for ln in lines[1:]]
-    return [int(ln.strip()) for ln in lines]
-
-
 def _cmd_report(args) -> int:
     raw = args.samples.read_bytes()
-    values = _read_samples_file(args.samples)
+    values = _read_int_column(args.samples, "m2m_ns")
+    if not values:
+        raise ConfigInvalid(f"{args.samples} contains no samples")
+    return _emit_report(args, values, report.input_digest(raw))
+
+
+def _emit_report(args, values: list[int], digest: str, pairing=None) -> int:
+    """Print the report of one sample set; with --out, also write its files."""
     thresholds = [int(round(t * MS_NS)) for t in (args.threshold_ms or [1000.0])]
     rep = report.build_report(
-        args.label,
-        values,
-        report.make_provenance(None, report.input_digest(raw)),
-        thresholds,
+        args.label, values, report.make_provenance(None, digest), thresholds, pairing
     )
     text = report.render_text(rep)
     print(text, end="")
     if args.out:
-        _write_prefixed(args.out, {
-            ".report.txt": text,
-            ".stats.csv": stats.stats_csv(rep.stats),
-            ".boxplot.csv": stats.boxplot_csv(rep.boxplot),
-        })
+        files = {".report.txt": text}
+        if pairing is not None:
+            files[".pairs.csv"] = pairing.to_csv()
+            files[".meta.txt"] = pairing.meta_text()
+        files[".stats.csv"] = stats.stats_csv(rep.stats)
+        files[".boxplot.csv"] = stats.boxplot_csv(rep.boxplot)
+        _write_prefixed(args.out, files)
     return 0
 
 

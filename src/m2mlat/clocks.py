@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
 from .events import EventLog, EventRecord, EventSource, NodeId, Role
 from .stats import SummaryStats, summarize
+from .tables import write_table
 
 NS_PER_S = 1_000_000_000
 
@@ -162,31 +163,19 @@ def simulate_shared_pulse_run(
     if period_ns <= 0:
         raise ConfigInvalid("period_ns must be > 0")
     model_a, model_b = preset_models(mode) if isinstance(mode, SyncMode) else mode
-    node_a = NodeId("node_a", Role.OPERATOR)
-    node_b = NodeId("node_b", Role.VEHICLE)
-    recs_a = []
-    recs_b = []
-    for i in range(pulses):
-        t = start_ns + i * period_ns
-        recs_a.append(
-            EventRecord(
-                node_a,
-                i,
-                t + sample_clock_error(model_a, t, seed, salt=OPERATOR_SALT),
-                None,
-                EventSource.SHARED_PULSE,
-            )
-        )
-        recs_b.append(
-            EventRecord(
-                node_b,
-                i,
-                t + sample_clock_error(model_b, t, seed, salt=VEHICLE_SALT),
-                None,
-                EventSource.SHARED_PULSE,
-            )
-        )
-    return EventLog(node_a, tuple(recs_a)), EventLog(node_b, tuple(recs_b))
+    times = [start_ns + i * period_ns for i in range(pulses)]
+
+    def pulse_log(node: NodeId, model: ClockModel, salt: int) -> EventLog:
+        return EventLog(node, tuple(
+            EventRecord(i, t + sample_clock_error(model, t, seed, salt=salt),
+                        None, EventSource.SHARED_PULSE)
+            for i, t in enumerate(times)
+        ))
+
+    return (
+        pulse_log(NodeId("node_a", Role.OPERATOR), model_a, OPERATOR_SALT),
+        pulse_log(NodeId("node_b", Role.VEHICLE), model_b, VEHICLE_SALT),
+    )
 
 
 @dataclass(frozen=True)
@@ -212,9 +201,7 @@ class OffsetSeries:
             prev = t_ref
 
     def to_csv(self) -> str:
-        lines = ["t_ref_ns,offset_ns"]
-        lines.extend(f"{t},{o}" for t, o in self.samples)
-        return "\n".join(lines) + "\n"
+        return write_table(("t_ref_ns", "offset_ns"), self.samples)
 
 
 def precision_analysis(

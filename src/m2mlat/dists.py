@@ -7,7 +7,8 @@ so each supported family can be fitted to a (median, IQR) pair:
 * log-normal has a closed form: mu = ln(median) and, because the quartiles
   sit at exp(mu +- sigma * z75), sigma = asinh(iqr / (2 * median)) / z75;
 * gamma is solved by bisection on the shape, whose iqr/median ratio is
-  monotone;
+  monotone; its quantiles come from ``scipy.special.gammaincinv`` (the
+  unit-scale gamma ppf), which spares the package importing ``scipy.stats``;
 * constants are their own median with zero spread;
 * empirical distributions resample a frozen sample list and cannot be
   fitted, only constructed.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import gammaincinv
 
 from .errors import ConfigInvalid, Unfittable
 
@@ -122,10 +123,10 @@ class GammaDelay(DelayDist):
         return np.rint(draws).astype(np.int64)
 
     def median_ns(self) -> float:
-        return float(_sps.gamma.ppf(0.5, self.shape)) * self.scale_ns
+        return float(gammaincinv(self.shape, 0.5)) * self.scale_ns
 
     def iqr_ns(self) -> float:
-        q1, q3 = _sps.gamma.ppf([0.25, 0.75], self.shape)
+        q1, q3 = gammaincinv(self.shape, [0.25, 0.75])
         return float(q3 - q1) * self.scale_ns
 
     def scaled(self, factor: float) -> "GammaDelay":
@@ -163,7 +164,7 @@ _GAMMA_SHAPE_HI = 1e6
 
 
 def _gamma_ratio(shape: float) -> float:
-    q1, q2, q3 = _sps.gamma.ppf([0.25, 0.5, 0.75], shape)
+    q1, q2, q3 = gammaincinv(shape, [0.25, 0.5, 0.75])
     return (q3 - q1) / q2
 
 
@@ -209,5 +210,5 @@ def _fit_gamma(median_ns: float, iqr_ns: float) -> GammaDelay:
         if hi / lo < 1.0 + 1e-13:
             break
     shape = math.sqrt(lo * hi)
-    scale = median_ns / float(_sps.gamma.ppf(0.5, shape))
+    scale = median_ns / float(gammaincinv(shape, 0.5))
     return GammaDelay(shape, scale)

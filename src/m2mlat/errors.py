@@ -7,37 +7,24 @@ class M2MLatError(Exception):
     """Base class for all toolkit errors."""
 
 
-class UnparseableLine(M2MLatError):
+class LineError(M2MLatError):
+    """A fault tied to one line of a log; ``line_no`` counts from 1."""
+
+    def __init__(self, line_no: int, reason: str = ""):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {reason}" if reason else f"line {line_no}")
+
+
+class UnparseableLine(LineError):
     """A log line does not match the declared format."""
 
-    def __init__(self, line_no: int, reason: str = ""):
-        self.line_no = line_no
-        msg = f"line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
 
-
-class NonMonotonicSeq(M2MLatError):
+class NonMonotonicSeq(LineError):
     """A sequence number is not strictly increasing within one node's log."""
 
-    def __init__(self, line_no: int, reason: str = ""):
-        self.line_no = line_no
-        msg = f"line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
 
-
-class NonMonotonicTime(M2MLatError):
+class NonMonotonicTime(LineError):
     """A wall-clock timestamp decreases within one node's log."""
-
-    def __init__(self, line_no: int, reason: str = ""):
-        self.line_no = line_no
-        msg = f"line {line_no}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
 
 
 class EmptyLog(M2MLatError):
@@ -49,7 +36,7 @@ class LengthMismatch(M2MLatError):
 
 
 class RoleMismatch(M2MLatError):
-    """An event came from a node with the wrong role for the operation."""
+    """A log came from a node with the wrong role for the operation."""
 
 
 class ConfigInvalid(M2MLatError):

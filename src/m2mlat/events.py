@@ -24,12 +24,15 @@ Timestamps are stored as 64-bit signed integer nanoseconds; derived
 statistics may be floating point but storage never is. Within one log,
 ``seq`` is strictly increasing and ``t_wall_ns`` is non-decreasing (equal
 timestamps are legal: interrupt bursts can collide at nanosecond
-granularity).
+granularity); ``_check_order`` is the one place that rule is written.
+A record carries no node: the node belongs to the whole log and lives only
+on ``EventLog.node``, though CSV repeats its id on every line.
 
 CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
-output of ``write_log`` reproduces the original log exactly for logs with
-empty meta and a canonical node id ("operator" or "vehicle"); for any
-other node, pass the original ``node`` back into ``parse_log``.
+output of ``write_log`` (which, like every CSV table of the toolkit, goes
+through ``tables.write_table``) reproduces the original log exactly for
+logs with empty meta and a canonical node id ("operator" or "vehicle");
+for any other node, pass the original ``node`` back into ``parse_log``.
 """
 
 from __future__ import annotations
@@ -37,14 +40,17 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 from .errors import (
     ConfigInvalid,
     EmptyLog,
+    LineError,
     NonMonotonicSeq,
     NonMonotonicTime,
     UnparseableLine,
 )
+from .tables import write_table
 
 
 class Role(Enum):
@@ -103,9 +109,8 @@ def infer_node(node_id: str) -> NodeId:
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One timestamped edge detection on one node."""
+    """One timestamped edge detection; its node is the owning log's."""
 
-    node: NodeId
     seq: int
     t_wall_ns: int
     t_mono_ns: int | None = None
@@ -131,37 +136,20 @@ class EventLog:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        prev: EventRecord | None = None
-        for pos, rec in enumerate(self.records, start=1):
-            if rec.node != self.node:
-                raise ConfigInvalid(
-                    f"record {pos} belongs to node {rec.node.id!r}, "
-                    f"log is for {self.node.id!r}"
-                )
-            if prev is not None:
-                if rec.seq <= prev.seq:
-                    raise NonMonotonicSeq(pos, f"seq {rec.seq} after {prev.seq}")
-                if rec.t_wall_ns < prev.t_wall_ns:
-                    raise NonMonotonicTime(
-                        pos, f"t_wall_ns {rec.t_wall_ns} after {prev.t_wall_ns}"
-                    )
-            prev = rec
+        recs = tuple(self.records)
+        object.__setattr__(self, "records", recs)
+        for pos, (prev, rec) in enumerate(zip(recs, recs[1:]), start=2):
+            _check_order(prev, rec.seq, rec.t_wall_ns, pos)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
 def with_role(log: EventLog, role: Role) -> EventLog:
-    """Return a copy of the log with the node role replaced."""
+    """Return the log with the node role replaced; records are shared."""
     if log.node.role is role:
         return log
-    node = NodeId(log.node.id, role)
-    records = tuple(
-        EventRecord(node, r.seq, r.t_wall_ns, r.t_mono_ns, r.source)
-        for r in log.records
-    )
-    return EventLog(node, records, dict(log.meta))
+    return EventLog(NodeId(log.node.id, role), log.records, dict(log.meta))
 
 
 def parse_log(
@@ -173,20 +161,22 @@ def parse_log(
 ) -> EventLog:
     """Parse raw log text into a validated EventLog.
 
-    In strict mode (the default) any malformed line or monotonicity
-    violation raises. With ``lenient=True`` offending lines are dropped
-    and counted; the count and first failure reason are reported in the
-    returned log's ``meta`` under ``parse_skipped`` / ``parse_first_error``.
+    In strict mode (the default) any malformed line, line that is not
+    UTF-8, or monotonicity violation raises. With ``lenient=True``
+    offending lines are dropped and counted; the count and first failure
+    reason are reported in the returned log's ``meta`` under
+    ``parse_skipped`` / ``parse_first_error``.
     """
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    state = _LenientState(lenient)
+    text = raw if isinstance(raw, str) else _decode(raw, state)
     if fmt is LogFormat.CSV:
-        return _parse_csv(text, node, lenient)
+        return _parse_csv(text, node, state)
     if fmt is LogFormat.KERNEL_RING:
         if node is None:
             raise ConfigInvalid(
                 "kernel ring logs carry no node id; pass node= explicitly"
             )
-        return _parse_kernel_ring(text, node, lenient)
+        return EventLog(node, *_collect(text.split("\n"), 1, _parse_kernel_line, state))
     raise ConfigInvalid(f"unsupported log format: {fmt!r}")
 
 
@@ -198,48 +188,56 @@ def write_log(log: EventLog, fmt: LogFormat = LogFormat.CSV) -> str:
     """
     if fmt is not LogFormat.CSV:
         raise ConfigInvalid(f"unsupported output format: {fmt!r}")
-    with_mono = any(r.t_mono_ns is not None for r in log.records)
-    with_source = any(r.source is not EventSource.HALL_EDGE for r in log.records)
-    cols = ["node", "seq", "t_wall_ns"]
-    if with_mono:
-        cols.append("t_mono_ns")
-    if with_source:
-        cols.append("source")
-    lines = [",".join(cols)]
-    for r in log.records:
-        row = [log.node.id, str(r.seq), str(r.t_wall_ns)]
-        if with_mono:
-            row.append("" if r.t_mono_ns is None else str(r.t_mono_ns))
-        if with_source:
-            row.append(r.source.value)
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    keep = [0, 1, 2]
+    if any(r.t_mono_ns is not None for r in log.records):
+        keep.append(3)
+    if any(r.source is not EventSource.HALL_EDGE for r in log.records):
+        keep.append(4)
+    pick = itemgetter(*keep)
+    node_id = log.node.id
+    rows = (
+        pick((node_id, r.seq, r.t_wall_ns,
+              "" if r.t_mono_ns is None else r.t_mono_ns, r.source.value))
+        for r in log.records
+    )
+    return write_table(pick(_CSV_COLUMNS), rows)
 
 
 class _LenientState:
-    """Skip counters for lenient parsing."""
+    """Skip counters for lenient parsing; strict parsing raises instead."""
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
         self.skipped = 0
-        self.first_error = ""
+        self.first: LineError | None = None
 
-    def reject(self, err: Exception) -> None:
+    def reject(self, err: LineError) -> None:
         if not self.enabled:
             raise err
         self.skipped += 1
-        if not self.first_error:
-            self.first_error = str(err)
+        if self.first is None or err.line_no < self.first.line_no:
+            self.first = err
 
-    def annotate(self, meta: dict[str, str]) -> None:
-        if self.skipped:
-            meta["parse_skipped"] = str(self.skipped)
-            meta["parse_first_error"] = self.first_error
+
+def _decode(raw: bytes, state: _LenientState) -> str:
+    """UTF-8 text of a log; each line that is not UTF-8 is rejected and blanked."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        lines = raw.split(b"\n")  # no byte of a multi-byte UTF-8 character is LF
+    for pos, line in enumerate(lines):
+        try:
+            lines[pos] = line.decode("utf-8")
+        except UnicodeDecodeError:
+            state.reject(UnparseableLine(pos + 1, "not valid UTF-8"))
+            lines[pos] = ""
+    return "\n".join(lines)
 
 
 def _check_order(
     prev: EventRecord | None, seq: int, t_wall: int, line_no: int
 ) -> None:
+    """The one ordering rule of a log: seq strictly up, t_wall_ns never down."""
     if prev is None:
         return
     if seq <= prev.seq:
@@ -248,8 +246,7 @@ def _check_order(
         raise NonMonotonicTime(line_no, f"t_wall_ns {t_wall} after {prev.t_wall_ns}")
 
 
-def _parse_csv(text: str, node: NodeId | None, lenient: bool) -> EventLog:
-    state = _LenientState(lenient)
+def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog:
     lines = text.split("\n")
     start = 0
     layout: tuple[str, ...] | None = None
@@ -263,33 +260,51 @@ def _parse_csv(text: str, node: NodeId | None, lenient: bool) -> EventLog:
             layout = _header_layout(first, start + 1)
             start += 1
 
+    # Without a header the first data row pins the layout, and without a
+    # node the first record pins the node id, for the rest of the file.
+    node_id = node.id if node is not None else None
+
+    def parse_line(line: str, line_no: int) -> EventRecord:
+        nonlocal layout, node_id
+        if layout is None:
+            layout = _sniff_layout([c.strip() for c in line.split(",")])
+            if layout is None:
+                raise UnparseableLine(line_no, "expected 3 to 5 columns")
+        node_id, rec = _parse_csv_row(line, line_no, layout, node_id)
+        return rec
+
+    records, meta = _collect(lines[start:], start + 1, parse_line, state)
+    return EventLog(node or infer_node(node_id), records, meta)
+
+
+def _collect(
+    lines: list[str], first_line_no: int, parse_line, state: _LenientState
+) -> tuple[tuple[EventRecord, ...], dict[str, str]]:
+    """Records of the non-blank lines, and the meta of the log they make.
+
+    ``parse_line(line, line_no)`` builds one record. A line it rejects, or
+    whose record breaks the order rule, goes to ``state``.
+    """
     records: list[EventRecord] = []
     prev: EventRecord | None = None
-    for line_no, line in enumerate(lines[start:], start=start + 1):
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         try:
-            if layout is None:
-                # Headerless file: the first data row pins the layout.
-                layout = _sniff_layout([c.strip() for c in line.split(",")])
-                if layout is None:
-                    raise UnparseableLine(line_no, "expected 3 to 5 columns")
-            rec = _parse_csv_row(line, line_no, layout, node, prev)
+            rec = parse_line(line, line_no)
             _check_order(prev, rec.seq, rec.t_wall_ns, line_no)
-        except (UnparseableLine, NonMonotonicSeq, NonMonotonicTime) as err:
+        except LineError as err:
             state.reject(err)
             continue
-        if node is None and prev is None:
-            # First record pins the log's node for the rest of the file.
-            node = rec.node
         records.append(rec)
         prev = rec
-
     if not records:
         raise EmptyLog("no event records found")
     meta: dict[str, str] = {}
-    state.annotate(meta)
-    return EventLog(records[0].node, tuple(records), meta)
+    if state.skipped:
+        meta["parse_skipped"] = str(state.skipped)
+        meta["parse_first_error"] = str(state.first)
+    return tuple(records), meta
 
 
 def _header_layout(cells: list[str], line_no: int) -> tuple[str, ...]:
@@ -304,12 +319,8 @@ def _header_layout(cells: list[str], line_no: int) -> tuple[str, ...]:
 
 
 def _parse_csv_row(
-    line: str,
-    line_no: int,
-    layout: tuple[str, ...],
-    node: NodeId | None,
-    prev: EventRecord | None,
-) -> EventRecord:
+    line: str, line_no: int, layout: tuple[str, ...], pinned_id: str | None
+) -> tuple[str, EventRecord]:
     cells = [c.strip() for c in line.split(",")]
     if len(cells) != len(layout):
         raise UnparseableLine(
@@ -320,20 +331,10 @@ def _parse_csv_row(
     node_id = row["node"]
     if not node_id:
         raise UnparseableLine(line_no, "empty node id")
-    if node is not None:
-        if node_id != node.id:
-            raise UnparseableLine(
-                line_no, f"node {node_id!r} does not match log node {node.id!r}"
-            )
-        rec_node = node
-    elif prev is not None:
-        if node_id != prev.node.id:
-            raise UnparseableLine(
-                line_no, f"node {node_id!r} does not match log node {prev.node.id!r}"
-            )
-        rec_node = prev.node
-    else:
-        rec_node = infer_node(node_id)
+    if pinned_id is not None and node_id != pinned_id:
+        raise UnparseableLine(
+            line_no, f"node {node_id!r} does not match log node {pinned_id!r}"
+        )
 
     seq = _parse_uint(row["seq"], line_no, "seq")
     t_wall = _parse_uint(row["t_wall_ns"], line_no, "t_wall_ns")
@@ -348,7 +349,7 @@ def _parse_csv_row(
             source = _SOURCE_BY_NAME[row["source"]]
         except KeyError:
             raise UnparseableLine(line_no, f"unknown source {row['source']!r}")
-    return EventRecord(rec_node, seq, t_wall, t_mono, source)
+    return node_id, EventRecord(seq, t_wall, t_mono, source)
 
 
 def _sniff_layout(cells: list[str]) -> tuple[str, ...] | None:
@@ -374,33 +375,14 @@ def _parse_uint(cell: str, line_no: int, name: str) -> int:
     return value
 
 
-def _parse_kernel_ring(text: str, node: NodeId, lenient: bool) -> EventLog:
-    state = _LenientState(lenient)
-    records: list[EventRecord] = []
-    prev: EventRecord | None = None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            marker = line.find("m2m_irq:")
-            if marker < 0:
-                raise UnparseableLine(line_no, "no m2m_irq: marker")
-            m = _KERNEL_RING_RE.match(line[marker:])
-            if m is None:
-                raise UnparseableLine(line_no, f"bad event line: {line.strip()!r}")
-            seq, t_wall = int(m.group(1)), int(m.group(2))
-            if t_wall <= 0:
-                raise UnparseableLine(line_no, "ts must be positive")
-            _check_order(prev, seq, t_wall, line_no)
-        except (UnparseableLine, NonMonotonicSeq, NonMonotonicTime) as err:
-            state.reject(err)
-            continue
-        rec = EventRecord(node, seq, t_wall, None, _SOURCE_BY_NAME[m.group(3)])
-        records.append(rec)
-        prev = rec
-
-    if not records:
-        raise EmptyLog("no event records found")
-    meta: dict[str, str] = {}
-    state.annotate(meta)
-    return EventLog(node, tuple(records), meta)
+def _parse_kernel_line(line: str, line_no: int) -> EventRecord:
+    marker = line.find("m2m_irq:")
+    if marker < 0:
+        raise UnparseableLine(line_no, "no m2m_irq: marker")
+    m = _KERNEL_RING_RE.match(line[marker:])
+    if m is None:
+        raise UnparseableLine(line_no, f"bad event line: {line.strip()!r}")
+    seq, t_wall = int(m.group(1)), int(m.group(2))
+    if t_wall <= 0:
+        raise UnparseableLine(line_no, "ts must be positive")
+    return EventRecord(seq, t_wall, None, _SOURCE_BY_NAME[m.group(3)])

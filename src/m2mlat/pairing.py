@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigInvalid, EmptyLog, RoleMismatch
 from .events import EventLog, EventRecord, Role
+from .tables import write_table
 
 MS = 1_000_000
 
@@ -76,13 +77,11 @@ class PairingReport:
         return [s.m2m_ns for s in self.samples]
 
     def to_csv(self) -> str:
-        lines = ["op_seq,veh_seq,op_t_wall_ns,veh_t_wall_ns,m2m_ns"]
-        lines.extend(
-            f"{s.op_event.seq},{s.veh_event.seq},"
-            f"{s.op_event.t_wall_ns},{s.veh_event.t_wall_ns},{s.m2m_ns}"
-            for s in self.samples
+        return write_table(
+            ("op_seq", "veh_seq", "op_t_wall_ns", "veh_t_wall_ns", "m2m_ns"),
+            ((s.op_event.seq, s.veh_event.seq, s.op_event.t_wall_ns,
+              s.veh_event.t_wall_ns, s.m2m_ns) for s in self.samples),
         )
-        return "\n".join(lines) + "\n"
 
     def meta_text(self) -> str:
         return (
@@ -102,7 +101,7 @@ def debounce(log: EventLog, debounce_ns: int) -> EventLog:
 
     An event is dropped when it falls strictly within ``debounce_ns`` of
     the last kept event; an event exactly at the window edge is kept.
-    Idempotent: the output passes through unchanged.
+    Idempotent: when no event is dropped the input log itself is returned.
     """
     if debounce_ns < 0:
         raise ConfigInvalid("debounce_ns must be >= 0")
@@ -115,18 +114,17 @@ def debounce(log: EventLog, debounce_ns: int) -> EventLog:
             continue
         kept.append(rec)
         last_kept_t = rec.t_wall_ns
+    if len(kept) == len(log.records):
+        return log
     return EventLog(log.node, tuple(kept), dict(log.meta))
 
 
 def compute_m2m(e1: EventRecord, e2: EventRecord) -> int:
-    """Raw motion-to-motion latency of one event pair, in ns.
+    """Raw motion-to-motion latency in ns: vehicle event ``e2`` minus operator ``e1``.
 
-    May be negative; acceptance is the caller's decision.
+    May be negative; acceptance is the caller's decision. Roles are checked
+    once, on the logs, by ``pair_events``.
     """
-    if e1.node.role is not Role.OPERATOR:
-        raise RoleMismatch(f"first event must come from the operator, got {e1.node.role}")
-    if e2.node.role is not Role.VEHICLE:
-        raise RoleMismatch(f"second event must come from the vehicle, got {e2.node.role}")
     return e2.t_wall_ns - e1.t_wall_ns
 
 

@@ -24,9 +24,11 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .clocks import probe_offset
 from .errors import MalformedPacket, NegativeRtt
+from .tables import write_table
 
 PROBE_MAGIC = b"M2MP"
 PROBE_VERSION = 1
@@ -121,12 +123,8 @@ class ProbeResult:
         return [s.rtt_ns for s in self.samples]
 
     def to_csv(self) -> str:
-        lines = ["seq,t1,t2,t3,t4,offset_ns,rtt_ns"]
-        lines.extend(
-            f"{s.seq},{s.t1},{s.t2},{s.t3},{s.t4},{s.offset_ns!r},{s.rtt_ns}"
-            for s in self.samples
-        )
-        return "\n".join(lines) + "\n"
+        columns = ("seq", "t1", "t2", "t3", "t4", "offset_ns", "rtt_ns")
+        return write_table(columns, map(attrgetter(*columns), self.samples))
 
 
 def open_socket(host: str, port: int) -> socket.socket:

@@ -26,6 +26,7 @@ import hashlib
 import io
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .dists import (
 )
 from .errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from .events import EventLog, EventRecord, EventSource, NodeId, Role
+from .tables import write_table
 
 MS_NS = 1_000_000
 
@@ -138,15 +140,8 @@ class GroundTruth:
         return [t.true_total_ns for t in self.trials]
 
     def to_csv(self) -> str:
-        lines = [",".join(_TRUTH_COLUMNS)]
-        for t in self.trials:
-            lines.append(
-                f"{t.index},{t.true_op_time_ns},{t.l_gen_ns},{t.l_network_ns},"
-                f"{t.l_exec_ns},{t.l_follow_ns},{t.friction_ns},{t.true_total_ns},"
-                f"{t.clock_err_op_ns},{t.clock_err_veh_ns},"
-                f"{t.recorded_op_ns},{t.recorded_veh_ns}"
-            )
-        return "\n".join(lines) + "\n"
+        row = attrgetter("index", *_TRUTH_COLUMNS[1:])
+        return write_table(_TRUTH_COLUMNS, map(row, self.trials))
 
     @classmethod
     def from_csv(cls, text: str) -> "GroundTruth":
@@ -211,37 +206,21 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
     op_rec = op_true + err_op
     veh_rec = veh_true + err_veh
 
-    truth = GroundTruth(
-        tuple(
-            TrialTruth(
-                index=i,
-                true_op_time_ns=int(op_true[i]),
-                l_gen_ns=int(l_gen[i]),
-                l_network_ns=int(l_network[i]),
-                l_exec_ns=int(l_exec[i]),
-                l_follow_ns=int(l_follow[i]),
-                friction_ns=int(friction[i]),
-                true_total_ns=int(totals[i]),
-                clock_err_op_ns=int(err_op[i]),
-                clock_err_veh_ns=int(err_veh[i]),
-                recorded_op_ns=int(op_rec[i]),
-                recorded_veh_ns=int(veh_rec[i]),
-            )
-            for i in range(n)
-        )
-    )
+    # One array per TrialTruth field, in field (and CSV column) order.
+    columns = (np.arange(n), op_true, l_gen, l_network, l_exec, l_follow, friction,
+               totals, err_op, err_veh, op_rec, veh_rec)
+    rows = zip(*(c.tolist() for c in columns))
+    truth = GroundTruth(tuple(TrialTruth(*row) for row in rows))
     op_log = _build_log(NodeId("operator", Role.OPERATOR), op_rec)
     veh_log = _build_log(NodeId("vehicle", Role.VEHICLE), veh_rec)
     return op_log, veh_log, truth
 
 
 def _build_log(node: NodeId, recorded: np.ndarray) -> EventLog:
-    order = np.argsort(recorded, kind="stable")
-    records = tuple(
-        EventRecord(node, seq, int(recorded[idx]), None, EventSource.SYNTHETIC)
-        for seq, idx in enumerate(order)
-    )
-    return EventLog(node, records)
+    return EventLog(node, tuple(
+        EventRecord(seq, t, None, EventSource.SYNTHETIC)
+        for seq, t in enumerate(np.sort(recorded).tolist())
+    ))
 
 
 # Preset calibration: component medians/IQRs (ms) per scenario. The

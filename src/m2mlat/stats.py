@@ -8,11 +8,13 @@ Quantiles use linear interpolation between order statistics (rank
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigInvalid, EmptySample, TooFewSamples
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -114,41 +116,26 @@ def boxplot_data(samples: Iterable[int]) -> BoxplotData:
     )
 
 
+_STATS_COLUMNS = (
+    "n", "min_ns", "max_ns", "mean_ns", "std_ns",
+    "median_ns", "q1_ns", "q3_ns", "iqr_ns",
+)
+_BOXPLOT_COLUMNS = ("q1_ns", "median_ns", "q3_ns", "whisker_lo_ns", "whisker_hi_ns")
+
+
 def stats_csv(stats: SummaryStats) -> str:
     """Machine-readable one-row CSV rendering of a stats block."""
-    cols = [
-        "n",
-        "min_ns",
-        "max_ns",
-        "mean_ns",
-        "std_ns",
-        "median_ns",
-        "q1_ns",
-        "q3_ns",
-        "iqr_ns",
-    ]
-    row = [
-        str(stats.n),
-        str(stats.min_ns),
-        str(stats.max_ns),
-        repr(stats.mean_ns),
-        repr(stats.std_ns),
-        repr(stats.median_ns),
-        repr(stats.q1_ns),
-        repr(stats.q3_ns),
-        repr(stats.iqr_ns),
-    ]
-    for t in sorted(stats.frac_over):
-        cols.append(f"frac_over_{t}ns")
-        row.append(repr(stats.frac_over[t]))
-    return ",".join(cols) + "\n" + ",".join(row) + "\n"
+    over = sorted(stats.frac_over)
+    return write_table(
+        _STATS_COLUMNS + tuple(f"frac_over_{t}ns" for t in over),
+        [attrgetter(*_STATS_COLUMNS)(stats) + tuple(stats.frac_over[t] for t in over)],
+    )
 
 
 def boxplot_csv(bp: BoxplotData) -> str:
-    header = "q1_ns,median_ns,q3_ns,whisker_lo_ns,whisker_hi_ns,outliers_ns\n"
-    outliers = ";".join(str(x) for x in bp.outliers_ns)
-    row = (
-        f"{bp.q1_ns!r},{bp.median_ns!r},{bp.q3_ns!r},"
-        f"{bp.whisker_lo_ns},{bp.whisker_hi_ns},{outliers}\n"
+    """One-row CSV of a box plot; outliers are ``;``-separated in one cell."""
+    outliers = ";".join(map(str, bp.outliers_ns))
+    return write_table(
+        _BOXPLOT_COLUMNS + ("outliers_ns",),
+        [attrgetter(*_BOXPLOT_COLUMNS)(bp) + (outliers,)],
     )
-    return header + row

@@ -29,7 +29,7 @@ def make_log(
     if seqs is None:
         seqs = range(len(times))
     records = tuple(
-        EventRecord(node, int(seq), int(t), None, source)
+        EventRecord(int(seq), int(t), None, source)
         for seq, t in zip(seqs, times)
     )
     return EventLog(node, records)

@@ -71,18 +71,18 @@ def test_c1_m2m_exactness_and_shift_properties():
     shift = rng.integers(-(10**8), 10**8, n)
     for i in range(n):
         a, b, d, c = int(t1[i]), int(t2[i]), int(delta[i]), int(shift[i])
-        op = EventRecord(OPERATOR, 0, a)
-        veh = EventRecord(VEHICLE, 0, b)
+        op = EventRecord(0, a)
+        veh = EventRecord(0, b)
         m2m = compute_m2m(op, veh)
         assert m2m == b - a
         # translating both nodes leaves the measurement unchanged
         moved = compute_m2m(
-            EventRecord(OPERATOR, 0, a + d), EventRecord(VEHICLE, 0, b + d)
+            EventRecord(0, a + d), EventRecord(0, b + d)
         )
         assert moved == m2m
         # a vehicle-clock offset lands one-for-one in the measurement
         if b + c > 0:
-            offset = compute_m2m(op, EventRecord(VEHICLE, 0, b + c))
+            offset = compute_m2m(op, EventRecord(0, b + c))
             assert offset == m2m + c
     budget.done(f"{n} random cases, bit-exact")
 

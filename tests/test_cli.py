@@ -101,6 +101,51 @@ class TestAnalyze:
         assert "error:" in err
 
 
+def _bad_report_samples(tmp_path, run_dir):
+    (tmp_path / "s.csv").write_text("m2m_ns\n1.5\n")
+    return ["report", "--samples", str(tmp_path / "s.csv")], "line 2"
+
+
+def _bad_log_encoding(tmp_path, run_dir):
+    (tmp_path / "bad.csv").write_bytes(b"node,seq,t_wall_ns\n\xff\n")
+    return [
+        "analyze", "--operator", str(tmp_path / "bad.csv"),
+        "--vehicle", str(run_dir / "vehicle.csv"),
+    ], "line 2"
+
+
+def _nan_debounce(tmp_path, run_dir):
+    return [
+        "analyze", "--operator", str(run_dir / "operator.csv"),
+        "--vehicle", str(run_dir / "vehicle.csv"), "--debounce-ms", "nan",
+    ], "--debounce-ms"
+
+
+def _bad_sched_samples(tmp_path, run_dir):
+    (tmp_path / "a.csv").write_text("5000\nabc\n")
+    (tmp_path / "b.csv").write_text("5000\n")
+    return [
+        "budget", "--sync-ms", "0.3", "--sched-a", str(tmp_path / "a.csv"),
+        "--sched-b", str(tmp_path / "b.csv"), "--calib-angle-deg", "1",
+        "--steer-rate-dps", "100",
+    ], "line 2"
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples],
+)
+def test_bad_input_is_a_validation_error(make_args, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    run(capsys, "simulate", "--preset", "dyn_coref", "--trials", "20",
+        "--seed", "1", "--out", str(run_dir))
+    argv, where = make_args(tmp_path, run_dir)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert where in err
+
+
 class TestPrecision:
     def test_identical_files_mean_zero(self, tmp_path, capsys):
         log = tmp_path / "pulse.csv"

@@ -108,6 +108,16 @@ class TestParseCsv:
         with pytest.raises(UnparseableLine):
             parse_log("operator,0,1000\nbogus")
 
+    def test_line_that_is_not_utf8(self):
+        raw = b"operator,0,1000\noperator,1,\xff\noperator,2,3000\n"
+        with pytest.raises(UnparseableLine) as exc:
+            parse_log(raw)
+        assert exc.value.line_no == 2
+        log = parse_log(raw, lenient=True)
+        assert [r.seq for r in log.records] == [0, 2]
+        assert log.meta["parse_skipped"] == "1"
+        assert log.meta["parse_first_error"] == "line 2: not valid UTF-8"
+
 
 class TestParseKernelRing:
     def test_basic_line(self):
@@ -197,7 +207,7 @@ def csv_logs(draw):
     for seq_gap, t_gap, t_mono, source in rows:
         seq += 1 + seq_gap
         t += t_gap
-        records.append(EventRecord(node, seq, t + 1, t_mono, source))
+        records.append(EventRecord(seq, t + 1, t_mono, source))
     return EventLog(node, tuple(records))
 
 
@@ -216,27 +226,25 @@ def test_with_role_swaps_role_everywhere():
     log = make_log(OPERATOR, [1, 2])
     swapped = with_role(log, Role.VEHICLE)
     assert swapped.node == NodeId("operator", Role.VEHICLE)
-    assert all(r.node.role is Role.VEHICLE for r in swapped.records)
+    # the role lives on the log alone, so the records are shared, not rebuilt
+    assert swapped.records is log.records
     assert [r.t_wall_ns for r in swapped.records] == [1, 2]
 
 
 def test_event_record_validation():
     with pytest.raises(ConfigInvalid):
-        EventRecord(OPERATOR, -1, 100)
+        EventRecord(-1, 100)
     with pytest.raises(ConfigInvalid):
-        EventRecord(OPERATOR, 0, 0)
+        EventRecord(0, 0)
     with pytest.raises(ConfigInvalid):
         NodeId("", Role.OPERATOR)
 
 
 def test_event_log_validates_order():
-    r1 = EventRecord(OPERATOR, 1, 100)
-    r2 = EventRecord(OPERATOR, 1, 200)
+    r1 = EventRecord(1, 100)
+    r2 = EventRecord(1, 200)
     with pytest.raises(NonMonotonicSeq):
         EventLog(OPERATOR, (r1, r2))
-    r3 = EventRecord(OPERATOR, 2, 50)
+    r3 = EventRecord(2, 50)
     with pytest.raises(NonMonotonicTime):
         EventLog(OPERATOR, (r1, r3))
-    wrong_node = EventRecord(VEHICLE, 5, 300)
-    with pytest.raises(ConfigInvalid):
-        EventLog(OPERATOR, (r1, wrong_node))

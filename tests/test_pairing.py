@@ -33,6 +33,8 @@ class TestDebounce:
         log = make_log(OPERATOR, [1000, 1000 + 500 * MS])
         kept = debounce(log, 500 * MS)
         assert len(kept) == 2
+        # nothing dropped: the input log itself comes back, not a rebuilt copy
+        assert kept is log
 
     def test_idempotent(self):
         log = make_log(OPERATOR, [1, 2, 3, 400, 900, 901])
@@ -52,27 +54,19 @@ class TestDebounce:
 
 class TestComputeM2m:
     def test_equal_times(self):
-        e1 = EventRecord(OPERATOR, 0, 5000)
-        e2 = EventRecord(VEHICLE, 0, 5000)
+        e1 = EventRecord(0, 5000)
+        e2 = EventRecord(0, 5000)
         assert compute_m2m(e1, e2) == 0
 
     def test_plain_subtraction(self):
-        e1 = EventRecord(OPERATOR, 0, 100 * MS)
-        e2 = EventRecord(VEHICLE, 0, 150 * MS)
+        e1 = EventRecord(0, 100 * MS)
+        e2 = EventRecord(0, 150 * MS)
         assert compute_m2m(e1, e2) == 50 * MS
 
     def test_negative_allowed_here(self):
-        e1 = EventRecord(OPERATOR, 0, 2 * S)
-        e2 = EventRecord(VEHICLE, 0, 1 * S)
+        e1 = EventRecord(0, 2 * S)
+        e2 = EventRecord(0, 1 * S)
         assert compute_m2m(e1, e2) == -1 * S
-
-    def test_role_mismatch(self):
-        op = EventRecord(OPERATOR, 0, 1000)
-        veh = EventRecord(VEHICLE, 0, 2000)
-        with pytest.raises(RoleMismatch):
-            compute_m2m(veh, op)
-        with pytest.raises(RoleMismatch):
-            compute_m2m(op, op)
 
 
 class TestPairEvents:
