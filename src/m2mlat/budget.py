@@ -46,7 +46,10 @@ class CalibModel:
 
 def calib_error(c: CalibModel) -> int:
     """Timing uncertainty in ns from sensor misalignment: angle / rate."""
-    return _round_half_away(c.misalignment_deg / c.steering_rate_deg_per_s * 1e9)
+    ns = c.misalignment_deg / c.steering_rate_deg_per_s * 1e9
+    if not math.isfinite(ns):
+        raise ConfigInvalid(f"calibration error is not finite: {ns} ns")
+    return _round_half_away(ns)
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,4 @@ def total_error(
 ) -> ErrorBudget:
     """Combine the four error contributions into a budget."""
     parts = (e_sync_ns, e_circuit_ns, e_kernel_ns, e_calib_ns)
-    if any(p < 0 for p in parts):
-        raise NegativeComponent(f"components must be >= 0, got {parts}")
     return ErrorBudget(*parts, e_total_ns=sum(parts))

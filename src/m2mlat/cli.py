@@ -61,6 +61,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _ns(value: float, flag: str) -> int:
+    """A duration flag's value (ms, or µs for a ``-us`` flag) as int ns; must fit int64."""
+    ns = value * (1_000 if flag.endswith("-us") else MS_NS)
+    if not abs(ns) < 2**63:
+        raise ConfigInvalid(f"{flag} {value!r} does not fit in int64 nanoseconds")
+    return int(round(ns))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _CliParser(prog="m2mlat", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=f"m2mlat {__version__}")
@@ -158,7 +166,11 @@ def _cmd_simulate(args) -> int:
     if args.preset:
         cfg = sim.preset(args.preset)
     else:
-        cfg = sim.parse_config(args.config.read_text(encoding="utf-8"))
+        try:
+            text = args.config.read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigInvalid(f"{args.config}: not valid UTF-8 at byte {err.start}")
+        cfg = sim.parse_config(text)
     cfg = sim.with_overrides(cfg, trials=args.trials, seed=args.seed)
     op_log, veh_log, truth = sim.simulate(cfg)
     out: Path = args.out
@@ -177,7 +189,11 @@ def _cmd_simulate(args) -> int:
 def _read_log(path: Path, fmt: LogFormat, role: Role, lenient: bool = False):
     raw = path.read_bytes()
     node = NodeId(path.stem or role.value, role) if fmt is LogFormat.KERNEL_RING else None
-    log = parse_log(raw, fmt, node=node, lenient=lenient)
+    try:
+        log = parse_log(raw, fmt, node=node, lenient=lenient)
+    except M2MLatError as err:
+        err.args = (f"{path}: {err}",)  # same class and line number, plus the file
+        raise
     return with_role(log, role), raw
 
 
@@ -186,9 +202,9 @@ def _cmd_analyze(args) -> int:
     op_log, op_raw = _read_log(args.operator, fmt, Role.OPERATOR, args.lenient)
     veh_log, veh_raw = _read_log(args.vehicle, fmt, Role.VEHICLE, args.lenient)
     cfg = PairingConfig(
-        debounce_ns=int(round(args.debounce_ms * MS_NS)),
-        min_latency_ns=int(round(args.min_latency_ms * MS_NS)),
-        max_window_ns=int(round(args.max_window_ms * MS_NS)),
+        debounce_ns=_ns(args.debounce_ms, "--debounce-ms"),
+        min_latency_ns=_ns(args.min_latency_ms, "--min-latency-ms"),
+        max_window_ns=_ns(args.max_window_ms, "--max-window-ms"),
     )
     pairing = pair_events(op_log, veh_log, cfg)
     if not pairing.samples:
@@ -233,6 +249,7 @@ def _parse_hostport(value: str) -> tuple[str, int]:
 def _cmd_probe(args) -> int:
     if not args.listen and not args.peer:
         raise ConfigInvalid("probe needs --listen and/or --peer")
+    _ns(args.timeout_ms, "--timeout-ms")  # socket timeouts overflow beyond int64 ns
     responder_thread = None
     responder_sock = None
     stop = threading.Event()
@@ -311,7 +328,7 @@ def _read_int_column(path: Path, column: str) -> list[int]:
 
 def _cmd_budget(args) -> int:
     if args.kernel_ms is not None:
-        kernel_ns = int(round(args.kernel_ms * MS_NS))
+        kernel_ns = _ns(args.kernel_ms, "--kernel-ms")
     elif args.sched_a and args.sched_b:
         a = clocks.SchedulingStats.from_samples(
             NodeId("node_a", Role.OPERATOR), _read_int_column(args.sched_a, "latency_ns")
@@ -322,15 +339,10 @@ def _cmd_budget(args) -> int:
         kernel_ns = clocks.kernel_asymmetry(a, b)
     else:
         raise ConfigInvalid("budget needs --kernel-ms or both --sched-a and --sched-b")
-    calib_ns = budget.calib_error(
-        budget.CalibModel(args.calib_angle_deg, args.steer_rate_dps)
-    )
-    result = budget.total_error(
-        int(round(args.sync_ms * MS_NS)),
-        int(round(args.circuit_us * 1_000)),
-        kernel_ns,
-        calib_ns,
-    )
+    calib = budget.CalibModel(args.calib_angle_deg, args.steer_rate_dps)
+    sync_ns = _ns(args.sync_ms, "--sync-ms")
+    circuit_ns = _ns(args.circuit_us, "--circuit-us")
+    result = budget.total_error(sync_ns, circuit_ns, kernel_ns, budget.calib_error(calib))
     print(result.to_text(), end="")
     if args.out:
         _write_prefixed(args.out, {".budget.csv": result.to_csv()})
@@ -347,7 +359,7 @@ def _cmd_report(args) -> int:
 
 def _emit_report(args, values: list[int], digest: str, pairing=None) -> int:
     """Print the report of one sample set; with --out, also write its files."""
-    thresholds = [int(round(t * MS_NS)) for t in (args.threshold_ms or [1000.0])]
+    thresholds = [_ns(t, "--threshold-ms") for t in (args.threshold_ms or [1000.0])]
     rep = report.build_report(
         args.label, values, report.make_provenance(None, digest), thresholds, pairing
     )

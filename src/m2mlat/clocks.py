@@ -1,5 +1,8 @@
 """Per-node clock-error modeling and inter-node offset analysis.
 
+It builds no logs: ``sim`` turns clock error into synthetic captures,
+the shared-pulse precision run included.
+
 Sign conventions, used consistently everywhere:
 
 * A node's clock error is ``err = reading - true_time``; a recorded
@@ -20,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
-from .events import EventLog, EventRecord, EventSource, NodeId, Role
+from .events import EventLog, NodeId
 from .stats import SummaryStats, summarize
 from .tables import write_table
 
@@ -30,6 +33,9 @@ NS_PER_S = 1_000_000_000
 # run seed (operator/node a first, vehicle/node b second).
 OPERATOR_SALT = 1
 VEHICLE_SALT = 2
+
+# Largest share of the larger log that precision_analysis leaves unpaired.
+MAX_UNMATCHED = 0.01
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
@@ -144,40 +150,6 @@ def sample_clock_error(
     return int(round(offset))
 
 
-def simulate_shared_pulse_run(
-    mode: SyncMode | tuple[ClockModel, ClockModel],
-    pulses: int,
-    period_ns: int,
-    seed: int,
-    start_ns: int = NS_PER_S,
-) -> tuple[EventLog, EventLog]:
-    """Two-node logs of one shared electrical pulse train.
-
-    Both nodes observe the same pulse instants; each record carries that
-    node's clock error. Sequence numbers are the pulse indices, shared
-    across the two logs. The period must exceed the worst clock excursion
-    or the per-node time ordering would break.
-    """
-    if pulses < 1:
-        raise ConfigInvalid("pulses must be >= 1")
-    if period_ns <= 0:
-        raise ConfigInvalid("period_ns must be > 0")
-    model_a, model_b = preset_models(mode) if isinstance(mode, SyncMode) else mode
-    times = [start_ns + i * period_ns for i in range(pulses)]
-
-    def pulse_log(node: NodeId, model: ClockModel, salt: int) -> EventLog:
-        return EventLog(node, tuple(
-            EventRecord(i, t + sample_clock_error(model, t, seed, salt=salt),
-                        None, EventSource.SHARED_PULSE)
-            for i, t in enumerate(times)
-        ))
-
-    return (
-        pulse_log(NodeId("node_a", Role.OPERATOR), model_a, OPERATOR_SALT),
-        pulse_log(NodeId("node_b", Role.VEHICLE), model_b, VEHICLE_SALT),
-    )
-
-
 @dataclass(frozen=True)
 class OffsetSeries:
     """Per-pulse inter-node offsets with signed and absolute summaries.
@@ -193,46 +165,32 @@ class OffsetSeries:
     stats_signed: SummaryStats
     stats_abs: SummaryStats
 
-    def __post_init__(self):
-        prev = None
-        for t_ref, _ in self.samples:
-            if prev is not None and t_ref <= prev:
-                raise ConfigInvalid("t_ref_ns must be strictly increasing")
-            prev = t_ref
-
     def to_csv(self) -> str:
         return write_table(("t_ref_ns", "offset_ns"), self.samples)
 
 
-def precision_analysis(
-    log_a: EventLog,
-    log_b: EventLog,
-    *,
-    source: EventSource | None = None,
-    max_unmatched: float = 0.01,
-) -> OffsetSeries:
+def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     """Per-pulse offset series from two logs of one shared stimulus.
 
     Records are paired by sequence number when the two logs share one
-    numbering (at least ``1 - max_unmatched`` of the larger log matches);
+    numbering (at least ``1 - MAX_UNMATCHED`` of the larger log matches);
     otherwise by order after truncating to the common length. More than
-    ``max_unmatched`` unmatched either way raises LengthMismatch.
+    ``MAX_UNMATCHED`` unmatched either way raises LengthMismatch.
     """
-    recs_a = _select(log_a, source)
-    recs_b = _select(log_b, source)
+    recs_a, recs_b = log_a.records, log_b.records
     if not recs_a or not recs_b:
         raise EmptyLog("both logs must contain events to compare")
     larger = max(len(recs_a), len(recs_b))
 
     by_seq_b = {r.seq: r for r in recs_b}
     pairs = [(ra, by_seq_b[ra.seq]) for ra in recs_a if ra.seq in by_seq_b]
-    if len(pairs) < (1.0 - max_unmatched) * larger:
+    if len(pairs) < (1.0 - MAX_UNMATCHED) * larger:
         # Unrelated numbering; fall back to order alignment.
         common = min(len(recs_a), len(recs_b))
-        if larger - common > max_unmatched * larger:
+        if larger - common > MAX_UNMATCHED * larger:
             raise LengthMismatch(
                 f"{larger - common} of {larger} events unmatched "
-                f"(tolerance {max_unmatched:.0%})"
+                f"(tolerance {MAX_UNMATCHED:.0%})"
             )
         pairs = list(zip(recs_a[:common], recs_b[:common]))
 
@@ -243,12 +201,6 @@ def precision_analysis(
         stats_signed=summarize(offsets),
         stats_abs=summarize(abs(o) for o in offsets),
     )
-
-
-def _select(log: EventLog, source: EventSource | None) -> list[EventRecord]:
-    if source is None:
-        return list(log.records)
-    return [r for r in log.records if r.source is source]
 
 
 @dataclass(frozen=True)

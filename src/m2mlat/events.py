@@ -180,14 +180,12 @@ def parse_log(
     raise ConfigInvalid(f"unsupported log format: {fmt!r}")
 
 
-def write_log(log: EventLog, fmt: LogFormat = LogFormat.CSV) -> str:
-    """Serialize a log to text. Only the CSV format is writable.
+def write_log(log: EventLog) -> str:
+    """Serialize a log to CSV text, the one writable format.
 
     Optional columns are emitted only when some record needs them, so all
     header variants of the format are produced naturally.
     """
-    if fmt is not LogFormat.CSV:
-        raise ConfigInvalid(f"unsupported output format: {fmt!r}")
     keep = [0, 1, 2]
     if any(r.t_mono_ns is not None for r in log.records):
         keep.append(3)

@@ -6,7 +6,9 @@ sum of four delay components (command generation, network transport,
 command execution, actuator follow-through), plus a friction surcharge
 when the vehicle is stationary. Both recorded timestamps additionally
 carry their node's clock error, so a downstream analysis sees exactly
-what a field capture would: truth plus synchronization error.
+what a field capture would: truth plus synchronization error. Ground
+truth is one int64 array per ``TRUTH_COLUMNS`` name. The shared-pulse
+precision run is the same generator with every delay component zero.
 
 Four scenario presets are calibrated so that the full
 simulate / pair / summarize pipeline reproduces the aggregate latency
@@ -26,7 +28,6 @@ import hashlib
 import io
 import warnings
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 import numpy as np
 
@@ -89,72 +90,63 @@ class ScenarioConfig:
 ZERO_CLOCKS = (ClockModel(), ClockModel())
 
 
-@dataclass(frozen=True)
-class TrialTruth:
-    index: int
-    true_op_time_ns: int
-    l_gen_ns: int
-    l_network_ns: int
-    l_exec_ns: int
-    l_follow_ns: int
-    friction_ns: int
-    true_total_ns: int
-    clock_err_op_ns: int
-    clock_err_veh_ns: int
-    recorded_op_ns: int
-    recorded_veh_ns: int
-
-
-_TRUTH_COLUMNS = (
-    "trial",
-    "true_op_time_ns",
-    "l_gen_ns",
-    "l_network_ns",
-    "l_exec_ns",
-    "l_follow_ns",
-    "friction_ns",
-    "true_total_ns",
-    "clock_err_op_ns",
-    "clock_err_veh_ns",
-    "recorded_op_ns",
-    "recorded_veh_ns",
+TRUTH_COLUMNS = (
+    "trial", "true_op_time_ns", "l_gen_ns", "l_network_ns", "l_exec_ns", "l_follow_ns",
+    "friction_ns", "true_total_ns", "clock_err_op_ns", "clock_err_veh_ns",
+    "recorded_op_ns", "recorded_veh_ns",
 )
 
 
-@dataclass(frozen=True)
 class GroundTruth:
-    trials: tuple[TrialTruth, ...]
+    """Per-trial ground truth: one int64 array per name in TRUTH_COLUMNS.
 
-    def __post_init__(self):
-        for t in self.trials:
-            parts = t.l_gen_ns + t.l_network_ns + t.l_exec_ns + t.l_follow_ns + t.friction_ns
-            if t.true_total_ns != parts:
-                raise ConfigInvalid(f"trial {t.index}: total does not match components")
-            if t.recorded_op_ns != t.true_op_time_ns + t.clock_err_op_ns:
-                raise ConfigInvalid(f"trial {t.index}: operator recording inconsistent")
-            veh_true = t.true_op_time_ns + t.true_total_ns
-            if t.recorded_veh_ns != veh_true + t.clock_err_veh_ns:
-                raise ConfigInvalid(f"trial {t.index}: vehicle recording inconsistent")
+    Construction checks closure on every trial: the total is the sum of
+    the components, and each recorded timestamp is its true time plus
+    that node's clock error. The error names the first trial that fails.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        if set(columns) != set(TRUTH_COLUMNS) or len(set(map(len, columns.values()))) > 1:
+            raise ConfigInvalid(f"ground truth needs equal-length columns {TRUTH_COLUMNS}")
+        self.columns = {k: np.asarray(columns[k], dtype=np.int64) for k in TRUTH_COLUMNS}
+        trial, t_op, *parts, total, err_op, err_veh, rec_op, rec_veh = self.columns.values()
+        bad = np.array([
+            total != sum(parts),
+            rec_op - err_op != t_op,
+            rec_veh - err_veh != t_op + total,
+        ])
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            reason = ("total does not match components", "operator recording inconsistent",
+                      "vehicle recording inconsistent")[int(bad[:, i].argmax())]
+            raise ConfigInvalid(f"trial {int(trial[i])}: {reason}")
+
+    def __len__(self) -> int:
+        return len(self.columns["trial"])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroundTruth) and all(
+            np.array_equal(self.columns[k], other.columns[k]) for k in TRUTH_COLUMNS
+        )
 
     def true_totals(self) -> list[int]:
-        return [t.true_total_ns for t in self.trials]
+        return self.columns["true_total_ns"].tolist()
 
     def to_csv(self) -> str:
-        row = attrgetter("index", *_TRUTH_COLUMNS[1:])
-        return write_table(_TRUTH_COLUMNS, map(row, self.trials))
+        rows = zip(*(self.columns[k].tolist() for k in TRUTH_COLUMNS))
+        return write_table(TRUTH_COLUMNS, rows)
 
     @classmethod
     def from_csv(cls, text: str) -> "GroundTruth":
         lines = [ln for ln in text.split("\n") if ln.strip()]
-        if not lines or lines[0] != ",".join(_TRUTH_COLUMNS):
+        if not lines or lines[0] != ",".join(TRUTH_COLUMNS):
             raise ConfigInvalid("bad ground-truth header")
-        trials = []
-        for ln in lines[1:]:
-            cells = [int(c) for c in ln.split(",")]
-            if len(cells) != len(_TRUTH_COLUMNS):
-                raise ConfigInvalid("bad ground-truth row")
-            trials.append(TrialTruth(*cells))
-        return cls(tuple(trials))
+        rows = [ln.split(",") for ln in lines[1:]]
+        try:  # a short, long, non-integer or beyond-int64 cell fails here
+            table = np.array(rows, dtype=np.int64).reshape(len(rows), len(TRUTH_COLUMNS))
+        except (ValueError, OverflowError):
+            raise ConfigInvalid("bad ground-truth row")
+        return cls(dict(zip(TRUTH_COLUMNS, table.T)))
 
 
 def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
@@ -187,33 +179,40 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
     op_model, veh_model = cfg.effective_clock_models()
     op_true = cfg.start_ns + interval_ns * np.arange(n, dtype=np.int64)
     veh_true = op_true + totals
-    err_op = np.fromiter(
-        (
-            sample_clock_error(op_model, int(t), cfg.seed, salt=OPERATOR_SALT)
-            for t in op_true
-        ),
-        dtype=np.int64,
-        count=n,
-    )
-    err_veh = np.fromiter(
-        (
-            sample_clock_error(veh_model, int(t), cfg.seed, salt=VEHICLE_SALT)
-            for t in veh_true
-        ),
-        dtype=np.int64,
-        count=n,
-    )
-    op_rec = op_true + err_op
-    veh_rec = veh_true + err_veh
-
-    # One array per TrialTruth field, in field (and CSV column) order.
-    columns = (np.arange(n), op_true, l_gen, l_network, l_exec, l_follow, friction,
-               totals, err_op, err_veh, op_rec, veh_rec)
-    rows = zip(*(c.tolist() for c in columns))
-    truth = GroundTruth(tuple(TrialTruth(*row) for row in rows))
+    err_op = _clock_errors(op_model, op_true, cfg.seed, OPERATOR_SALT)
+    err_veh = _clock_errors(veh_model, veh_true, cfg.seed, VEHICLE_SALT)
+    op_rec, veh_rec = op_true + err_op, veh_true + err_veh
+    truth = GroundTruth(dict(zip(TRUTH_COLUMNS, (
+        np.arange(n, dtype=np.int64), op_true, l_gen, l_network, l_exec, l_follow,
+        friction, totals, err_op, err_veh, op_rec, veh_rec,
+    ))))
     op_log = _build_log(NodeId("operator", Role.OPERATOR), op_rec)
     veh_log = _build_log(NodeId("vehicle", Role.VEHICLE), veh_rec)
     return op_log, veh_log, truth
+
+
+def simulate_shared_pulse_run(
+    mode: SyncMode, pulses: int, period_ns: int, seed: int
+) -> tuple[EventLog, EventLog]:
+    """Two-node logs of one shared electrical pulse train.
+
+    A scenario whose delay components are all zero, one trial per pulse:
+    every offset between the two logs is clock error. The period must
+    exceed the worst clock excursion, or the renumbered logs no longer
+    share one sequence number per pulse.
+    """
+    zero = ConstantDelay(0)
+    cfg = ScenarioConfig(zero, zero, zero, zero, zero, stationary=False, sync_mode=mode,
+                         trial_interval_s=period_ns / NS_PER_S, trials=pulses, seed=seed)
+    return simulate(cfg)[:2]
+
+
+def _clock_errors(
+    model: ClockModel, times: np.ndarray, seed: int, salt: int
+) -> np.ndarray:
+    """sample_clock_error at each true time, as an int64 array."""
+    errors = [sample_clock_error(model, t, seed, salt=salt) for t in times.tolist()]
+    return np.array(errors, dtype=np.int64)
 
 
 def _build_log(node: NodeId, recorded: np.ndarray) -> EventLog:

@@ -15,11 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from m2mlat.budget import CalibModel, calib_error, total_error
-from m2mlat.clocks import (
-    SyncMode,
-    precision_analysis,
-    simulate_shared_pulse_run,
-)
+from m2mlat.clocks import SyncMode, precision_analysis
 from m2mlat.events import EventRecord, parse_log, write_log
 from m2mlat.pairing import PairingConfig, compute_m2m, pair_events
 from m2mlat.probe import (
@@ -30,7 +26,7 @@ from m2mlat.probe import (
     encode_packet,
     respond,
 )
-from m2mlat.sim import ZERO_CLOCKS, preset, simulate
+from m2mlat.sim import ZERO_CLOCKS, preset, simulate, simulate_shared_pulse_run
 from m2mlat.stats import summarize
 
 from helpers import (
@@ -203,19 +199,21 @@ def test_c7_ground_truth_closure():
     base = replace(preset("dyn_coref"), trials=300)
 
     def paired_by_trial(cfg):
+        # (m2m of each pair, ground-truth columns of that pair's trial)
         op_log, veh_log, truth = simulate(cfg)
         pairing = pair_events(op_log, veh_log)
         assert len(pairing.samples) == cfg.trials
-        by_recorded_op = {t.recorded_op_ns: t for t in truth.trials}
-        return [(s, by_recorded_op[s.op_event.t_wall_ns]) for s in pairing.samples]
+        trial_of = {t: i for i, t in enumerate(truth.columns["recorded_op_ns"].tolist())}
+        rows = [trial_of[s.op_event.t_wall_ns] for s in pairing.samples]
+        m2m = np.array(pairing.m2m_values, dtype=np.int64)
+        return m2m, {name: col[rows] for name, col in truth.columns.items()}
 
-    for sample, trial in paired_by_trial(replace(base, clock_models=ZERO_CLOCKS)):
-        assert sample.m2m_ns == trial.true_total_ns
-    for sample, trial in paired_by_trial(base):
-        assert (
-            sample.m2m_ns - trial.true_total_ns
-            == trial.clock_err_veh_ns - trial.clock_err_op_ns
-        )
+    m2m, trial = paired_by_trial(replace(base, clock_models=ZERO_CLOCKS))
+    assert (m2m == trial["true_total_ns"]).all()
+    m2m, trial = paired_by_trial(base)
+    assert (
+        m2m - trial["true_total_ns"] == trial["clock_err_veh_ns"] - trial["clock_err_op_ns"]
+    ).all()
     budget.done("300 trials exact, with and without clock error")
 
 

@@ -34,7 +34,7 @@ class TestSimulate:
         cfg = parse_config((out / "config.echo").read_text())
         assert (cfg.trials, cfg.seed) == (50, 7)
         truth = GroundTruth.from_csv((out / "truth.csv").read_text())
-        assert len(truth.trials) == 50
+        assert len(truth) == 50
         assert len(parse_log((out / "operator.csv").read_text())) == 50
 
     def test_simulate_from_config_file(self, tmp_path, capsys):
@@ -131,9 +131,70 @@ def _bad_sched_samples(tmp_path, run_dir):
     ], "line 2"
 
 
+def _vehicle_log_error(tmp_path, run_dir):
+    bad = tmp_path / "veh.csv"
+    bad.write_text("node,seq,t_wall_ns\nvehicle,x,5\n")
+    return [
+        "analyze", "--operator", str(run_dir / "operator.csv"), "--vehicle", str(bad),
+    ], f"UnparseableLine: {bad}: line 2"
+
+
+def _precision_log_error(tmp_path, run_dir):
+    bad = tmp_path / "b.csv"
+    bad.write_text("node,seq,t_wall_ns\nnode_b,1,5\nnode_b,0,6\n")
+    return [
+        "precision", "--node-a", str(run_dir / "operator.csv"), "--node-b", str(bad),
+    ], f"NonMonotonicSeq: {bad}: line 3"
+
+
+def _config_not_utf8(tmp_path, run_dir):
+    (tmp_path / "bad.ini").write_bytes(b"\xff\xfe[scenario]\n")
+    return [
+        "simulate", "--config", str(tmp_path / "bad.ini"), "--out", str(tmp_path / "x"),
+    ], f"ConfigInvalid: {tmp_path / 'bad.ini'}: not valid UTF-8"
+
+
+def _overflowing_flag(flag, value):
+    def make_args(tmp_path, run_dir):
+        logs = ["--operator", str(run_dir / "operator.csv"),
+                "--vehicle", str(run_dir / "vehicle.csv")]
+        budget = ["--sync-ms", "1", "--kernel-ms", "1",
+                  "--calib-angle-deg", "1", "--steer-rate-dps", "100"]
+        command = {
+            "--debounce-ms": ["analyze", *logs],
+            "--min-latency-ms": ["analyze", *logs],
+            "--max-window-ms": ["analyze", *logs],
+            "--threshold-ms": ["analyze", *logs],
+            "--sync-ms": ["budget", *budget],
+            "--kernel-ms": ["budget", *budget],
+            "--circuit-us": ["budget", *budget],
+            "--timeout-ms": ["probe", "--peer", "127.0.0.1:9"],
+        }[flag]
+        return [*command, f"{flag}={value}"], f"{flag} {float(value)!r}"
+    make_args.__name__ = f"_overflowing{flag.replace('-', '_')}_{value}"
+    return make_args
+
+
+def _calib_not_finite(tmp_path, run_dir):
+    return [
+        "budget", "--sync-ms", "1", "--kernel-ms", "1",
+        "--calib-angle-deg", "1e303", "--steer-rate-dps", "1e-300",
+    ], "calibration error is not finite"
+
+
+# 1e303 overflows a float once scaled to ns; 1e13 ms is finite but beyond int64 ns
+_OVERFLOWING = [
+    _overflowing_flag(flag, "1e303")
+    for flag in ("--debounce-ms", "--min-latency-ms", "--max-window-ms", "--threshold-ms",
+                 "--sync-ms", "--kernel-ms", "--circuit-us", "--timeout-ms")
+] + [_overflowing_flag("--debounce-ms", "-1e303"), _overflowing_flag("--sync-ms", "1e13")]
+
+
 @pytest.mark.parametrize(
     "make_args",
-    [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples],
+    [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples,
+     _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
+     *_OVERFLOWING],
 )
 def test_bad_input_is_a_validation_error(make_args, tmp_path, capsys):
     run_dir = tmp_path / "run"

@@ -16,10 +16,10 @@ from m2mlat.clocks import (
     preset_models,
     probe_offset,
     sample_clock_error,
-    simulate_shared_pulse_run,
 )
 from m2mlat.errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
 from m2mlat.events import EventSource
+from m2mlat.sim import simulate_shared_pulse_run
 
 from helpers import OPERATOR, VEHICLE, make_log
 
@@ -200,10 +200,17 @@ class TestPrecisionAnalysis:
         with pytest.raises(LengthMismatch):
             precision_analysis(log_a, log_b)
 
-    def test_empty_after_source_filter(self):
-        log = make_log(OPERATOR, [1 * S], source=EventSource.HALL_EDGE)
+    def test_empty_log(self):
+        log = make_log(OPERATOR, [1 * S])
         with pytest.raises(EmptyLog):
-            precision_analysis(log, log, source=EventSource.SHARED_PULSE)
+            precision_analysis(log, make_log(VEHICLE, []))
+
+    def test_equal_times_on_one_node(self):
+        # an event log may repeat a timestamp; the offsets keep log order
+        log_a = make_log(OPERATOR, [1 * S, 1 * S, 2 * S])
+        log_b = make_log(VEHICLE, [1 * S + MS, 1 * S + 2 * MS, 2 * S + MS])
+        series = precision_analysis(log_a, log_b)
+        assert series.samples == ((1 * S, -MS), (1 * S, -2 * MS), (2 * S, -MS))
 
     def test_offsets_csv(self):
         log = make_log(OPERATOR, [1 * S, 2 * S], source=EventSource.SHARED_PULSE)

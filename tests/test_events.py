@@ -183,10 +183,6 @@ class TestWriteLog:
         assert out.startswith("node,seq,t_wall_ns,source\n")
         assert "vehicle,0,5,pulse" in out
 
-    def test_csv_is_the_only_writable_format(self):
-        with pytest.raises(ConfigInvalid):
-            write_log(make_log(OPERATOR, [1]), LogFormat.KERNEL_RING)
-
 
 def _record_strategy(node):
     return st.tuples(

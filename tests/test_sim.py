@@ -2,15 +2,19 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from m2mlat.clocks import ClockModel, SyncMode, preset_models
 from m2mlat.dists import ConstantDelay, DistKind, fit_delay_dist
 from m2mlat.errors import ConfigInvalid, OverlappingTrials, UnknownPreset
-from m2mlat.events import EventSource, Role
+from m2mlat.clocks import precision_analysis
+from m2mlat.events import EventSource, Role, write_log
 from m2mlat.pairing import PairingConfig, pair_events
 from m2mlat.sim import (
+    TRUTH_COLUMNS,
     ZERO_CLOCKS,
     GroundTruth,
     ScenarioConfig,
@@ -19,6 +23,7 @@ from m2mlat.sim import (
     preset,
     render_config,
     simulate,
+    simulate_shared_pulse_run,
     with_overrides,
 )
 from m2mlat.stats import summarize
@@ -51,7 +56,7 @@ class TestSimulateBasics:
         rep = pair_events(op, veh, PairingConfig(debounce_ns=0))
         assert len(rep.samples) == 50
         assert all(s.m2m_ns == 0 for s in rep.samples)
-        assert all(t.true_total_ns == 0 for t in truth.trials)
+        assert not truth.columns["true_total_ns"].any()
 
     def test_constant_chain_sums_exactly(self):
         cfg = constant_config(gen=10 * MS, net=50 * MS, execd=20 * MS, follow=700 * MS)
@@ -85,32 +90,58 @@ class TestGroundTruth:
     def test_recorded_minus_true_is_the_clock_error(self):
         cfg = replace(preset("dyn_coref"), trials=100)
         op, veh, truth = simulate(cfg)
-        for t in truth.trials:
-            assert t.recorded_op_ns - t.true_op_time_ns == t.clock_err_op_ns
-            veh_true = t.true_op_time_ns + t.true_total_ns
-            assert t.recorded_veh_ns - veh_true == t.clock_err_veh_ns
-            # measured pair difference decomposes into truth plus sync error
-            assert (
-                t.recorded_veh_ns - t.recorded_op_ns
-                == t.true_total_ns + t.clock_err_veh_ns - t.clock_err_op_ns
-            )
+        t = truth.columns
+        assert len(truth) == 100
+        assert (t["recorded_op_ns"] - t["true_op_time_ns"] == t["clock_err_op_ns"]).all()
+        veh_true = t["true_op_time_ns"] + t["true_total_ns"]
+        assert (t["recorded_veh_ns"] - veh_true == t["clock_err_veh_ns"]).all()
+        # measured pair difference decomposes into truth plus sync error
+        assert (
+            t["recorded_veh_ns"] - t["recorded_op_ns"]
+            == t["true_total_ns"] + t["clock_err_veh_ns"] - t["clock_err_op_ns"]
+        ).all()
 
     def test_totals_equal_component_sum(self):
         _, _, truth = simulate(replace(preset("static_wifi"), trials=50))
-        for t in truth.trials:
-            assert t.true_total_ns == (
-                t.l_gen_ns + t.l_network_ns + t.l_exec_ns + t.l_follow_ns + t.friction_ns
-            )
+        t = truth.columns
+        assert (t["true_total_ns"] == (
+            t["l_gen_ns"] + t["l_network_ns"] + t["l_exec_ns"] + t["l_follow_ns"]
+            + t["friction_ns"]
+        )).all()
 
     def test_csv_round_trip(self):
         _, _, truth = simulate(constant_config(follow=5 * MS, trials=20))
         assert GroundTruth.from_csv(truth.to_csv()) == truth
 
+    def test_bad_csv_rows_rejected(self):
+        header, row = simulate(constant_config(trials=1))[2].to_csv().splitlines()
+        for bad in ("x", "1.5", str(2**63)):
+            with pytest.raises(ConfigInvalid):
+                GroundTruth.from_csv(f"{header}\n{bad},{row.split(',', 1)[1]}\n")
+        with pytest.raises(ConfigInvalid):
+            GroundTruth.from_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
+
     def test_inconsistent_rows_rejected(self):
         _, _, truth = simulate(constant_config(trials=5))
-        bad = replace(truth.trials[0], true_total_ns=truth.trials[0].true_total_ns + 1)
+        for name, reason in (
+            ("true_total_ns", "total does not match components"),
+            ("recorded_op_ns", "operator recording inconsistent"),
+            ("recorded_veh_ns", "vehicle recording inconsistent"),
+        ):
+            columns = {k: v.copy() for k, v in truth.columns.items()}
+            columns[name][[2, 4]] += 1
+            with pytest.raises(ConfigInvalid, match=f"^trial 2: {reason}$"):
+                GroundTruth(columns)
+
+    def test_columns_are_checked(self):
+        _, _, truth = simulate(constant_config(trials=5))
+        missing = {k: v for k, v in truth.columns.items() if k != "friction_ns"}
         with pytest.raises(ConfigInvalid):
-            GroundTruth((bad,) + truth.trials[1:])
+            GroundTruth(missing)
+        ragged = dict(truth.columns, trial=np.arange(4))
+        with pytest.raises(ConfigInvalid):
+            GroundTruth(ragged)
+        assert tuple(truth.columns) == TRUTH_COLUMNS
 
 
 class TestStationaryFriction:
@@ -267,3 +298,24 @@ class TestConfigFile:
         assert with_overrides(cfg) is cfg
         out = with_overrides(cfg, trials=7, seed=42)
         assert (out.trials, out.seed) == (7, 42)
+
+
+def test_outputs_are_pinned_bit_for_bit():
+    # sha256 digests of every simulator output under one pinned seed; a
+    # change here means the generator no longer reproduces earlier runs
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    cfg = with_overrides(preset("static_wifi"), trials=300, seed=11)
+    op, veh, truth = simulate(cfg)
+    assert digest(write_log(op)) == (
+        "fa5761ea049c4c68eb150125a9be6c2acffa48c8bde49cd055a7e9e3f128536f")
+    assert digest(write_log(veh)) == (
+        "8237781853700bc1518dc0b0151709c1b04df217089df4e8652c212572ce2416")
+    assert digest(truth.to_csv()) == (
+        "07275a34380d5b67ca4b474ff16c9b6b6fadab224dcec6a9316b8cbeaa5f7f03")
+    assert digest(render_config(cfg)) == (
+        "4a30e0ee8d3ea7278c375da7f3afe997a9cb5809e2a3c69aa73095554fed228d")
+    pulses = simulate_shared_pulse_run(SyncMode.CO_REFERENCED, 300, 10**9, 9)
+    assert digest(precision_analysis(*pulses).to_csv()) == (
+        "ec90c433ddd93f5340a726a499688e87ae10268b86ac7b55dd85ee69902d32e7")

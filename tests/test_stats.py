@@ -63,6 +63,20 @@ def test_summarize_is_permutation_invariant(values, rnd):
 
 
 @given(
+    st.lists(st.integers(min_value=-(4 * 10**18), max_value=4 * 10**18),
+             min_size=5, max_size=300),
+)
+def test_quartiles_are_numpy_linear_quantiles_bit_for_bit(values):
+    # numpy's quantile(method="linear") is the reference the pinned rank
+    # formula reproduces; reports must not drift by one ulp from it
+    expected = tuple(np.quantile(np.array(values), [0.25, 0.5, 0.75], method="linear"))
+    s = summarize(values)
+    bp = boxplot_data(values)
+    assert (s.q1_ns, s.median_ns, s.q3_ns) == expected
+    assert (bp.q1_ns, bp.median_ns, bp.q3_ns) == expected
+
+
+@given(
     st.lists(st.integers(min_value=-(10**12), max_value=10**12), min_size=1, max_size=40),
     st.integers(min_value=-(10**9), max_value=10**9),
 )
