@@ -25,7 +25,6 @@ from .dists import (
 )
 from .events import (
     EventLog,
-    EventRecord,
     EventSource,
     LogFormat,
     NodeId,
@@ -34,7 +33,6 @@ from .events import (
     write_log,
 )
 from .pairing import (
-    LatencySample,
     PairingConfig,
     PairingReport,
     compute_m2m,
@@ -64,11 +62,9 @@ __all__ = [
     "EmpiricalDelay",
     "ErrorBudget",
     "EventLog",
-    "EventRecord",
     "EventSource",
     "GammaDelay",
     "GroundTruth",
-    "LatencySample",
     "LogFormat",
     "LogNormalDelay",
     "NodeId",

@@ -36,7 +36,7 @@ import threading
 from pathlib import Path
 
 from . import __version__, budget, clocks, probe, report, sim, stats
-from .errors import ConfigInvalid, M2MLatError
+from .errors import ConfigInvalid, EmptyLog, M2MLatError
 from .events import LogFormat, NodeId, Role, parse_log, with_role, write_log
 from .pairing import PairingConfig, pair_events
 
@@ -207,10 +207,8 @@ def _cmd_analyze(args) -> int:
         max_window_ns=_ns(args.max_window_ms, "--max-window-ms"),
     )
     pairing = pair_events(op_log, veh_log, cfg)
-    if not pairing.samples:
-        print("error: EmptyLog: no event pairs inside the matching window",
-              file=sys.stderr)
-        return 1
+    if not len(pairing.samples):
+        raise EmptyLog("no event pairs inside the matching window")
     return _emit_report(
         args, pairing.m2m_values, report.input_digest(op_raw, veh_raw), pairing
     )
@@ -249,7 +247,10 @@ def _parse_hostport(value: str) -> tuple[str, int]:
 def _cmd_probe(args) -> int:
     if not args.listen and not args.peer:
         raise ConfigInvalid("probe needs --listen and/or --peer")
-    _ns(args.timeout_ms, "--timeout-ms")  # socket timeouts overflow beyond int64 ns
+    _ns(args.timeout_ms, "--timeout-ms")  # socket timeouts and sleeps overflow
+    _ns(args.interval_ms, "--interval-ms")  # beyond int64 ns
+    if args.timeout_ms <= 0 or args.interval_ms < 0:
+        raise ConfigInvalid("probe needs --timeout-ms > 0 and --interval-ms >= 0")
     responder_thread = None
     responder_sock = None
     stop = threading.Event()
@@ -306,7 +307,7 @@ def _read_int_column(path: Path, column: str) -> list[int]:
     """Integers of one CSV column, or of bare one-value lines without a header.
 
     The first non-blank line is the header when it names ``column``. A cell
-    that is no integer (bytes that are not UTF-8 included) raises
+    that is no int64 integer (bytes that are not UTF-8 included) raises
     ConfigInvalid naming the file and the line.
     """
     text = path.read_text(encoding="utf-8", errors="replace")
@@ -320,9 +321,12 @@ def _read_int_column(path: Path, column: str) -> list[int]:
     values = []
     for line_no, line in lines:
         try:
-            values.append(int(line if idx is None else line.split(",")[idx]))
+            value = int(line if idx is None else line.split(",")[idx])
         except (ValueError, IndexError):
             raise ConfigInvalid(f"{path} line {line_no}: no integer {column}: {line!r}")
+        if not -(2**63) <= value < 2**63:
+            raise ConfigInvalid(f"{path} line {line_no}: {column} does not fit in int64: {value}")
+        values.append(value)
     return values
 
 

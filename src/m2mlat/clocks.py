@@ -172,32 +172,30 @@ class OffsetSeries:
 def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     """Per-pulse offset series from two logs of one shared stimulus.
 
-    Records are paired by sequence number when the two logs share one
+    Events are paired by sequence number when the two logs share one
     numbering (at least ``1 - MAX_UNMATCHED`` of the larger log matches);
     otherwise by order after truncating to the common length. More than
     ``MAX_UNMATCHED`` unmatched either way raises LengthMismatch.
     """
-    recs_a, recs_b = log_a.records, log_b.records
-    if not recs_a or not recs_b:
+    if not len(log_a) or not len(log_b):
         raise EmptyLog("both logs must contain events to compare")
-    larger = max(len(recs_a), len(recs_b))
+    larger = max(len(log_a), len(log_b))
 
-    by_seq_b = {r.seq: r for r in recs_b}
-    pairs = [(ra, by_seq_b[ra.seq]) for ra in recs_a if ra.seq in by_seq_b]
-    if len(pairs) < (1.0 - MAX_UNMATCHED) * larger:
+    _, ia, ib = np.intersect1d(log_a.seq, log_b.seq, assume_unique=True, return_indices=True)
+    if len(ia) < (1.0 - MAX_UNMATCHED) * larger:
         # Unrelated numbering; fall back to order alignment.
-        common = min(len(recs_a), len(recs_b))
+        common = min(len(log_a), len(log_b))
         if larger - common > MAX_UNMATCHED * larger:
             raise LengthMismatch(
                 f"{larger - common} of {larger} events unmatched "
                 f"(tolerance {MAX_UNMATCHED:.0%})"
             )
-        pairs = list(zip(recs_a[:common], recs_b[:common]))
+        ia = ib = slice(common)
 
-    samples = tuple((ra.t_wall_ns, ra.t_wall_ns - rb.t_wall_ns) for ra, rb in pairs)
-    offsets = [o for _, o in samples]
+    t_a = log_a.t_wall_ns[ia]
+    offsets = (t_a - log_b.t_wall_ns[ib]).tolist()
     return OffsetSeries(
-        samples=samples,
+        samples=tuple(zip(t_a.tolist(), offsets)),
         stats_signed=summarize(offsets),
         stats_abs=summarize(abs(o) for o in offsets),
     )

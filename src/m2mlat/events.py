@@ -5,7 +5,7 @@ each producing an ordered log of edge-detection events. Two input formats
 are supported:
 
 * CSV, the toolkit's canonical format: header
-  ``node,seq,t_wall_ns[,t_mono_ns][,source]``, one record per line, UTF-8,
+  ``node,seq,t_wall_ns[,t_mono_ns][,source]``, one event per line, UTF-8,
   LF line endings. ``source`` is one of ``hall``, ``pulse``, ``synthetic``
   and defaults to ``hall``. A headerless file is accepted when its first
   line does not begin with ``node,``; headerless 4-column rows are
@@ -21,12 +21,14 @@ are supported:
   through a one-line rewrite) to be ingested.
 
 Timestamps are stored as 64-bit signed integer nanoseconds; derived
-statistics may be floating point but storage never is. Within one log,
-``seq`` is strictly increasing and ``t_wall_ns`` is non-decreasing (equal
-timestamps are legal: interrupt bursts can collide at nanosecond
-granularity); ``_check_order`` is the one place that rule is written.
-A record carries no node: the node belongs to the whole log and lives only
-on ``EventLog.node``, though CSV repeats its id on every line.
+statistics may be floating point but storage never is, and a cell beyond
+int64 is an unparseable line. An ``EventLog`` is one node (CSV repeats its
+id on every line) plus one int64 array per CSV column: ``seq``,
+``t_wall_ns``, ``t_mono_ns`` (-1 where absent) and ``source`` (an index
+into ``tuple(EventSource)``). Within one log, ``seq`` is strictly
+increasing and ``t_wall_ns`` is non-decreasing (equal timestamps are
+legal: interrupt bursts can collide at nanosecond granularity);
+``_check_order`` is the one place that rule is written.
 
 CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
 output of ``write_log`` (which, like every CSV table of the toolkit, goes
@@ -38,9 +40,11 @@ for any other node, pass the original ``node`` back into ``parse_log``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from itertools import repeat
+
+import numpy as np
 
 from .errors import (
     ConfigInvalid,
@@ -69,7 +73,9 @@ class LogFormat(Enum):
     KERNEL_RING = "kernelring"
 
 
-_SOURCE_BY_NAME = {s.value: s for s in EventSource}
+# Source column codes: index into tuple(EventSource); HALL_EDGE is 0.
+_SOURCE_NAMES = tuple(s.value for s in EventSource)
+_SOURCE_BY_NAME = {name: code for code, name in enumerate(_SOURCE_NAMES)}
 
 # Node ids mapped to roles when no explicit NodeId is supplied; anything
 # else defaults to OPERATOR (precision analysis does not use roles, and the
@@ -107,49 +113,57 @@ def infer_node(node_id: str) -> NodeId:
     return NodeId(node_id, _ROLE_BY_ID.get(node_id.lower(), Role.OPERATOR))
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One timestamped edge detection; its node is the owning log's."""
-
-    seq: int
-    t_wall_ns: int
-    t_mono_ns: int | None = None
-    source: EventSource = EventSource.HALL_EDGE
-
-    def __post_init__(self):
-        if self.seq < 0:
-            raise ConfigInvalid(f"seq must be non-negative, got {self.seq}")
-        if self.t_wall_ns <= 0:
-            raise ConfigInvalid(f"t_wall_ns must be positive, got {self.t_wall_ns}")
-
-
-@dataclass(frozen=True)
 class EventLog:
     """An ordered, validated sequence of events from a single node.
 
-    Treat instances as immutable value data; they are safe to share
-    read-only across threads.
+    One int64 array per CSV column; ``t_mono_ns`` defaults to -1 (absent)
+    and ``source`` to 0 (``hall``). Treat instances as immutable value
+    data; they are safe to share read-only across threads.
     """
 
-    node: NodeId
-    records: tuple[EventRecord, ...]
-    meta: dict[str, str] = field(default_factory=dict)
+    def __init__(self, node: NodeId, seq, t_wall_ns, t_mono_ns=None, source=None,
+                 meta: dict[str, str] | None = None):
+        n = len(seq)
+        self.node = node
+        self.meta = {} if meta is None else meta
+        self.seq, self.t_wall_ns, self.t_mono_ns, self.source = (
+            np.ascontiguousarray(c, dtype=np.int64) for c in (
+                seq, t_wall_ns, np.full(n, -1) if t_mono_ns is None else t_mono_ns,
+                np.zeros(n, np.int64) if source is None else source))
+        if any(c.shape != (n,) for c in self.columns):
+            raise ConfigInvalid("event log columns must be 1-D and of equal length")
+        seq, t = self.seq, self.t_wall_ns
+        bad = (seq[1:] <= seq[:-1]) | (t[1:] < t[:-1])
+        if bad.any():
+            i = int(bad.argmax()) + 1
+            _check_order(int(seq[i - 1]), int(t[i - 1]), int(seq[i]), int(t[i]), i + 1)
+        # seq and t_wall_ns are ordered now, so their first values are their minima
+        if n and (seq[0] < 0 or t[0] <= 0):
+            raise ConfigInvalid(f"need seq >= 0 and t_wall_ns > 0, got {seq[0]} and {t[0]}")
+        if n and (self.source.min() < 0 or self.source.max() >= len(_SOURCE_NAMES)):
+            raise ConfigInvalid("source codes must index tuple(EventSource)")
 
-    def __post_init__(self):
-        recs = tuple(self.records)
-        object.__setattr__(self, "records", recs)
-        for pos, (prev, rec) in enumerate(zip(recs, recs[1:]), start=2):
-            _check_order(prev, rec.seq, rec.t_wall_ns, pos)
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``(seq, t_wall_ns, t_mono_ns, source)``."""
+        return self.seq, self.t_wall_ns, self.t_mono_ns, self.source
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.seq)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, EventLog)
+            and (self.node, self.meta) == (other.node, other.meta)
+            and all(map(np.array_equal, self.columns, other.columns))
+        )
 
 
 def with_role(log: EventLog, role: Role) -> EventLog:
-    """Return the log with the node role replaced; records are shared."""
+    """Return the log with the node role replaced; the columns are shared."""
     if log.node.role is role:
         return log
-    return EventLog(NodeId(log.node.id, role), log.records, dict(log.meta))
+    return EventLog(NodeId(log.node.id, role), *log.columns, dict(log.meta))
 
 
 def parse_log(
@@ -162,10 +176,10 @@ def parse_log(
     """Parse raw log text into a validated EventLog.
 
     In strict mode (the default) any malformed line, line that is not
-    UTF-8, or monotonicity violation raises. With ``lenient=True``
-    offending lines are dropped and counted; the count and first failure
-    reason are reported in the returned log's ``meta`` under
-    ``parse_skipped`` / ``parse_first_error``.
+    UTF-8, cell beyond int64, or monotonicity violation raises. With
+    ``lenient=True`` offending lines are dropped and counted; the count
+    and first failure reason are reported in the returned log's ``meta``
+    under ``parse_skipped`` / ``parse_first_error``.
     """
     state = _LenientState(lenient)
     text = raw if isinstance(raw, str) else _decode(raw, state)
@@ -173,9 +187,7 @@ def parse_log(
         return _parse_csv(text, node, state)
     if fmt is LogFormat.KERNEL_RING:
         if node is None:
-            raise ConfigInvalid(
-                "kernel ring logs carry no node id; pass node= explicitly"
-            )
+            raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
         return EventLog(node, *_collect(text.split("\n"), 1, _parse_kernel_line, state))
     raise ConfigInvalid(f"unsupported log format: {fmt!r}")
 
@@ -183,22 +195,16 @@ def parse_log(
 def write_log(log: EventLog) -> str:
     """Serialize a log to CSV text, the one writable format.
 
-    Optional columns are emitted only when some record needs them, so all
+    Optional columns are emitted only when some event needs them, so all
     header variants of the format are produced naturally.
     """
-    keep = [0, 1, 2]
-    if any(r.t_mono_ns is not None for r in log.records):
-        keep.append(3)
-    if any(r.source is not EventSource.HALL_EDGE for r in log.records):
-        keep.append(4)
-    pick = itemgetter(*keep)
-    node_id = log.node.id
-    rows = (
-        pick((node_id, r.seq, r.t_wall_ns,
-              "" if r.t_mono_ns is None else r.t_mono_ns, r.source.value))
-        for r in log.records
-    )
-    return write_table(pick(_CSV_COLUMNS), rows)
+    cells = {"node": repeat(log.node.id), "seq": log.seq.tolist(),
+             "t_wall_ns": log.t_wall_ns.tolist()}
+    if (log.t_mono_ns >= 0).any():
+        cells["t_mono_ns"] = ["" if t < 0 else t for t in log.t_mono_ns.tolist()]
+    if log.source.any():
+        cells["source"] = [_SOURCE_NAMES[c] for c in log.source.tolist()]
+    return write_table(tuple(cells), zip(*cells.values()))
 
 
 class _LenientState:
@@ -232,16 +238,12 @@ def _decode(raw: bytes, state: _LenientState) -> str:
     return "\n".join(lines)
 
 
-def _check_order(
-    prev: EventRecord | None, seq: int, t_wall: int, line_no: int
-) -> None:
+def _check_order(prev_seq: int, prev_t: int, seq: int, t_wall: int, line_no: int) -> None:
     """The one ordering rule of a log: seq strictly up, t_wall_ns never down."""
-    if prev is None:
-        return
-    if seq <= prev.seq:
-        raise NonMonotonicSeq(line_no, f"seq {seq} after {prev.seq}")
-    if t_wall < prev.t_wall_ns:
-        raise NonMonotonicTime(line_no, f"t_wall_ns {t_wall} after {prev.t_wall_ns}")
+    if seq <= prev_seq:
+        raise NonMonotonicSeq(line_no, f"seq {seq} after {prev_seq}")
+    if t_wall < prev_t:
+        raise NonMonotonicTime(line_no, f"t_wall_ns {t_wall} after {prev_t}")
 
 
 def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog:
@@ -259,50 +261,51 @@ def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog
             start += 1
 
     # Without a header the first data row pins the layout, and without a
-    # node the first record pins the node id, for the rest of the file.
+    # node the first event pins the node id, for the rest of the file.
     node_id = node.id if node is not None else None
 
-    def parse_line(line: str, line_no: int) -> EventRecord:
+    def parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
         nonlocal layout, node_id
         if layout is None:
             layout = _sniff_layout([c.strip() for c in line.split(",")])
             if layout is None:
                 raise UnparseableLine(line_no, "expected 3 to 5 columns")
-        node_id, rec = _parse_csv_row(line, line_no, layout, node_id)
-        return rec
+        node_id, row = _parse_csv_row(line, line_no, layout, node_id)
+        return row
 
-    records, meta = _collect(lines[start:], start + 1, parse_line, state)
-    return EventLog(node or infer_node(node_id), records, meta)
+    columns = _collect(lines[start:], start + 1, parse_line, state)
+    return EventLog(node or infer_node(node_id), *columns)
 
 
 def _collect(
     lines: list[str], first_line_no: int, parse_line, state: _LenientState
-) -> tuple[tuple[EventRecord, ...], dict[str, str]]:
-    """Records of the non-blank lines, and the meta of the log they make.
+) -> tuple:
+    """The four columns of the non-blank lines, and the meta of their log.
 
-    ``parse_line(line, line_no)`` builds one record. A line it rejects, or
-    whose record breaks the order rule, goes to ``state``.
+    ``parse_line(line, line_no)`` gives one ``(seq, t_wall, t_mono,
+    source)`` row. A line it rejects, or whose row breaks the order rule
+    against the last kept row, goes to ``state``.
     """
-    records: list[EventRecord] = []
-    prev: EventRecord | None = None
+    rows: list[tuple[int, int, int, int]] = []
+    prev_seq, prev_t = -1, 0  # below every parsed seq and t_wall
     for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         try:
-            rec = parse_line(line, line_no)
-            _check_order(prev, rec.seq, rec.t_wall_ns, line_no)
+            row = parse_line(line, line_no)
+            _check_order(prev_seq, prev_t, row[0], row[1], line_no)
         except LineError as err:
             state.reject(err)
             continue
-        records.append(rec)
-        prev = rec
-    if not records:
+        rows.append(row)
+        prev_seq, prev_t = row[0], row[1]
+    if not rows:
         raise EmptyLog("no event records found")
     meta: dict[str, str] = {}
     if state.skipped:
         meta["parse_skipped"] = str(state.skipped)
         meta["parse_first_error"] = str(state.first)
-    return tuple(records), meta
+    return (*np.array(rows, dtype=np.int64).T, meta)
 
 
 def _header_layout(cells: list[str], line_no: int) -> tuple[str, ...]:
@@ -318,7 +321,7 @@ def _header_layout(cells: list[str], line_no: int) -> tuple[str, ...]:
 
 def _parse_csv_row(
     line: str, line_no: int, layout: tuple[str, ...], pinned_id: str | None
-) -> tuple[str, EventRecord]:
+) -> tuple[str, tuple[int, int, int, int]]:
     cells = [c.strip() for c in line.split(",")]
     if len(cells) != len(layout):
         raise UnparseableLine(
@@ -338,16 +341,16 @@ def _parse_csv_row(
     t_wall = _parse_uint(row["t_wall_ns"], line_no, "t_wall_ns")
     if t_wall <= 0:
         raise UnparseableLine(line_no, "t_wall_ns must be positive")
-    t_mono: int | None = None
+    t_mono = -1
     if row.get("t_mono_ns"):
         t_mono = _parse_uint(row["t_mono_ns"], line_no, "t_mono_ns")
-    source = EventSource.HALL_EDGE
+    source = 0
     if row.get("source"):
         try:
             source = _SOURCE_BY_NAME[row["source"]]
         except KeyError:
             raise UnparseableLine(line_no, f"unknown source {row['source']!r}")
-    return node_id, EventRecord(seq, t_wall, t_mono, source)
+    return node_id, (seq, t_wall, t_mono, source)
 
 
 def _sniff_layout(cells: list[str]) -> tuple[str, ...] | None:
@@ -370,17 +373,20 @@ def _parse_uint(cell: str, line_no: int, name: str) -> int:
         raise UnparseableLine(line_no, f"{name} is not an integer: {cell!r}")
     if value < 0:
         raise UnparseableLine(line_no, f"{name} must be non-negative: {value}")
+    if value >= 2**63:
+        raise UnparseableLine(line_no, f"{name} does not fit in int64: {value}")
     return value
 
 
-def _parse_kernel_line(line: str, line_no: int) -> EventRecord:
+def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     marker = line.find("m2m_irq:")
     if marker < 0:
         raise UnparseableLine(line_no, "no m2m_irq: marker")
     m = _KERNEL_RING_RE.match(line[marker:])
     if m is None:
         raise UnparseableLine(line_no, f"bad event line: {line.strip()!r}")
-    seq, t_wall = int(m.group(1)), int(m.group(2))
+    seq = _parse_uint(m.group(1), line_no, "seq")
+    t_wall = _parse_uint(m.group(2), line_no, "ts")
     if t_wall <= 0:
         raise UnparseableLine(line_no, "ts must be positive")
-    return EventRecord(seq, t_wall, None, _SOURCE_BY_NAME[m.group(3)])
+    return seq, t_wall, -1, _SOURCE_BY_NAME[m.group(3)]

@@ -2,21 +2,23 @@
 
 A physical steering motion can fire several sensor edges (multiple
 magnets, contact bounce); debouncing keeps the first edge of each burst.
-Matching then walks operator events in time order and pairs each with the
+Matching walks operator events in time order and pairs each with the
 earliest unconsumed vehicle event inside the acceptance window
-``[op_t + min_latency_ns, op_t + max_window_ns]``. Vehicle events are
-consumed at most once, so the matching is monotone: later operator events
-pair with later vehicle events. Negative computed latencies are never
-accepted; they indicate clock error exceeding the true latency and are
-surfaced as unmatched counts instead.
+``[op_t + min_latency_ns, op_t + max_window_ns]``: vehicle events are
+consumed at most once, so later operator events pair with later vehicle
+events. Negative latencies are never accepted; they indicate clock error
+exceeding the true latency and count as unmatched. Both steps run on the
+logs' int64 columns, and each match is one row of a structured array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigInvalid, EmptyLog, RoleMismatch
-from .events import EventLog, EventRecord, Role
+from .events import EventLog, Role
 from .tables import write_table
 
 MS = 1_000_000
@@ -41,47 +43,46 @@ class PairingConfig:
             raise ConfigInvalid("min_latency_ns must be >= 0")
         if self.max_window_ns <= self.min_latency_ns:
             raise ConfigInvalid("max_window_ns must exceed min_latency_ns")
+        if max(self.debounce_ns, self.max_window_ns) >= 2**63:
+            raise ConfigInvalid("durations must fit in int64 nanoseconds")
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One matched operator/vehicle event pair."""
-
-    op_event: EventRecord
-    veh_event: EventRecord
-    m2m_ns: int
-
-    def __post_init__(self):
-        if self.m2m_ns != self.veh_event.t_wall_ns - self.op_event.t_wall_ns:
-            raise ConfigInvalid("m2m_ns must equal the event timestamp difference")
+# One row per matched pair; also the pairing CSV's columns.
+SAMPLE_DTYPE = np.dtype([(name, np.int64) for name in (
+    "op_seq", "veh_seq", "op_t_wall_ns", "veh_t_wall_ns", "m2m_ns")])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingReport:
     """Matching outcome plus the bookkeeping needed to audit it.
 
-    Every raw input event is accounted for:
+    ``samples`` is one ``SAMPLE_DTYPE`` row per matched pair, in operator
+    time order. Every raw input event is accounted for:
     ``2 * len(samples) + unmatched_op + unmatched_veh + suppressed_op +
     suppressed_veh`` equals the total number of raw events.
     """
 
-    samples: tuple[LatencySample, ...]
+    samples: np.ndarray
     unmatched_op: int
     unmatched_veh: int
     suppressed_op: int
     suppressed_veh: int
     config: PairingConfig
 
+    def __eq__(self, other) -> bool:
+        # meta_text lists every field but the samples
+        return (
+            isinstance(other, PairingReport)
+            and np.array_equal(self.samples, other.samples)
+            and self.meta_text() == other.meta_text()
+        )
+
     @property
     def m2m_values(self) -> list[int]:
-        return [s.m2m_ns for s in self.samples]
+        return self.samples["m2m_ns"].tolist()
 
     def to_csv(self) -> str:
-        return write_table(
-            ("op_seq", "veh_seq", "op_t_wall_ns", "veh_t_wall_ns", "m2m_ns"),
-            ((s.op_event.seq, s.veh_event.seq, s.op_event.t_wall_ns,
-              s.veh_event.t_wall_ns, s.m2m_ns) for s in self.samples),
-        )
+        return write_table(SAMPLE_DTYPE.names, self.samples.tolist())
 
     def meta_text(self) -> str:
         return (
@@ -105,27 +106,26 @@ def debounce(log: EventLog, debounce_ns: int) -> EventLog:
     """
     if debounce_ns < 0:
         raise ConfigInvalid("debounce_ns must be >= 0")
-    if debounce_ns == 0:
+    t = log.t_wall_ns
+    if (np.diff(t) >= debounce_ns).all():
         return log
-    kept = []
-    last_kept_t: int | None = None
-    for rec in log.records:
-        if last_kept_t is not None and rec.t_wall_ns - last_kept_t < debounce_ns:
-            continue
-        kept.append(rec)
-        last_kept_t = rec.t_wall_ns
-    if len(kept) == len(log.records):
-        return log
-    return EventLog(log.node, tuple(kept), dict(log.meta))
+    # next_kept[i]: first event debounce_ns or more after event i (t > 0, so t - w fits)
+    next_kept = np.searchsorted(t - debounce_ns, t).tolist()
+    keep, i = [], 0
+    while i < len(next_kept):
+        keep.append(i)
+        i = next_kept[i]
+    index = np.array(keep)
+    return EventLog(log.node, *(c[index] for c in log.columns), dict(log.meta))
 
 
-def compute_m2m(e1: EventRecord, e2: EventRecord) -> int:
-    """Raw motion-to-motion latency in ns: vehicle event ``e2`` minus operator ``e1``.
+def compute_m2m(op_t_wall_ns, veh_t_wall_ns):
+    """Raw motion-to-motion latency in ns, of two timestamp columns (or ints).
 
-    May be negative; acceptance is the caller's decision. Roles are checked
-    once, on the logs, by ``pair_events``.
+    Vehicle minus operator; may be negative, as acceptance is the caller's
+    decision. Roles are checked once, on the logs, by ``pair_events``.
     """
-    return e2.t_wall_ns - e1.t_wall_ns
+    return veh_t_wall_ns - op_t_wall_ns
 
 
 def pair_events(
@@ -135,46 +135,43 @@ def pair_events(
 
     Ties between candidate vehicle events at the same timestamp go to the
     lower sequence number (log order). Deterministic: the result depends
-    only on the record content of the two logs and the config.
+    only on the event content of the two logs and the config.
     """
     cfg = cfg or PairingConfig()
     if op_log.node.role is not Role.OPERATOR:
         raise RoleMismatch("op_log must come from the operator node")
     if veh_log.node.role is not Role.VEHICLE:
         raise RoleMismatch("veh_log must come from the vehicle node")
-    if not op_log.records or not veh_log.records:
+    if not len(op_log) or not len(veh_log):
         raise EmptyLog("both logs must contain events to pair")
 
     ops = debounce(op_log, cfg.debounce_ns)
     vehs = debounce(veh_log, cfg.debounce_ns)
-    suppressed_op = len(op_log.records) - len(ops.records)
-    suppressed_veh = len(veh_log.records) - len(vehs.records)
 
-    veh_recs = vehs.records
-    n = len(veh_recs)
-    consumed = [False] * n
-    start = 0  # first vehicle event that is neither consumed nor below any future window
-    samples: list[LatencySample] = []
-    unmatched_op = 0
-    for op in ops.records:
-        lo = op.t_wall_ns + cfg.min_latency_ns
-        hi = op.t_wall_ns + cfg.max_window_ns
-        # Windows only ever move right, so everything skipped here is
-        # permanently out of reach.
-        while start < n and (consumed[start] or veh_recs[start].t_wall_ns < lo):
+    # first[i]: the earliest vehicle event at or after operator event i's
+    # window start (searched as veh_t - min_latency_ns, which cannot
+    # overflow). Windows only move right and a match consumes the vehicle
+    # event at ``start``, so every vehicle event before ``start`` is out of reach.
+    first = np.searchsorted(vehs.t_wall_ns - cfg.min_latency_ns, ops.t_wall_ns).tolist()
+    times = vehs.t_wall_ns.tolist()
+    n = len(times)
+    start = 0
+    op_idx, veh_idx = [], []
+    for i, t in enumerate(ops.t_wall_ns.tolist()):
+        start = max(start, first[i])
+        if start < n and times[start] - t <= cfg.max_window_ns:
+            op_idx.append(i)
+            veh_idx.append(start)
             start += 1
-        if start < n and veh_recs[start].t_wall_ns <= hi:
-            veh = veh_recs[start]
-            consumed[start] = True
-            samples.append(LatencySample(op, veh, compute_m2m(op, veh)))
-        else:
-            unmatched_op += 1
-    unmatched_veh = n - len(samples)
+
+    op_t, veh_t = ops.t_wall_ns[op_idx], vehs.t_wall_ns[veh_idx]
+    table = (ops.seq[op_idx], vehs.seq[veh_idx], op_t, veh_t, compute_m2m(op_t, veh_t))
+    samples = np.column_stack(table).view(SAMPLE_DTYPE)[:, 0]  # one row per pair
     return PairingReport(
-        samples=tuple(samples),
-        unmatched_op=unmatched_op,
-        unmatched_veh=unmatched_veh,
-        suppressed_op=suppressed_op,
-        suppressed_veh=suppressed_veh,
+        samples=samples,
+        unmatched_op=len(ops) - len(samples),
+        unmatched_veh=n - len(samples),
+        suppressed_op=len(op_log) - len(ops),
+        suppressed_veh=len(veh_log) - n,
         config=cfg,
     )

@@ -48,7 +48,7 @@ from .dists import (
     fit_delay_dist,
 )
 from .errors import ConfigInvalid, OverlappingTrials, UnknownPreset
-from .events import EventLog, EventRecord, EventSource, NodeId, Role
+from .events import EventLog, EventSource, NodeId, Role
 from .tables import write_table
 
 MS_NS = 1_000_000
@@ -216,10 +216,8 @@ def _clock_errors(
 
 
 def _build_log(node: NodeId, recorded: np.ndarray) -> EventLog:
-    return EventLog(node, tuple(
-        EventRecord(seq, t, None, EventSource.SYNTHETIC)
-        for seq, t in enumerate(np.sort(recorded).tolist())
-    ))
+    synthetic = np.full(len(recorded), tuple(EventSource).index(EventSource.SYNTHETIC))
+    return EventLog(node, np.arange(len(recorded)), np.sort(recorded), source=synthetic)
 
 
 # Preset calibration: component medians/IQRs (ms) per scenario. The

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from m2mlat.events import EventLog, EventRecord, EventSource, NodeId, Role
+from m2mlat.events import EventLog, EventSource, NodeId, Role
 from m2mlat.pairing import PairingConfig
 
 OPERATOR = NodeId("operator", Role.OPERATOR)
@@ -25,14 +25,22 @@ def make_log(
     seqs=None,
     source: EventSource = EventSource.HALL_EDGE,
 ) -> EventLog:
-    times = list(times_ns)
+    times = [int(t) for t in times_ns]
     if seqs is None:
         seqs = range(len(times))
-    records = tuple(
-        EventRecord(int(seq), int(t), None, source)
-        for seq, t in zip(seqs, times)
-    )
-    return EventLog(node, records)
+    code = tuple(EventSource).index(source)
+    return EventLog(node, list(seqs), times, source=[code] * len(times))
+
+
+def events_of(log: EventLog) -> list[tuple[int, int]]:
+    """The log's events as plain ``(seq, t_wall_ns)`` tuples."""
+    return list(zip(log.seq.tolist(), log.t_wall_ns.tolist()))
+
+
+def pairs_of(report) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """A pairing report's matches as ``((op_seq, op_t), (veh_seq, veh_t))``."""
+    return [((op_seq, op_t), (veh_seq, veh_t))
+            for op_seq, veh_seq, op_t, veh_t, _ in report.samples.tolist()]
 
 
 def random_times(rng: np.random.Generator, n: int, lo: int, hi: int) -> list[int]:
@@ -40,34 +48,46 @@ def random_times(rng: np.random.Generator, n: int, lo: int, hi: int) -> list[int
     return sorted(int(t) for t in rng.integers(lo, hi, n))
 
 
-def oracle_debounce(records, debounce_ns: int):
-    """Greedy first-of-burst scan, written from the rule."""
+def oracle_order_violation(seqs, times):
+    """``(error class name, 1-based position)`` of the first event out of
+    order with the one before it, or None when the log is ordered."""
+    for pos in range(1, len(seqs)):
+        if seqs[pos] <= seqs[pos - 1]:
+            return "NonMonotonicSeq", pos + 1
+        if times[pos] < times[pos - 1]:
+            return "NonMonotonicTime", pos + 1
+    return None
+
+
+def oracle_debounce(events, debounce_ns: int):
+    """Greedy first-of-burst scan over ``(seq, t)`` tuples, written from the rule."""
     kept = []
-    for rec in records:
-        if kept and rec.t_wall_ns - kept[-1].t_wall_ns < debounce_ns:
+    for ev in events:
+        if kept and ev[1] - kept[-1][1] < debounce_ns:
             continue
-        kept.append(rec)
+        kept.append(ev)
     return kept
 
 
-def oracle_pairs(op_records, veh_records, cfg: PairingConfig):
-    """FIFO matching by full rescan: for each operator event in (time, seq)
-    order, take the first unused vehicle event inside its window."""
+def oracle_pairs(op_events, veh_events, cfg: PairingConfig):
+    """FIFO matching by full rescan over ``(seq, t)`` tuples: for each
+    operator event in (time, seq) order, take the first unused vehicle
+    event inside its window."""
     ops = sorted(
-        oracle_debounce(op_records, cfg.debounce_ns),
-        key=lambda r: (r.t_wall_ns, r.seq),
+        oracle_debounce(op_events, cfg.debounce_ns),
+        key=lambda ev: (ev[1], ev[0]),
     )
     vehs = sorted(
-        oracle_debounce(veh_records, cfg.debounce_ns),
-        key=lambda r: (r.t_wall_ns, r.seq),
+        oracle_debounce(veh_events, cfg.debounce_ns),
+        key=lambda ev: (ev[1], ev[0]),
     )
     used = set()
     matches = []
     for op in ops:
-        lo = op.t_wall_ns + cfg.min_latency_ns
-        hi = op.t_wall_ns + cfg.max_window_ns
+        lo = op[1] + cfg.min_latency_ns
+        hi = op[1] + cfg.max_window_ns
         for j, veh in enumerate(vehs):
-            if j in used or veh.t_wall_ns < lo or veh.t_wall_ns > hi:
+            if j in used or veh[1] < lo or veh[1] > hi:
                 continue
             used.add(j)
             matches.append((op, veh))

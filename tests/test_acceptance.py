@@ -16,7 +16,7 @@ import numpy as np
 
 from m2mlat.budget import CalibModel, calib_error, total_error
 from m2mlat.clocks import SyncMode, precision_analysis
-from m2mlat.events import EventRecord, parse_log, write_log
+from m2mlat.events import parse_log, write_log
 from m2mlat.pairing import PairingConfig, compute_m2m, pair_events
 from m2mlat.probe import (
     KIND_REQUEST,
@@ -32,8 +32,10 @@ from m2mlat.stats import summarize
 from helpers import (
     OPERATOR,
     VEHICLE,
+    events_of,
     make_log,
     oracle_pairs,
+    pairs_of,
     random_times,
 )
 
@@ -65,21 +67,15 @@ def test_c1_m2m_exactness_and_shift_properties():
     t2 = rng.integers(10**9, 10**15, n)
     delta = rng.integers(0, 10**12, n)
     shift = rng.integers(-(10**8), 10**8, n)
-    for i in range(n):
-        a, b, d, c = int(t1[i]), int(t2[i]), int(delta[i]), int(shift[i])
-        op = EventRecord(0, a)
-        veh = EventRecord(0, b)
-        m2m = compute_m2m(op, veh)
-        assert m2m == b - a
-        # translating both nodes leaves the measurement unchanged
-        moved = compute_m2m(
-            EventRecord(0, a + d), EventRecord(0, b + d)
-        )
-        assert moved == m2m
-        # a vehicle-clock offset lands one-for-one in the measurement
-        if b + c > 0:
-            offset = compute_m2m(op, EventRecord(0, b + c))
-            assert offset == m2m + c
+    m2m = compute_m2m(t1, t2)
+    # exact integer differences, negative latencies included
+    assert m2m.tolist() == [b - a for a, b in zip(t1.tolist(), t2.tolist())]
+    assert (m2m < 0).any() and (m2m > 0).any()
+    # translating both nodes leaves the measurement unchanged
+    assert np.array_equal(compute_m2m(t1 + delta, t2 + delta), m2m)
+    # a vehicle-clock offset lands one-for-one in the measurement
+    assert (t2 + shift > 0).all()
+    assert np.array_equal(compute_m2m(t1, t2 + shift), m2m + shift)
     budget.done(f"{n} random cases, bit-exact")
 
 
@@ -99,8 +95,9 @@ def test_c2_pairing_equals_brute_force_fifo():
             max_window_ns=min_lat + int(rng.integers(1, 5_000)),
         )
         got = pair_events(op, veh, cfg)
-        expected = oracle_pairs(op.records, veh.records, cfg)
-        assert [(s.op_event, s.veh_event) for s in got.samples] == expected
+        expected = oracle_pairs(events_of(op), events_of(veh), cfg)
+        assert pairs_of(got) == expected
+        assert got.m2m_values == [veh[1] - op[1] for op, veh in expected]
         assert (
             2 * len(got.samples)
             + got.unmatched_op
@@ -204,7 +201,7 @@ def test_c7_ground_truth_closure():
         pairing = pair_events(op_log, veh_log)
         assert len(pairing.samples) == cfg.trials
         trial_of = {t: i for i, t in enumerate(truth.columns["recorded_op_ns"].tolist())}
-        rows = [trial_of[s.op_event.t_wall_ns] for s in pairing.samples]
+        rows = [trial_of[t] for t in pairing.samples["op_t_wall_ns"].tolist()]
         m2m = np.array(pairing.m2m_values, dtype=np.int64)
         return m2m, {name: col[rows] for name, col in truth.columns.items()}
 

@@ -175,6 +175,32 @@ def _overflowing_flag(flag, value):
     return make_args
 
 
+def _report_sample_beyond_int64(tmp_path, run_dir):
+    (tmp_path / "s.txt").write_text("18446744073709551616\n1\n2\n3\n4\n")
+    return ["report", "--samples", str(tmp_path / "s.txt")], (
+        f"{tmp_path / 's.txt'} line 1: m2m_ns does not fit in int64")
+
+
+def _sched_sample_beyond_int64(tmp_path, run_dir):
+    (tmp_path / "a.csv").write_text("latency_ns\n5000\n18446744073709551616\n")
+    (tmp_path / "b.csv").write_text("5000\n")
+    return [
+        "budget", "--sync-ms", "0.3", "--sched-a", str(tmp_path / "a.csv"),
+        "--sched-b", str(tmp_path / "b.csv"), "--calib-angle-deg", "1",
+        "--steer-rate-dps", "100",
+    ], f"{tmp_path / 'a.csv'} line 3: latency_ns does not fit in int64"
+
+
+def _probe_negative_timeout(tmp_path, run_dir):
+    return ["probe", "--peer", "127.0.0.1:9", "--count", "1",
+            "--timeout-ms", "-5"], "--timeout-ms > 0"
+
+
+def _probe_overflowing_interval(tmp_path, run_dir):
+    return ["probe", "--peer", "127.0.0.1:9", "--count", "2", "--timeout-ms", "10",
+            "--interval-ms", "1e303"], "--interval-ms 1e+303"
+
+
 def _calib_not_finite(tmp_path, run_dir):
     return [
         "budget", "--sync-ms", "1", "--kernel-ms", "1",
@@ -194,7 +220,8 @@ _OVERFLOWING = [
     "make_args",
     [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples,
      _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
-     *_OVERFLOWING],
+     _report_sample_beyond_int64, _sched_sample_beyond_int64, _probe_negative_timeout,
+     _probe_overflowing_interval, *_OVERFLOWING],
 )
 def test_bad_input_is_a_validation_error(make_args, tmp_path, capsys):
     run_dir = tmp_path / "run"

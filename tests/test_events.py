@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+import numpy as np
+from hypothesis import example, given, strategies as st
 
 from m2mlat.errors import (
     ConfigInvalid,
@@ -12,7 +13,6 @@ from m2mlat.errors import (
 )
 from m2mlat.events import (
     EventLog,
-    EventRecord,
     EventSource,
     LogFormat,
     NodeId,
@@ -22,15 +22,18 @@ from m2mlat.events import (
     write_log,
 )
 
-from helpers import OPERATOR, VEHICLE, make_log
+from helpers import OPERATOR, VEHICLE, events_of, make_log, oracle_order_violation
+
+SOURCES = tuple(EventSource)
 
 
 class TestParseCsv:
     def test_headerless_three_columns(self):
         log = parse_log("operator,0,1000\noperator,1,2000")
         assert log.node == OPERATOR
-        assert [(r.seq, r.t_wall_ns) for r in log.records] == [(0, 1000), (1, 2000)]
-        assert all(r.source is EventSource.HALL_EDGE for r in log.records)
+        assert events_of(log) == [(0, 1000), (1, 2000)]
+        assert log.t_mono_ns.tolist() == [-1, -1]
+        assert [SOURCES[c] for c in log.source] == [EventSource.HALL_EDGE] * 2
         assert log.meta == {}
 
     def test_header_full_layout(self):
@@ -41,16 +44,15 @@ class TestParseCsv:
         )
         log = parse_log(text)
         assert log.node == VEHICLE
-        assert log.records[0].t_mono_ns == 90
-        assert log.records[0].source is EventSource.SHARED_PULSE
-        assert log.records[1].t_mono_ns is None
-        assert log.records[1].source is EventSource.SYNTHETIC
+        assert log.t_mono_ns.tolist() == [90, -1]
+        assert [SOURCES[c] for c in log.source] == [
+            EventSource.SHARED_PULSE, EventSource.SYNTHETIC]
 
     def test_headerless_fourth_column_sniffing(self):
         by_source = parse_log("operator,0,1000,pulse")
-        assert by_source.records[0].source is EventSource.SHARED_PULSE
+        assert SOURCES[by_source.source[0]] is EventSource.SHARED_PULSE
         by_mono = parse_log("operator,0,1000,999")
-        assert by_mono.records[0].t_mono_ns == 999
+        assert by_mono.t_mono_ns.tolist() == [999]
 
     def test_headerless_layout_is_pinned_by_first_row(self):
         # first row fixes the column meaning; a row of another shape fails
@@ -60,7 +62,7 @@ class TestParseCsv:
 
     def test_bytes_input(self):
         log = parse_log(b"operator,0,1000")
-        assert log.records[0].t_wall_ns == 1000
+        assert log.t_wall_ns.tolist() == [1000]
 
     def test_non_monotonic_seq_reports_line(self):
         text = "operator,0,1000\noperator,2,2000\noperator,1,3000"
@@ -100,7 +102,7 @@ class TestParseCsv:
     def test_lenient_counts_and_reports(self):
         text = "operator,0,1000\nbogus line\noperator,1,500\noperator,2,2000"
         log = parse_log(text, lenient=True)
-        assert [r.seq for r in log.records] == [0, 2]
+        assert log.seq.tolist() == [0, 2]
         assert log.meta["parse_skipped"] == "2"
         assert "line 2" in log.meta["parse_first_error"]
 
@@ -114,9 +116,31 @@ class TestParseCsv:
             parse_log(raw)
         assert exc.value.line_no == 2
         log = parse_log(raw, lenient=True)
-        assert [r.seq for r in log.records] == [0, 2]
+        assert log.seq.tolist() == [0, 2]
         assert log.meta["parse_skipped"] == "1"
         assert log.meta["parse_first_error"] == "line 2: not valid UTF-8"
+
+
+    @pytest.mark.parametrize("row", [
+        "operator,9223372036854775808,1500,7",
+        "operator,1,9223372036854775808,7",
+        "operator,1,1500,9223372036854775808",
+    ])
+    def test_cell_beyond_int64(self, row):
+        text = f"node,seq,t_wall_ns,t_mono_ns\noperator,0,1000,\n{row}\noperator,2,3000,\n"
+        with pytest.raises(UnparseableLine, match="does not fit in int64") as exc:
+            parse_log(text)
+        assert exc.value.line_no == 3
+        log = parse_log(text, lenient=True)
+        assert log.seq.tolist() == [0, 2]
+        assert log.meta["parse_skipped"] == "1"
+        assert log.meta["parse_first_error"].startswith("line 3: ")
+
+    def test_int64_max_is_accepted(self):
+        top = 2**63 - 1
+        log = parse_log(f"operator,{top},{top},{top}")
+        assert (log.seq.tolist(), log.t_wall_ns.tolist(), log.t_mono_ns.tolist()) == (
+            [top], [top], [top])
 
 
 class TestParseKernelRing:
@@ -126,12 +150,8 @@ class TestParseKernelRing:
             LogFormat.KERNEL_RING,
             node=OPERATOR,
         )
-        rec = log.records[0]
-        assert (rec.seq, rec.t_wall_ns, rec.source) == (
-            7,
-            123456789,
-            EventSource.HALL_EDGE,
-        )
+        assert events_of(log) == [(7, 123456789)]
+        assert SOURCES[log.source[0]] is EventSource.HALL_EDGE
 
     def test_kernel_prefix_ignored(self):
         text = (
@@ -139,8 +159,8 @@ class TestParseKernelRing:
             "[  101.723001] m2m_irq: seq=1 ts=2000 src=pulse\n"
         )
         log = parse_log(text, LogFormat.KERNEL_RING, node=VEHICLE)
-        assert [r.t_wall_ns for r in log.records] == [1000, 2000]
-        assert log.records[0].source is EventSource.SHARED_PULSE
+        assert log.t_wall_ns.tolist() == [1000, 2000]
+        assert SOURCES[log.source[0]] is EventSource.SHARED_PULSE
 
     def test_requires_node(self):
         with pytest.raises(ConfigInvalid):
@@ -166,9 +186,23 @@ class TestParseKernelRing:
         assert log.meta["parse_skipped"] == "2"
 
 
+    @pytest.mark.parametrize("line", [
+        "m2m_irq: seq=9223372036854775808 ts=2000 src=hall",
+        "m2m_irq: seq=1 ts=9223372036854775808 src=hall",
+    ])
+    def test_field_beyond_int64(self, line):
+        text = f"m2m_irq: seq=0 ts=1000 src=hall\n{line}\nm2m_irq: seq=2 ts=3000 src=hall\n"
+        with pytest.raises(UnparseableLine, match="does not fit in int64") as exc:
+            parse_log(text, LogFormat.KERNEL_RING, node=OPERATOR)
+        assert exc.value.line_no == 2
+        log = parse_log(text, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
+        assert log.seq.tolist() == [0, 2]
+        assert log.meta["parse_skipped"] == "1"
+
+
 class TestWriteLog:
     def test_empty_log_writes_header_only(self):
-        log = EventLog(OPERATOR, ())
+        log = EventLog(OPERATOR, (), ())
         assert write_log(log) == "node,seq,t_wall_ns\n"
 
     def test_two_records_in_seq_order(self):
@@ -184,7 +218,7 @@ class TestWriteLog:
         assert "vehicle,0,5,pulse" in out
 
 
-def _record_strategy(node):
+def _event_strategy():
     return st.tuples(
         st.integers(min_value=0, max_value=10_000),  # seq gap
         st.integers(min_value=0, max_value=10**9),  # time gap
@@ -196,15 +230,17 @@ def _record_strategy(node):
 @st.composite
 def csv_logs(draw):
     node = draw(st.sampled_from([OPERATOR, VEHICLE, NodeId("bench_rig", Role.OPERATOR)]))
-    rows = draw(st.lists(_record_strategy(node), min_size=1, max_size=25))
-    records = []
+    rows = draw(st.lists(_event_strategy(), min_size=1, max_size=25))
+    columns = ([], [], [], [])
     seq = -1
     t = 0
     for seq_gap, t_gap, t_mono, source in rows:
         seq += 1 + seq_gap
         t += t_gap
-        records.append(EventRecord(seq, t + 1, t_mono, source))
-    return EventLog(node, tuple(records))
+        row = (seq, t + 1, -1 if t_mono is None else t_mono, SOURCES.index(source))
+        for column, value in zip(columns, row):
+            column.append(value)
+    return EventLog(node, *columns)
 
 
 @given(csv_logs())
@@ -222,25 +258,39 @@ def test_with_role_swaps_role_everywhere():
     log = make_log(OPERATOR, [1, 2])
     swapped = with_role(log, Role.VEHICLE)
     assert swapped.node == NodeId("operator", Role.VEHICLE)
-    # the role lives on the log alone, so the records are shared, not rebuilt
-    assert swapped.records is log.records
-    assert [r.t_wall_ns for r in swapped.records] == [1, 2]
+    # the role lives on the log alone, so the columns are shared, not copied
+    assert all(a is b for a, b in zip(swapped.columns, log.columns))
+    assert swapped.t_wall_ns.tolist() == [1, 2]
 
 
-def test_event_record_validation():
+def test_event_log_validation():
     with pytest.raises(ConfigInvalid):
-        EventRecord(-1, 100)
+        EventLog(OPERATOR, [-1], [100])
     with pytest.raises(ConfigInvalid):
-        EventRecord(0, 0)
+        EventLog(OPERATOR, [0], [0])
+    with pytest.raises(ConfigInvalid):
+        EventLog(OPERATOR, [0], [100], source=[len(SOURCES)])
+    with pytest.raises(ConfigInvalid):
+        EventLog(OPERATOR, [0, 1], [100])
     with pytest.raises(ConfigInvalid):
         NodeId("", Role.OPERATOR)
 
 
-def test_event_log_validates_order():
-    r1 = EventRecord(1, 100)
-    r2 = EventRecord(1, 200)
-    with pytest.raises(NonMonotonicSeq):
-        EventLog(OPERATOR, (r1, r2))
-    r3 = EventRecord(2, 50)
-    with pytest.raises(NonMonotonicTime):
-        EventLog(OPERATOR, (r1, r3))
+# The vectorised order check raises what a pairwise loop over the events
+# finds first: the same class at the same position, and nothing otherwise.
+# Small cells make ties and one-step drops common; the offset takes them to
+# the top of int64.
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=12),
+       st.sampled_from([0, 2**63 - 7]))
+@example([(1, 100), (1, 200)], 0)
+@example([(1, 100), (2, 50)], 0)
+def test_event_log_validates_order(rows, offset):
+    seqs = [s + offset for s, _ in rows]
+    times = [t + offset for _, t in rows]
+    expected = oracle_order_violation(seqs, times)
+    try:
+        EventLog(OPERATOR, np.array(seqs, dtype=np.int64), np.array(times, dtype=np.int64))
+    except (NonMonotonicSeq, NonMonotonicTime) as err:
+        assert (type(err).__name__, err.line_no) == expected
+    else:
+        assert expected is None

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from m2mlat.errors import ConfigInvalid, EmptyLog, RoleMismatch
-from m2mlat.events import EventRecord, EventSource
 from m2mlat.pairing import (
     PairingConfig,
     compute_m2m,
@@ -13,7 +12,10 @@ from m2mlat.pairing import (
     pair_events,
 )
 
-from helpers import OPERATOR, VEHICLE, make_log, oracle_debounce, oracle_pairs, random_times
+from helpers import (
+    OPERATOR, VEHICLE, events_of, make_log, oracle_debounce, oracle_pairs, pairs_of,
+    random_times,
+)
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -27,7 +29,7 @@ class TestDebounce:
     def test_burst_keeps_first(self):
         log = make_log(OPERATOR, [1, 1 * MS, 600 * MS])
         kept = debounce(log, 500 * MS)
-        assert [r.t_wall_ns for r in kept.records] == [1, 600 * MS]
+        assert kept.t_wall_ns.tolist() == [1, 600 * MS]
 
     def test_boundary_event_is_kept(self):
         log = make_log(OPERATOR, [1000, 1000 + 500 * MS])
@@ -49,24 +51,23 @@ class TestDebounce:
             window = int(rng.integers(0, 800))
             log = make_log(OPERATOR, times)
             kept = debounce(log, window)
-            assert list(kept.records) == oracle_debounce(log.records, window)
+            assert events_of(kept) == oracle_debounce(events_of(log), window)
 
 
 class TestComputeM2m:
     def test_equal_times(self):
-        e1 = EventRecord(0, 5000)
-        e2 = EventRecord(0, 5000)
-        assert compute_m2m(e1, e2) == 0
+        assert compute_m2m(5000, 5000) == 0
 
     def test_plain_subtraction(self):
-        e1 = EventRecord(0, 100 * MS)
-        e2 = EventRecord(0, 150 * MS)
-        assert compute_m2m(e1, e2) == 50 * MS
+        assert compute_m2m(100 * MS, 150 * MS) == 50 * MS
 
     def test_negative_allowed_here(self):
-        e1 = EventRecord(0, 2 * S)
-        e2 = EventRecord(0, 1 * S)
-        assert compute_m2m(e1, e2) == -1 * S
+        assert compute_m2m(2 * S, 1 * S) == -1 * S
+
+    def test_columns(self):
+        op_t = np.array([100 * MS, 2 * S], dtype=np.int64)
+        veh_t = np.array([150 * MS, 1 * S], dtype=np.int64)
+        assert compute_m2m(op_t, veh_t).tolist() == [50 * MS, -1 * S]
 
 
 class TestPairEvents:
@@ -74,20 +75,20 @@ class TestPairEvents:
         op = make_log(OPERATOR, [1 * S])
         veh = make_log(VEHICLE, [1 * S + 800 * MS])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
-        assert [s.m2m_ns for s in report.samples] == [800 * MS]
+        assert report.m2m_values == [800 * MS]
         assert report.unmatched_op == report.unmatched_veh == 0
 
     def test_disjoint_windows(self):
         op = make_log(OPERATOR, [1 * S, 6 * S])
         veh = make_log(VEHICLE, [1 * S + 800 * MS, 6 * S + 900 * MS])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
-        assert [s.m2m_ns for s in report.samples] == [800 * MS, 900 * MS]
+        assert report.m2m_values == [800 * MS, 900 * MS]
 
     def test_negative_latency_is_unmatched(self):
         op = make_log(OPERATOR, [2 * S])
         veh = make_log(VEHICLE, [1 * S])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
-        assert report.samples == ()
+        assert len(report.samples) == 0
         assert report.unmatched_op == 1
         assert report.unmatched_veh == 1
 
@@ -95,14 +96,14 @@ class TestPairEvents:
         op = make_log(OPERATOR, [1 * S])
         veh = make_log(VEHICLE, [1 * S + MS, 1 * S + MS], seqs=[3, 7])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
-        assert report.samples[0].veh_event.seq == 3
+        assert report.samples["veh_seq"].tolist() == [3]
 
     def test_consumed_events_never_rematch(self):
         op = make_log(OPERATOR, [1 * S, 1 * S + 10 * MS], seqs=[0, 1])
         veh = make_log(VEHICLE, [1 * S + 100 * MS])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
         assert len(report.samples) == 1
-        assert report.samples[0].op_event.seq == 0
+        assert report.samples["op_seq"].tolist() == [0]
         assert report.unmatched_op == 1
 
     def test_empty_log_rejected(self):
@@ -119,6 +120,22 @@ class TestPairEvents:
             PairingConfig(min_latency_ns=10, max_window_ns=10)
         with pytest.raises(ConfigInvalid):
             PairingConfig(debounce_ns=-1)
+        with pytest.raises(ConfigInvalid):
+            PairingConfig(max_window_ns=2**63)
+
+    def test_timestamps_and_windows_near_int64_max(self):
+        # the column arithmetic must not wrap where Python ints would not
+        top = 2**63 - 1
+        op = make_log(OPERATOR, [top - 10])
+        veh = make_log(VEHICLE, [top - 8, top])
+        rep = pair_events(op, veh, PairingConfig(debounce_ns=top, min_latency_ns=1,
+                                                 max_window_ns=top))
+        assert rep.m2m_values == [2]
+        assert rep.suppressed_veh == 1
+        # op_t + min_latency_ns lies beyond int64: no vehicle event can follow
+        rep = pair_events(op, veh, PairingConfig(debounce_ns=0, min_latency_ns=20,
+                                                 max_window_ns=top))
+        assert (len(rep.samples), rep.unmatched_op, rep.unmatched_veh) == (0, 1, 2)
 
     def test_counts_cover_all_raw_events(self):
         rng = np.random.default_rng(7)
@@ -138,7 +155,7 @@ class TestPairEvents:
                 + rep.suppressed_op
                 + rep.suppressed_veh
             )
-            assert total == len(op.records) + len(veh.records)
+            assert total == len(op) + len(veh)
 
 
 def _random_instance(rng, max_events=50):
@@ -161,21 +178,19 @@ def test_matches_brute_force_oracle_on_random_instances():
     for _ in range(150):
         op, veh, cfg = _random_instance(rng, max_events=30)
         got = pair_events(op, veh, cfg)
-        expected = oracle_pairs(op.records, veh.records, cfg)
-        assert [(s.op_event, s.veh_event) for s in got.samples] == expected
+        expected = oracle_pairs(events_of(op), events_of(veh), cfg)
+        assert pairs_of(got) == expected
+        assert got.m2m_values == [veh[1] - op[1] for op, veh in expected]
 
 
 def test_matching_is_monotone():
     rng = np.random.default_rng(11)
     for _ in range(100):
         op, veh, cfg = _random_instance(rng, max_events=30)
-        samples = pair_events(op, veh, cfg).samples
-        for earlier, later in zip(samples, samples[1:]):
-            assert earlier.op_event.t_wall_ns <= later.op_event.t_wall_ns
-            assert (earlier.veh_event.t_wall_ns, earlier.veh_event.seq) < (
-                later.veh_event.t_wall_ns,
-                later.veh_event.seq,
-            )
+        pairs = pairs_of(pair_events(op, veh, cfg))
+        for (op1, veh1), (op2, veh2) in zip(pairs, pairs[1:]):
+            assert op1[1] <= op2[1]
+            assert (veh1[1], veh1[0]) < (veh2[1], veh2[0])
 
 
 @given(st.integers(min_value=-(10**6), max_value=10**12), st.data())
@@ -183,27 +198,27 @@ def test_matching_is_monotone():
 def test_translation_invariance(delta, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
     op, veh, cfg = _random_instance(rng, max_events=15)
-    lo = min(op.records[0].t_wall_ns, veh.records[0].t_wall_ns)
-    delta = max(delta, 1 - lo)  # keep timestamps positive
-    op2 = make_log(OPERATOR, [r.t_wall_ns + delta for r in op.records])
-    veh2 = make_log(VEHICLE, [r.t_wall_ns + delta for r in veh.records])
+    lo = min(op.t_wall_ns[0], veh.t_wall_ns[0])
+    delta = max(delta, 1 - int(lo))  # keep timestamps positive
+    op2 = make_log(OPERATOR, op.t_wall_ns + delta)
+    veh2 = make_log(VEHICLE, veh.t_wall_ns + delta)
     base = pair_events(op, veh, cfg)
     moved = pair_events(op2, veh2, cfg)
-    assert [s.m2m_ns for s in moved.samples] == [s.m2m_ns for s in base.samples]
+    assert moved.m2m_values == base.m2m_values
 
 
 def test_vehicle_offset_shifts_every_latency():
     # a constant vehicle-clock offset lands one-for-one in the measurement
     rng = np.random.default_rng(13)
     op = make_log(OPERATOR, random_times(rng, 20, 1 * S, 100 * S))
-    veh_times = [r.t_wall_ns + 700 * MS for r in op.records]
+    veh_times = [t + 700 * MS for t in op.t_wall_ns.tolist()]
     veh = make_log(VEHICLE, veh_times)
     cfg = PairingConfig(debounce_ns=0, max_window_ns=2 * S)
     base = pair_events(op, veh, cfg)
     for c in (-5 * MS, 3 * MS, 50 * MS):
         shifted = make_log(VEHICLE, [t + c for t in veh_times])
         rep = pair_events(op, shifted, cfg)
-        assert [s.m2m_ns for s in rep.samples] == [s.m2m_ns + c for s in base.samples]
+        assert rep.m2m_values == [m + c for m in base.m2m_values]
 
 
 def test_result_independent_of_record_multiplicity_order():
@@ -212,8 +227,8 @@ def test_result_independent_of_record_multiplicity_order():
     op, veh, cfg = _random_instance(rng)
     rebuilt_op = make_log(
         OPERATOR,
-        [r.t_wall_ns for r in op.records],
-        seqs=[r.seq for r in op.records],
+        op.t_wall_ns.tolist(),
+        seqs=op.seq.tolist(),
     )
     assert pair_events(rebuilt_op, veh, cfg) == pair_events(op, veh, cfg)
 

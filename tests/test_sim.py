@@ -55,7 +55,7 @@ class TestSimulateBasics:
         op, veh, truth = simulate(constant_config())
         rep = pair_events(op, veh, PairingConfig(debounce_ns=0))
         assert len(rep.samples) == 50
-        assert all(s.m2m_ns == 0 for s in rep.samples)
+        assert set(rep.m2m_values) == {0}
         assert not truth.columns["true_total_ns"].any()
 
     def test_constant_chain_sums_exactly(self):
@@ -63,7 +63,7 @@ class TestSimulateBasics:
         op, veh, _ = simulate(cfg)
         rep = pair_events(op, veh)
         assert len(rep.samples) == 50
-        assert {s.m2m_ns for s in rep.samples} == {780 * MS}
+        assert set(rep.m2m_values) == {780 * MS}
 
     def test_bit_identical_under_same_seed(self):
         cfg = preset("dyn_coref")
@@ -80,8 +80,8 @@ class TestSimulateBasics:
     def test_logs_are_synthetic_sorted_and_renumbered(self):
         op, veh, _ = simulate(replace(preset("dyn_auto"), trials=200))
         for log in (op, veh):
-            assert all(r.source is EventSource.SYNTHETIC for r in log.records)
-            assert [r.seq for r in log.records] == list(range(200))
+            assert {tuple(EventSource)[c] for c in log.source} == {EventSource.SYNTHETIC}
+            assert log.seq.tolist() == list(range(200))
         assert op.node.role is Role.OPERATOR
         assert veh.node.role is Role.VEHICLE
 
@@ -150,8 +150,8 @@ class TestStationaryFriction:
         base = constant_config(follow=700 * MS, friction_extra=friction, trials=30)
         moving = simulate(base)
         parked = simulate(replace(base, stationary=True))
-        moving_m2m = {s.m2m_ns for s in pair_events(*moving[:2]).samples}
-        parked_m2m = {s.m2m_ns for s in pair_events(*parked[:2]).samples}
+        moving_m2m = set(pair_events(*moving[:2]).m2m_values)
+        parked_m2m = set(pair_events(*parked[:2]).m2m_values)
         assert moving_m2m == {700 * MS}
         assert parked_m2m == {863 * MS}
 
@@ -316,6 +316,11 @@ def test_outputs_are_pinned_bit_for_bit():
         "07275a34380d5b67ca4b474ff16c9b6b6fadab224dcec6a9316b8cbeaa5f7f03")
     assert digest(render_config(cfg)) == (
         "4a30e0ee8d3ea7278c375da7f3afe997a9cb5809e2a3c69aa73095554fed228d")
+    pairs = pair_events(op, veh)
+    assert digest(pairs.to_csv()) == (
+        "55c65247a787df3b4601b8792178766beda372b5f47886d95a3c1fc04ca293f4")
+    assert digest(pairs.meta_text()) == (
+        "1d1bf775bee0ceb889d27590a52b05916ddeb69d7ba807eb5f0e9e46319479f5")
     pulses = simulate_shared_pulse_run(SyncMode.CO_REFERENCED, 300, 10**9, 9)
     assert digest(precision_analysis(*pulses).to_csv()) == (
         "ec90c433ddd93f5340a726a499688e87ae10268b86ac7b55dd85ee69902d32e7")
