@@ -6,8 +6,8 @@ from .budget import CalibModel, ErrorBudget, calib_error, total_error
 from .clocks import (
     ClockModel,
     OffsetSeries,
-    SchedulingStats,
     SyncMode,
+    clock_errors,
     kernel_asymmetry,
     precision_analysis,
     preset_models,
@@ -74,12 +74,12 @@ __all__ = [
     "Report",
     "Role",
     "ScenarioConfig",
-    "SchedulingStats",
     "SummaryStats",
     "SyncMode",
     "boxplot_data",
     "build_report",
     "calib_error",
+    "clock_errors",
     "compute_m2m",
     "debounce",
     "fit_delay_dist",

@@ -307,8 +307,9 @@ def _read_int_column(path: Path, column: str) -> list[int]:
     """Integers of one CSV column, or of bare one-value lines without a header.
 
     The first non-blank line is the header when it names ``column``. A cell
-    that is no int64 integer (bytes that are not UTF-8 included) raises
-    ConfigInvalid naming the file and the line.
+    that is not ASCII digits after an optional ``-`` (bytes that are not
+    UTF-8 included), or is beyond int64, raises ConfigInvalid naming the
+    file and the line.
     """
     text = path.read_text(encoding="utf-8", errors="replace")
     lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
@@ -321,9 +322,14 @@ def _read_int_column(path: Path, column: str) -> list[int]:
     values = []
     for line_no, line in lines:
         try:
-            value = int(line if idx is None else line.split(",")[idx])
-        except (ValueError, IndexError):
+            cell = (line if idx is None else line.split(",")[idx]).strip()
+        except IndexError:
+            cell = ""
+        digits = cell[1:] if cell[:1] == "-" else cell
+        # ASCII digits only: int() would also take "1_000", "+2" and other scripts' digits
+        if not (digits.isascii() and digits.isdigit()):
             raise ConfigInvalid(f"{path} line {line_no}: no integer {column}: {line!r}")
+        value = int(cell)
         if not -(2**63) <= value < 2**63:
             raise ConfigInvalid(f"{path} line {line_no}: {column} does not fit in int64: {value}")
         values.append(value)
@@ -334,13 +340,10 @@ def _cmd_budget(args) -> int:
     if args.kernel_ms is not None:
         kernel_ns = _ns(args.kernel_ms, "--kernel-ms")
     elif args.sched_a and args.sched_b:
-        a = clocks.SchedulingStats.from_samples(
-            NodeId("node_a", Role.OPERATOR), _read_int_column(args.sched_a, "latency_ns")
+        kernel_ns = clocks.kernel_asymmetry(
+            _read_int_column(args.sched_a, "latency_ns"),
+            _read_int_column(args.sched_b, "latency_ns"),
         )
-        b = clocks.SchedulingStats.from_samples(
-            NodeId("node_b", Role.VEHICLE), _read_int_column(args.sched_b, "latency_ns")
-        )
-        kernel_ns = clocks.kernel_asymmetry(a, b)
     else:
         raise ConfigInvalid("budget needs --kernel-ms or both --sched-a and --sched-b")
     calib = budget.CalibModel(args.calib_angle_deg, args.steer_rate_dps)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
-from .events import EventLog, NodeId
+from .events import EventLog
 from .stats import SummaryStats, summarize
 from .tables import write_table
 
@@ -34,12 +35,22 @@ NS_PER_S = 1_000_000_000
 OPERATOR_SALT = 1
 VEHICLE_SALT = 2
 
+# Version of the counter-based stream behind clock_errors' jitter and
+# spikes; a config echoed under another version would not reproduce.
+CLOCK_STREAM = "splitmix64-1"
+
 # Largest share of the larger log that precision_analysis leaves unpaired.
 MAX_UNMATCHED = 0.01
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _U64 = 1 << 64
+# splitmix64: finalizer shifts and multipliers, then the shift to 53 bits,
+# and the Weyl steps of lanes 1, 2 and 3. One-element arrays, not numpy
+# scalars: numpy applies them to a short array in half the time.
+_SHIFTS = tuple(np.array([s], dtype=np.uint64) for s in (30, 27, 31, 11))
+_MULTIPLIERS = tuple(np.array([m], dtype=np.uint64) for m in (_MIX_B, 0x94D049BB133111EB))
+_LANE_STEPS = np.array([j * _MIX_A % _U64 for j in (1, 2, 3)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -110,44 +121,78 @@ def _mix_key(seed: int, salt: int) -> int:
     return (seed * _MIX_A + salt * _MIX_B + 1) % _U64
 
 
-def _disciplined(model: ClockModel, t_true_ns: int) -> float:
-    """Deterministic error component at true time t (closed form)."""
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array (arithmetic wraps mod 2**64)."""
+    x = (x ^ (x >> _SHIFTS[0])) * _MULTIPLIERS[0]
+    x = (x ^ (x >> _SHIFTS[1])) * _MULTIPLIERS[1]
+    return x ^ (x >> _SHIFTS[2])
+
+
+def _uniforms(t: np.ndarray, seed: int, salt: int, lanes: int) -> np.ndarray:
+    """Lanes 1 to ``lanes`` of the stream at each t, as floats in the open (0, 1).
+
+    Row i is ``mix(base + j * _MIX_A)`` for lane j, where
+    ``base = mix(_mix_key(seed, salt) ^ mix(t[i]))``; the top 53 bits give
+    ``(m + 0.5) / 2**53``.
+    """
+    key = np.array([_mix_key(seed, salt)], dtype=np.uint64)
+    base = _mix(key ^ _mix(t.view(np.uint64)))
+    bits = _mix(base[:, None] + _LANE_STEPS[:lanes])
+    return ((bits >> _SHIFTS[3]).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _disciplined(model: ClockModel, t: np.ndarray) -> np.ndarray:
+    """Deterministic error component at true times t (closed form)."""
     c_ns = model.correction_interval_s * NS_PER_S
     drift = model.drift_ppm * 1e-6
-    k = int(t_true_ns // c_ns)  # corrections applied at c, 2c, ..., kc <= t
+    k = np.floor_divide(t, c_ns)  # corrections applied at c, 2c, ..., kc <= t
     r = 1.0 - model.correction_gain
-    if k == 0:
-        base = float(model.initial_offset_ns)
-    elif r == 0.0:
-        base = 0.0
+    if r == 0.0:
+        base = np.zeros(len(t))
     else:
         # Post-correction offset after k steps of drift-then-pull.
-        rk = r**k
+        rk = np.power(r, k)
         base = rk * model.initial_offset_ns + drift * c_ns * r * (1.0 - rk) / (1.0 - r)
-    return base + drift * (t_true_ns - k * c_ns)
+    base = np.where(k == 0, float(model.initial_offset_ns), base)
+    return base + drift * (t - k * c_ns)
+
+
+def clock_errors(model: ClockModel, t_true_ns, seed: int, salt: int = 0) -> np.ndarray:
+    """Clock error in ns at each true time t, as an int64 array.
+
+    The stochastic terms come from a counter-based stream (``CLOCK_STREAM``):
+    a splitmix64 hash keyed by (seed, salt, t), so each element is a pure
+    function of its own time, whatever the order or repetition of the
+    others. Jitter is Gaussian from lane 1; lane 2 decides a spike and
+    lane 3 draws its uniform size.
+    """
+    try:
+        t = np.atleast_1d(np.asarray(t_true_ns, dtype=np.int64))
+    except OverflowError:
+        raise ConfigInvalid("t_true_ns must be < 2**63")
+    if t.size and t.min() < 0:
+        raise ConfigInvalid("t_true_ns must be >= 0")
+    offset = _disciplined(model, t)
+    if model.jitter_std_ns > 0.0 or model.spike_prob > 0.0:
+        u = _uniforms(t, seed, salt, 3 if model.spike_prob > 0.0 else 1)
+        if model.jitter_std_ns > 0.0:
+            offset += ndtri(u[:, 0]) * model.jitter_std_ns
+        if model.spike_prob > 0.0:
+            spike = (2.0 * u[:, 2] - 1.0) * model.spike_max_ns
+            offset += np.where(u[:, 1] < model.spike_prob, spike, 0.0)
+    if model.spike_max_ns > 0:
+        offset = np.minimum(np.maximum(offset, -model.spike_max_ns), model.spike_max_ns)
+    offset = np.rint(offset)
+    if np.abs(offset).max(initial=0.0) >= 2.0**63:
+        raise ConfigInvalid("clock error does not fit in int64")
+    return offset.astype(np.int64)
 
 
 def sample_clock_error(
     model: ClockModel, t_true_ns: int, seed: int, salt: int = 0
 ) -> int:
-    """Clock error in ns at true time t; a pure function of its arguments.
-
-    The stochastic terms are keyed by (seed, salt, t), not drawn from a
-    shared stream, so repeated or out-of-order calls agree bit-exactly.
-    """
-    if t_true_ns < 0:
-        raise ConfigInvalid("t_true_ns must be >= 0")
-    offset = _disciplined(model, t_true_ns)
-    if model.jitter_std_ns > 0.0 or model.spike_prob > 0.0:
-        key = np.array([_mix_key(seed, salt), t_true_ns % _U64], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        if model.jitter_std_ns > 0.0:
-            offset += rng.normal(0.0, model.jitter_std_ns)
-        if model.spike_prob > 0.0 and rng.random() < model.spike_prob:
-            offset += rng.uniform(-model.spike_max_ns, model.spike_max_ns)
-    if model.spike_max_ns > 0:
-        offset = max(-model.spike_max_ns, min(model.spike_max_ns, offset))
-    return int(round(offset))
+    """``clock_errors`` at one true time t, as an int."""
+    return int(clock_errors(model, [t_true_ns], seed, salt)[0])
 
 
 @dataclass(frozen=True)
@@ -201,34 +246,17 @@ def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     )
 
 
-@dataclass(frozen=True)
-class SchedulingStats:
-    """Interrupt scheduling latency summary for one node."""
-
-    node: NodeId
-    min_ns: int
-    max_ns: int
-    mean_ns: float
-
-    def __post_init__(self):
-        if not self.min_ns <= self.mean_ns <= self.max_ns:
-            raise ConfigInvalid("scheduling stats require min <= mean <= max")
-
-    @classmethod
-    def from_samples(cls, node: NodeId, samples_ns) -> "SchedulingStats":
-        arr = np.asarray(list(samples_ns), dtype=np.int64)
-        if arr.size == 0:
-            raise EmptyLog("scheduling stats require at least one sample")
-        return cls(node, int(arr.min()), int(arr.max()), float(arr.mean()))
-
-
-def kernel_asymmetry(a: SchedulingStats, b: SchedulingStats) -> int:
+def kernel_asymmetry(a_ns, b_ns) -> int:
     """Worst-case inter-node interrupt-handling asymmetry in ns.
 
-    One node sees its maximum scheduling delay while the other sees its
-    minimum; the measured latency absorbs the difference.
+    ``a_ns`` and ``b_ns`` are the two nodes' interrupt scheduling latency
+    samples. One node sees its maximum scheduling delay while the other
+    sees its minimum; the measured latency absorbs the difference.
     """
-    return max(a.max_ns - b.min_ns, b.max_ns - a.min_ns)
+    a, b = np.asarray(a_ns, dtype=np.int64), np.asarray(b_ns, dtype=np.int64)
+    if not a.size or not b.size:
+        raise EmptyLog("scheduling stats require at least one sample")
+    return max(a.max().item() - b.min().item(), b.max().item() - a.min().item())
 
 
 def probe_offset(t1: int, t2: int, t3: int, t4: int) -> tuple[float, int]:

@@ -88,7 +88,7 @@ _ROLE_BY_ID = {
 }
 
 _KERNEL_RING_RE = re.compile(
-    r"m2m_irq:\s*seq=(\d+)\s+ts=(\d+)\s+src=(hall|pulse)\s*$"
+    r"m2m_irq:\s*seq=([0-9]+)\s+ts=([0-9]+)\s+src=(hall|pulse)\s*$"
 )
 
 _CSV_COLUMNS = ("node", "seq", "t_wall_ns", "t_mono_ns", "source")
@@ -367,12 +367,13 @@ def _sniff_layout(cells: list[str]) -> tuple[str, ...] | None:
 
 
 def _parse_uint(cell: str, line_no: int, name: str) -> int:
-    try:
-        value = int(cell)
-    except ValueError:
+    # ASCII digits only: int() would also take "1_000", "+2" and other scripts' digits
+    if not (cell.isascii() and cell.isdigit()):
+        tail = cell[1:]
+        if cell[:1] == "-" and tail.isascii() and tail.isdigit() and int(tail):
+            raise UnparseableLine(line_no, f"{name} must be non-negative: {-int(tail)}")
         raise UnparseableLine(line_no, f"{name} is not an integer: {cell!r}")
-    if value < 0:
-        raise UnparseableLine(line_no, f"{name} must be non-negative: {value}")
+    value = int(cell)
     if value >= 2**63:
         raise UnparseableLine(line_no, f"{name} does not fit in int64: {value}")
     return value

@@ -32,13 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clocks import (
+    CLOCK_STREAM,
     NS_PER_S,
     OPERATOR_SALT,
     VEHICLE_SALT,
     ClockModel,
     SyncMode,
+    clock_errors,
     preset_models,
-    sample_clock_error,
 )
 from .dists import (
     ConstantDelay,
@@ -179,8 +180,8 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
     op_model, veh_model = cfg.effective_clock_models()
     op_true = cfg.start_ns + interval_ns * np.arange(n, dtype=np.int64)
     veh_true = op_true + totals
-    err_op = _clock_errors(op_model, op_true, cfg.seed, OPERATOR_SALT)
-    err_veh = _clock_errors(veh_model, veh_true, cfg.seed, VEHICLE_SALT)
+    err_op = clock_errors(op_model, op_true, cfg.seed, OPERATOR_SALT)
+    err_veh = clock_errors(veh_model, veh_true, cfg.seed, VEHICLE_SALT)
     op_rec, veh_rec = op_true + err_op, veh_true + err_veh
     truth = GroundTruth(dict(zip(TRUTH_COLUMNS, (
         np.arange(n, dtype=np.int64), op_true, l_gen, l_network, l_exec, l_follow,
@@ -205,14 +206,6 @@ def simulate_shared_pulse_run(
     cfg = ScenarioConfig(zero, zero, zero, zero, zero, stationary=False, sync_mode=mode,
                          trial_interval_s=period_ns / NS_PER_S, trials=pulses, seed=seed)
     return simulate(cfg)[:2]
-
-
-def _clock_errors(
-    model: ClockModel, times: np.ndarray, seed: int, salt: int
-) -> np.ndarray:
-    """sample_clock_error at each true time, as an int64 array."""
-    errors = [sample_clock_error(model, t, seed, salt=salt) for t in times.tolist()]
-    return np.array(errors, dtype=np.int64)
 
 
 def _build_log(node: NodeId, recorded: np.ndarray) -> EventLog:
@@ -317,6 +310,7 @@ def render_config(cfg: ScenarioConfig) -> str:
         "trials": str(cfg.trials),
         "seed": str(cfg.seed),
         "start_ns": str(cfg.start_ns),
+        "clock_stream": CLOCK_STREAM,
     }
     for name in _COMPONENTS:
         dist: DelayDist = getattr(cfg, name)
@@ -351,6 +345,10 @@ def parse_config(text: str) -> ScenarioConfig:
         sync_mode = SyncMode(sc.get("sync_mode", SyncMode.CO_REFERENCED.value))
     except ValueError:
         raise ConfigInvalid(f"unknown sync_mode {sc.get('sync_mode')!r}")
+    if sc.get("clock_stream", CLOCK_STREAM) != CLOCK_STREAM:
+        raise ConfigInvalid(
+            f"clock_stream {sc.get('clock_stream')!r} is not this version's {CLOCK_STREAM!r}"
+        )
 
     dists: dict[str, DelayDist] = {}
     for name in _COMPONENTS:

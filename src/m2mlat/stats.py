@@ -71,7 +71,7 @@ def summarize(
         n=n,
         min_ns=int(arr[0]),
         max_ns=int(arr[-1]),
-        mean_ns=float(arr.mean()),
+        mean_ns=_mean(arr),
         std_ns=_std(arr),
         median_ns=median,
         q1_ns=q1,
@@ -114,6 +114,17 @@ def boxplot_data(samples: Iterable[int]) -> BoxplotData:
         whisker_hi_ns=int(inside.max()),
         outliers_ns=tuple(outliers.tolist()),
     )
+
+
+def _mean(arr: np.ndarray) -> float:
+    """Mean of an int64 array, correctly rounded.
+
+    The exact sum is taken as two int64 sums that cannot wrap below 2**31
+    samples (the high and the low 32 bits of each sample), and Python's
+    int / int rounds once.
+    """
+    total = int((arr >> 32).sum()) * 2**32 + int((arr & 0xFFFFFFFF).sum())
+    return total / arr.size
 
 
 def _std(sorted_arr: np.ndarray) -> float:

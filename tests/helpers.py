@@ -10,12 +10,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from m2mlat.events import EventLog, EventSource, NodeId, Role
 from m2mlat.pairing import PairingConfig
 
 OPERATOR = NodeId("operator", Role.OPERATOR)
 VEHICLE = NodeId("vehicle", Role.VEHICLE)
+
+
+# Zeros of scripts whose digits int() takes: Arabic-Indic, Extended
+# Arabic-Indic, Devanagari, fullwidth.
+_FOREIGN_ZEROS = ("\u0660", "\u06f0", "\u0966", "\uff10")
+
+
+@st.composite
+def lax_integers(draw) -> str:
+    """A spelling of an integer >= 10 that int() takes but no integer cell of
+    the toolkit's formats allows: a digit-group ``_``, a leading ``+``, or a
+    digit of another script."""
+    digits = str(draw(st.integers(10, 10**12)))
+    kind = draw(st.sampled_from(("underscore", "plus", "script")))
+    if kind == "underscore":
+        i = draw(st.integers(1, len(digits) - 1))
+        cell = digits[:i] + "_" + digits[i:]
+    elif kind == "plus":
+        cell = "+" + digits
+    else:
+        i = draw(st.integers(0, len(digits) - 1))
+        zero = ord(draw(st.sampled_from(_FOREIGN_ZEROS)))
+        cell = digits[:i] + chr(zero + int(digits[i])) + digits[i + 1:]
+    assert int(cell) == int(digits)
+    return cell
 
 
 def make_log(

@@ -3,11 +3,15 @@ from __future__ import annotations
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from m2mlat import probe
-from m2mlat.cli import run_cli
+from m2mlat.cli import _read_int_column, run_cli
+from m2mlat.errors import ConfigInvalid
 from m2mlat.events import parse_log
 from m2mlat.sim import GroundTruth, parse_config
+
+from helpers import lax_integers
 
 MS = 1_000_000
 
@@ -154,6 +158,15 @@ def _config_not_utf8(tmp_path, run_dir):
     ], f"ConfigInvalid: {tmp_path / 'bad.ini'}: not valid UTF-8"
 
 
+def _clock_error_beyond_int64(tmp_path, run_dir):
+    text = (run_dir / "config.echo").read_text()
+    text += "\n[clock_op]\ninitial_offset_ns = 1e30\n\n[clock_veh]\njitter_std_ns = 0.0\n"
+    (tmp_path / "huge.ini").write_text(text)
+    return [
+        "simulate", "--config", str(tmp_path / "huge.ini"), "--out", str(tmp_path / "x"),
+    ], "ConfigInvalid: clock error does not fit in int64"
+
+
 def _overflowing_flag(flag, value):
     def make_args(tmp_path, run_dir):
         logs = ["--operator", str(run_dir / "operator.csv"),
@@ -221,7 +234,7 @@ _OVERFLOWING = [
     [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples,
      _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
      _report_sample_beyond_int64, _sched_sample_beyond_int64, _probe_negative_timeout,
-     _probe_overflowing_interval, *_OVERFLOWING],
+     _probe_overflowing_interval, _clock_error_beyond_int64, *_OVERFLOWING],
 )
 def test_bad_input_is_a_validation_error(make_args, tmp_path, capsys):
     run_dir = tmp_path / "run"
@@ -384,3 +397,21 @@ class TestTopLevel:
         code, stdout, _ = run(capsys, "--version")
         assert code == 0
         assert stdout.startswith("m2mlat ")
+
+
+@given(lax_integers(), st.booleans(), st.booleans(), st.integers(0, 3))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_int_column_rejects_lax_spellings(tmp_path, cell, negative, header, good):
+    # a leading "-" is allowed, since samples may be negative; the rest of
+    # the cell must still be ASCII digits
+    def row(value):
+        return f"9,{value}" if header else f" {value} "
+
+    lines = (["id,m2m_ns"] if header else []) + [row(-i) for i in range(good)]
+    path = tmp_path / "samples.csv"
+    bad = ("-" if negative else "") + cell
+    path.write_text("\n".join(lines + [row(bad), row(5)]) + "\n")
+    with pytest.raises(ConfigInvalid, match=f"line {len(lines) + 1}: no integer m2m_ns"):
+        _read_int_column(path, "m2m_ns")
+    path.write_text("\n".join(lines + [row(-12), row("7\r")]) + "\n")
+    assert _read_int_column(path, "m2m_ns") == [-i for i in range(good)] + [-12, 7]

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from m2mlat.clocks import (
     ClockModel,
-    SchedulingStats,
     SyncMode,
     _disciplined,
+    clock_errors,
     kernel_asymmetry,
     precision_analysis,
     preset_models,
@@ -36,6 +36,44 @@ def _loop_disciplined(model: ClockModel, t_ns: int) -> float:
     for _ in range(k):
         offset = (offset + drift * c) * (1.0 - model.correction_gain)
     return offset + drift * (t_ns - k * c)
+
+
+def _scalar_clock_error(model: ClockModel, t_ns: int) -> int:
+    """The per-timestamp closed form clock_errors replaced, without its
+    stochastic terms: what a model without jitter or spikes must give."""
+    c_ns = model.correction_interval_s * 1e9
+    drift = model.drift_ppm * 1e-6
+    k = int(t_ns // c_ns)
+    r = 1.0 - model.correction_gain
+    if k == 0:
+        base = float(model.initial_offset_ns)
+    elif r == 0.0:
+        base = 0.0
+    else:
+        rk = r**k
+        base = rk * model.initial_offset_ns + drift * c_ns * r * (1.0 - rk) / (1.0 - r)
+    offset = base + drift * (t_ns - k * c_ns)
+    if model.spike_max_ns > 0:
+        offset = max(-model.spike_max_ns, min(model.spike_max_ns, offset))
+    return int(round(offset))
+
+
+def clock_models(stochastic: bool = True):
+    """ClockModels over the whole parameter space; without jitter and
+    spikes unless ``stochastic``."""
+    return st.builds(
+        ClockModel,
+        initial_offset_ns=st.integers(-(10**9), 10**9),
+        drift_ppm=st.floats(-100, 100),
+        jitter_std_ns=st.floats(0, 10**7) if stochastic else st.just(0.0),
+        correction_interval_s=st.floats(0.001, 100),
+        correction_gain=st.one_of(st.just(1.0), st.floats(0.001, 1.0)),
+        spike_prob=st.floats(0, 1) if stochastic else st.just(0.0),
+        spike_max_ns=st.integers(0, 10**8),
+    )
+
+
+TIMES = st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20)
 
 
 class TestSampleClockError:
@@ -72,9 +110,9 @@ class TestSampleClockError:
                 correction_interval_s=float(rng.uniform(0.5, 60)),
                 correction_gain=float(rng.uniform(0.05, 1.0)),
             )
-            t = int(rng.integers(0, 3_600 * S))
-            assert _disciplined(model, t) == pytest.approx(
-                _loop_disciplined(model, t), rel=1e-9, abs=1e-3
+            t = rng.integers(0, 3_600 * S, 5)
+            assert _disciplined(model, t).tolist() == pytest.approx(
+                [_loop_disciplined(model, x) for x in t.tolist()], rel=1e-9, abs=1e-3
             )
 
     def test_pure_function_of_model_time_seed(self):
@@ -110,6 +148,13 @@ class TestSampleClockError:
         with pytest.raises(ConfigInvalid):
             sample_clock_error(ClockModel(), -1, seed=0)
 
+    @pytest.mark.parametrize("t", [-(2**63), 2**63, 2**64 + 5])
+    def test_time_outside_int64_range_rejected(self, t):
+        with pytest.raises(ConfigInvalid):
+            clock_errors(ClockModel(), [0, t], seed=0)
+        with pytest.raises(ConfigInvalid):
+            sample_clock_error(ClockModel(), t, seed=0)
+
     def test_model_validation(self):
         with pytest.raises(ConfigInvalid):
             ClockModel(jitter_std_ns=-1)
@@ -117,6 +162,46 @@ class TestSampleClockError:
             ClockModel(correction_gain=0.0)
         with pytest.raises(ConfigInvalid):
             ClockModel(spike_prob=1.5)
+
+
+class TestClockErrors:
+    @given(clock_models(), TIMES, st.integers(0, 2**64), st.integers(0, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_calls(self, model, times, seed, salt):
+        expected = [sample_clock_error(model, t, seed, salt) for t in times]
+        assert clock_errors(model, times, seed, salt).tolist() == expected
+
+    @given(clock_models(), TIMES, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_independent_of_order_and_repetition(self, model, times, rand):
+        errors = clock_errors(model, times, seed=5, salt=2)
+        picks = [rand.randrange(len(times)) for _ in range(2 * len(times))]
+        again = clock_errors(model, [times[i] for i in picks], seed=5, salt=2)
+        assert again.tolist() == errors[picks].tolist()
+
+    @given(clock_models(stochastic=False), TIMES, st.integers(0, 2**64))
+    @settings(max_examples=300, deadline=None)
+    def test_deterministic_models_keep_the_closed_form_bit_for_bit(self, model, times, seed):
+        assert clock_errors(model, times, seed).tolist() == [
+            _scalar_clock_error(model, t) for t in times
+        ]
+
+    def test_clamp_holds_under_heavy_spikes(self):
+        model = ClockModel(drift_ppm=50.0, jitter_std_ns=5e6, spike_prob=1.0,
+                           spike_max_ns=1_000_000, correction_interval_s=1000.0)
+        errors = clock_errors(model, np.arange(0, 100_000) * MS, seed=3)
+        assert np.abs(errors).max() == 1_000_000
+
+    def test_stream_moments(self):
+        t = np.arange(200_000) * 3 * MS + 1
+        jitter = clock_errors(ClockModel(jitter_std_ns=1e6), t, seed=8, salt=1)
+        assert abs(jitter.mean()) < 0.01e6
+        assert jitter.std() == pytest.approx(1e6, rel=0.01)
+        spikes = clock_errors(ClockModel(spike_prob=0.25, spike_max_ns=10**6), t, seed=8)
+        hit = spikes != 0
+        assert hit.mean() == pytest.approx(0.25, abs=0.005)
+        assert np.abs(spikes[hit]).mean() == pytest.approx(0.5e6, rel=0.01)
+        assert abs(spikes[hit].mean()) < 0.01e6
 
 
 class TestPresetCalibration:
@@ -221,27 +306,25 @@ class TestPrecisionAnalysis:
 
 class TestKernelAsymmetry:
     def test_identical_nodes(self):
-        st_a = SchedulingStats(OPERATOR, 2_000, 62_000, 5_000)
-        assert kernel_asymmetry(st_a, st_a) == 60_000
+        samples = [2_000, 5_000, 62_000]
+        assert kernel_asymmetry(samples, samples) == 60_000
 
     def test_autonomous_table_row(self):
-        a = SchedulingStats(OPERATOR, 2_000, 118_000, 5_000)
-        b = SchedulingStats(VEHICLE, 2_000, 106_000, 5_000)
-        assert kernel_asymmetry(a, b) == 116_000
+        assert kernel_asymmetry([2_000, 118_000], [2_000, 106_000]) == 116_000
 
     def test_co_referenced_table_row(self):
-        a = SchedulingStats(OPERATOR, 2_000, 62_000, 5_000)
-        b = SchedulingStats(VEHICLE, 3_000, 52_000, 5_000)
-        assert kernel_asymmetry(a, b) == 59_000
+        assert kernel_asymmetry([2_000, 62_000], [3_000, 52_000]) == 59_000
 
     def test_from_samples(self):
-        s = SchedulingStats.from_samples(OPERATOR, [5_000, 2_000, 9_000])
-        assert (s.min_ns, s.max_ns) == (2_000, 9_000)
-        assert s.mean_ns == pytest.approx(16_000 / 3)
+        a = np.array([5_000, 2_000, 9_000])
+        assert kernel_asymmetry(a, [4_000, 3_000]) == 6_000
+        assert kernel_asymmetry([-(2**63)], [2**63 - 1]) == 2**64 - 1
 
     def test_invalid_stats(self):
-        with pytest.raises(ConfigInvalid):
-            SchedulingStats(OPERATOR, 10, 5, 7)
+        with pytest.raises(EmptyLog):
+            kernel_asymmetry([], [1_000])
+        with pytest.raises(EmptyLog):
+            kernel_asymmetry([1_000], np.array([], dtype=np.int64))
 
 
 class TestProbeOffset:

@@ -22,7 +22,7 @@ from m2mlat.events import (
     write_log,
 )
 
-from helpers import OPERATOR, VEHICLE, events_of, make_log, oracle_order_violation
+from helpers import OPERATOR, VEHICLE, events_of, lax_integers, make_log, oracle_order_violation
 
 SOURCES = tuple(EventSource)
 
@@ -198,6 +198,51 @@ class TestParseKernelRing:
         log = parse_log(text, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
         assert log.seq.tolist() == [0, 2]
         assert log.meta["parse_skipped"] == "1"
+
+
+def _assert_lax_lines_rejected(lines: list[str], bad: int, **kwargs) -> None:
+    """The last 2 * bad + 1 lines hold seq 0, a lax integer, seq 2, a lax
+    integer, ... seq 2 * bad."""
+    first = len(lines) - 2 * bad + 1
+    with pytest.raises(UnparseableLine) as exc:
+        parse_log("\n".join(lines), **kwargs)
+    assert exc.value.line_no == first
+    log = parse_log("\n".join(lines), lenient=True, **kwargs)
+    assert log.seq.tolist() == list(range(0, 2 * bad + 1, 2))
+    assert log.meta["parse_skipped"] == str(bad)
+    assert log.meta["parse_first_error"].startswith(f"line {first}: ")
+
+
+@given(st.lists(st.tuples(st.sampled_from(("seq", "t_wall_ns", "t_mono_ns")), lax_integers()),
+                min_size=1, max_size=4))
+def test_csv_rejects_lax_integer_cells(bad):
+    lines = ["node,seq,t_wall_ns,t_mono_ns", "operator,0,1,1"]
+    for i, (column, cell) in enumerate(bad):
+        row = {"seq": str(2 * i + 1), "t_wall_ns": "5", "t_mono_ns": "5", column: cell}
+        lines.append(f"operator,{row['seq']},{row['t_wall_ns']},{row['t_mono_ns']}")
+        lines.append(f"operator,{2 * i + 2},{10**13 + i},{10**13 + i}")
+    _assert_lax_lines_rejected(lines, len(bad))
+
+
+@given(st.lists(st.tuples(st.sampled_from(("seq", "ts")), lax_integers()), min_size=1, max_size=4))
+def test_kernel_ring_rejects_lax_integer_fields(bad):
+    lines = ["m2m_irq: seq=0 ts=1 src=hall"]
+    for i, (field, cell) in enumerate(bad):
+        row = {"seq": str(2 * i + 1), "ts": "5", field: cell}
+        lines.append(f"m2m_irq: seq={row['seq']} ts={row['ts']} src=hall")
+        lines.append(f"m2m_irq: seq={2 * i + 2} ts={10**13 + i} src=pulse")
+    _assert_lax_lines_rejected(lines, len(bad), fmt=LogFormat.KERNEL_RING, node=OPERATOR)
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("-7", "seq must be non-negative: -7"),
+    ("-007", "seq must be non-negative: -7"),
+    ("-0", "seq is not an integer: '-0'"),
+    ("- 7", "seq is not an integer: '- 7'"),
+])
+def test_signed_cells(cell, message):
+    with pytest.raises(UnparseableLine, match=message):
+        parse_log(f"operator,{cell},1000")
 
 
 class TestWriteLog:

@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from m2mlat.clocks import ClockModel, SyncMode, preset_models
+from m2mlat.clocks import CLOCK_STREAM, ClockModel, SyncMode, preset_models
 from m2mlat.dists import ConstantDelay, DistKind, fit_delay_dist
 from m2mlat.errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from m2mlat.clocks import precision_analysis
@@ -288,6 +288,15 @@ class TestConfigFile:
         parsed = parse_config(render_config(cfg))
         assert parsed.l_network == cfg.l_network
 
+    def test_clock_stream_is_echoed_and_checked(self):
+        cfg = preset("dyn_coref")
+        text = render_config(cfg)
+        assert f"clock_stream = {CLOCK_STREAM}\n" in text
+        assert parse_config(text) == cfg
+        assert parse_config(text.replace(f"clock_stream = {CLOCK_STREAM}\n", "")) == cfg
+        with pytest.raises(ConfigInvalid, match="clock_stream"):
+            parse_config(text.replace(CLOCK_STREAM, "philox-0"))
+
     def test_config_hash_tracks_content(self):
         a = preset("dyn_coref")
         assert config_hash(a) == config_hash(preset("dyn_coref"))
@@ -302,7 +311,9 @@ class TestConfigFile:
 
 def test_outputs_are_pinned_bit_for_bit():
     # sha256 digests of every simulator output under one pinned seed; a
-    # change here means the generator no longer reproduces earlier runs
+    # change here means the generator no longer reproduces earlier runs.
+    # The operator log has a zero clock model, so its digest does not
+    # depend on the clock stream (CLOCK_STREAM) and must never move.
     def digest(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -311,16 +322,16 @@ def test_outputs_are_pinned_bit_for_bit():
     assert digest(write_log(op)) == (
         "fa5761ea049c4c68eb150125a9be6c2acffa48c8bde49cd055a7e9e3f128536f")
     assert digest(write_log(veh)) == (
-        "8237781853700bc1518dc0b0151709c1b04df217089df4e8652c212572ce2416")
+        "1e3dc2d648d55b264385e6e0b3b9c725ce2cd315bc19551e3f13017f992a8519")
     assert digest(truth.to_csv()) == (
-        "07275a34380d5b67ca4b474ff16c9b6b6fadab224dcec6a9316b8cbeaa5f7f03")
+        "538072f6edbdcee69ff00b1809411b9f3163775467a41243b0dfbd3aa330237e")
     assert digest(render_config(cfg)) == (
-        "4a30e0ee8d3ea7278c375da7f3afe997a9cb5809e2a3c69aa73095554fed228d")
+        "b03f4e03a0f335207ea7396d18ab225c0e3655a61a76784826f75d538993c6cb")
     pairs = pair_events(op, veh)
     assert digest(pairs.to_csv()) == (
-        "55c65247a787df3b4601b8792178766beda372b5f47886d95a3c1fc04ca293f4")
+        "e63a182b574a55a2407e4094698a49e8f2e3d9c062ae96bb86191768023cda89")
     assert digest(pairs.meta_text()) == (
         "1d1bf775bee0ceb889d27590a52b05916ddeb69d7ba807eb5f0e9e46319479f5")
     pulses = simulate_shared_pulse_run(SyncMode.CO_REFERENCED, 300, 10**9, 9)
     assert digest(precision_analysis(*pulses).to_csv()) == (
-        "ec90c433ddd93f5340a726a499688e87ae10268b86ac7b55dd85ee69902d32e7")
+        "f90a64049cf49180a60319c635899f40e877d60f224ec204d24d02ecd3a00e5f")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ def test_quartiles_are_numpy_linear_quantiles_bit_for_bit(values):
     assert (bp.q1_ns, bp.median_ns, bp.q3_ns) == expected
 
 
+@given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), min_size=1, max_size=300))
+def test_mean_is_the_exact_mean_correctly_rounded(values):
+    # past 2**53 a float64 sum rounds, and an int64 sum may wrap
+    assert summarize(values).mean_ns == float(Fraction(sum(values), len(values)))
+
+
 @given(
     st.lists(st.integers(min_value=-(10**12), max_value=10**12), min_size=1, max_size=40),
     st.integers(min_value=-(10**9), max_value=10**9),
@@ -85,7 +92,8 @@ def test_summarize_shift_moves_location_only(values, c):
     shifted = summarize([v + c for v in values])
     assert shifted.min_ns == base.min_ns + c
     assert shifted.max_ns == base.max_ns + c
-    assert shifted.mean_ns == pytest.approx(base.mean_ns + c, rel=0, abs=1e-6)
+    # correctly rounded, so exact even where base.mean_ns + c is an ulp off
+    assert shifted.mean_ns == float(Fraction(sum(values) + len(values) * c, len(values)))
     assert shifted.median_ns == pytest.approx(base.median_ns + c, rel=0, abs=1e-6)
     assert shifted.q1_ns == pytest.approx(base.q1_ns + c, rel=0, abs=1e-6)
     assert shifted.q3_ns == pytest.approx(base.q3_ns + c, rel=0, abs=1e-6)
