@@ -293,7 +293,7 @@ def _cmd_probe(args) -> int:
         f"negative_rtt={len(result.negative_rtt)}"
     )
     if result.samples:
-        s = stats.summarize(int(round(o)) for o in result.offsets_ns)
+        s = stats.summarize([round(x.offset_ns) for x in result.samples])
         print(
             f"offset: mean_ms={s.mean_ns / 1e6:.6f} median_ms={s.median_ns / 1e6:.6f} "
             f"min_ms={s.min_ns / 1e6:.6f} max_ms={s.max_ns / 1e6:.6f}"
@@ -364,7 +364,7 @@ def _cmd_report(args) -> int:
     return _emit_report(args, values, report.input_digest(raw))
 
 
-def _emit_report(args, values: list[int], digest: str, pairing=None) -> int:
+def _emit_report(args, values, digest: str, pairing=None) -> int:
     """Print the report of one sample set; with --out, also write its files."""
     thresholds = [_ns(t, "--threshold-ms") for t in (args.threshold_ms or [1000.0])]
     rep = report.build_report(

@@ -195,23 +195,27 @@ def sample_clock_error(
     return int(clock_errors(model, [t_true_ns], seed, salt)[0])
 
 
-@dataclass(frozen=True)
+# One row per compared pulse; also the offsets CSV's columns.
+OFFSET_DTYPE = np.dtype([("t_ref_ns", np.int64), ("offset_ns", np.int64)])
+
+
+@dataclass(frozen=True, eq=False)
 class OffsetSeries:
     """Per-pulse inter-node offsets with signed and absolute summaries.
 
-    ``samples`` holds ``(t_ref_ns, offset_ns)`` pairs where t_ref is node
+    ``samples`` is one ``OFFSET_DTYPE`` row per pulse, where t_ref is node
     a's timestamp and offset is ``t_a - t_b``. Whether an offset table
     should be read signed or absolute is ambiguous in general, so both
     summaries are carried, explicitly labeled; absolute is the one to
     compare against shared-pulse precision figures.
     """
 
-    samples: tuple[tuple[int, int], ...]
+    samples: np.ndarray
     stats_signed: SummaryStats
     stats_abs: SummaryStats
 
     def to_csv(self) -> str:
-        return write_table(("t_ref_ns", "offset_ns"), self.samples)
+        return write_table(OFFSET_DTYPE.names, self.samples.tolist())
 
 
 def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
@@ -238,12 +242,9 @@ def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
         ia = ib = slice(common)
 
     t_a = log_a.t_wall_ns[ia]
-    offsets = (t_a - log_b.t_wall_ns[ib]).tolist()
-    return OffsetSeries(
-        samples=tuple(zip(t_a.tolist(), offsets)),
-        stats_signed=summarize(offsets),
-        stats_abs=summarize(abs(o) for o in offsets),
-    )
+    offsets = t_a - log_b.t_wall_ns[ib]
+    samples = np.column_stack((t_a, offsets)).view(OFFSET_DTYPE)[:, 0]  # one row per pulse
+    return OffsetSeries(samples, summarize(offsets), summarize(np.abs(offsets)))
 
 
 def kernel_asymmetry(a_ns, b_ns) -> int:

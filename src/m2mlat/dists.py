@@ -67,8 +67,8 @@ class ConstantDelay(DelayDist):
     kind = DistKind.CONSTANT
 
     def __post_init__(self):
-        if self.value_ns < 0:
-            raise ConfigInvalid("delay must be >= 0")
+        if not 0 <= self.value_ns < 2**63:
+            raise ConfigInvalid("delay must be >= 0 and fit in int64 ns")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # No rng consumption: a constant must not perturb coupled draws.
@@ -141,8 +141,8 @@ class EmpiricalDelay(DelayDist):
     def __post_init__(self):
         if not self.values_ns:
             raise ConfigInvalid("empirical distribution requires samples")
-        if any(v < 0 for v in self.values_ns):
-            raise ConfigInvalid("delays must be >= 0")
+        if not all(0 <= v < 2**63 for v in self.values_ns):
+            raise ConfigInvalid("delays must be >= 0 and fit in int64 ns")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         values = np.asarray(self.values_ns, dtype=np.int64)

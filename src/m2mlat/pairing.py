@@ -78,8 +78,9 @@ class PairingReport:
         )
 
     @property
-    def m2m_values(self) -> list[int]:
-        return self.samples["m2m_ns"].tolist()
+    def m2m_values(self) -> np.ndarray:
+        """The sample set: the int64 ``m2m_ns`` column, in operator time order."""
+        return self.samples["m2m_ns"]
 
     def to_csv(self) -> str:
         return write_table(SAMPLE_DTYPE.names, self.samples.tolist())

@@ -114,14 +114,6 @@ class ProbeResult:
     negative_rtt: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     lost: int = 0
 
-    @property
-    def offsets_ns(self) -> list[float]:
-        return [s.offset_ns for s in self.samples]
-
-    @property
-    def rtts_ns(self) -> list[int]:
-        return [s.rtt_ns for s in self.samples]
-
     def to_csv(self) -> str:
         columns = ("seq", "t1", "t2", "t3", "t4", "offset_ns", "rtt_ns")
         return write_table(columns, map(attrgetter(*columns), self.samples))
@@ -181,7 +173,7 @@ def run_requester(
             seq = i & 0xFFFF
             t1 = clock()
             sock.sendto(encode_packet(ProbePacket(KIND_REQUEST, seq, t1)), peer)
-            response = _await_response(sock, seq, timeout_ms, clock)
+            response = _await_response(sock, seq, t1, timeout_ms, clock)
             if response is None:
                 result.lost += 1
             else:
@@ -202,8 +194,13 @@ def run_requester(
 
 
 def _await_response(
-    sock: socket.socket, seq: int, timeout_ms: float, clock
+    sock: socket.socket, seq: int, t1: int, timeout_ms: float, clock
 ) -> tuple[ProbePacket, int] | None:
+    """The reply to the request sent at ``t1`` with ``seq``, and its receive time.
+
+    A reply must echo both: the 16-bit seq wraps, so a late reply to an
+    earlier request can carry the current seq, but not the current t1.
+    """
     deadline = time.monotonic() + timeout_ms / 1000.0
     while True:
         remaining = deadline - time.monotonic()
@@ -219,6 +216,6 @@ def _await_response(
             packet = decode_packet(data)
         except MalformedPacket:
             continue
-        if packet.kind == KIND_RESPONSE and packet.seq == seq:
+        if packet.kind == KIND_RESPONSE and (packet.seq, packet.t1) == (seq, t1):
             return packet, t4
-        # Stale or foreign datagram; keep waiting for the matching seq.
+        # Stale or foreign datagram; keep waiting for the matching reply.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .pairing import PairingReport
@@ -54,16 +54,17 @@ class Report:
 
 def build_report(
     label: str,
-    samples_ns: Iterable[int],
+    samples_ns,
     provenance: Provenance,
     thresholds_ns: Sequence[int] = DEFAULT_THRESHOLDS_NS,
     pairing: PairingReport | None = None,
 ) -> Report:
-    values = list(samples_ns)
+    """Stats and box plot of one sample set: an int64 array, or anything
+    ``np.asarray`` takes as one, passed to both as given."""
     return Report(
         label=label,
-        stats=summarize(values, thresholds_ns),
-        boxplot=boxplot_data(values),
+        stats=summarize(samples_ns, thresholds_ns),
+        boxplot=boxplot_data(samples_ns),
         provenance=provenance,
         pairing=pairing,
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -76,10 +77,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigInvalid("trials must be >= 1")
-        if self.trial_interval_s <= 0:
+        if not self.trial_interval_s > 0:  # nan too
             raise ConfigInvalid("trial_interval_s must be > 0")
         if self.start_ns <= 0:
             raise ConfigInvalid("start_ns must be > 0")
+        if self.start_ns + self.trial_interval_s * NS_PER_S * self.trials >= 2**63:
+            raise ConfigInvalid("trial times must fit in int64 nanoseconds")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
     def effective_clock_models(self) -> tuple[ClockModel, ClockModel]:
         """(operator, vehicle) models: explicit pair or the sync-mode preset."""
@@ -96,6 +101,8 @@ TRUTH_COLUMNS = (
     "friction_ns", "true_total_ns", "clock_err_op_ns", "clock_err_veh_ns",
     "recorded_op_ns", "recorded_veh_ns",
 )
+# A truth CSV row: one ASCII integer per column (no "+", "_", spaces or other digits).
+_TRUTH_ROW = re.compile(",".join(["-?[0-9]+"] * len(TRUTH_COLUMNS)))
 
 
 class GroundTruth:
@@ -130,9 +137,6 @@ class GroundTruth:
             np.array_equal(self.columns[k], other.columns[k]) for k in TRUTH_COLUMNS
         )
 
-    def true_totals(self) -> list[int]:
-        return self.columns["true_total_ns"].tolist()
-
     def to_csv(self) -> str:
         rows = zip(*(self.columns[k].tolist() for k in TRUTH_COLUMNS))
         return write_table(TRUTH_COLUMNS, rows)
@@ -142,11 +146,13 @@ class GroundTruth:
         lines = [ln for ln in text.split("\n") if ln.strip()]
         if not lines or lines[0] != ",".join(TRUTH_COLUMNS):
             raise ConfigInvalid("bad ground-truth header")
-        rows = [ln.split(",") for ln in lines[1:]]
-        try:  # a short, long, non-integer or beyond-int64 cell fails here
-            table = np.array(rows, dtype=np.int64).reshape(len(rows), len(TRUTH_COLUMNS))
-        except (ValueError, OverflowError):
+        if not all(map(_TRUTH_ROW.fullmatch, lines[1:])):
             raise ConfigInvalid("bad ground-truth row")
+        rows = [ln.split(",") for ln in lines[1:]]
+        try:
+            table = np.array(rows, dtype=np.int64).reshape(len(rows), len(TRUTH_COLUMNS))
+        except OverflowError:
+            raise ConfigInvalid("bad ground-truth row: beyond int64")
         return cls(dict(zip(TRUTH_COLUMNS, table.T)))
 
 
@@ -301,7 +307,7 @@ _CLOCK_FIELDS = (
 
 def render_config(cfg: ScenarioConfig) -> str:
     """Serialize a scenario to the flat INI config format."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["scenario"] = {
         "label": cfg.label,
         "stationary": str(cfg.stationary).lower(),
@@ -332,64 +338,48 @@ def render_config(cfg: ScenarioConfig) -> str:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse the flat INI config format back into a scenario."""
-    cp = configparser.ConfigParser()
+    """Parse the flat INI config format back into a scenario.
+
+    A value that does not convert to its field's type, or that its field
+    refuses, raises ConfigInvalid.
+    """
+    cp = configparser.ConfigParser(interpolation=None)  # the format has no interpolation
     try:
         cp.read_string(text)
     except configparser.Error as err:
         raise ConfigInvalid(f"bad config file: {err}")
-    if "scenario" not in cp:
-        raise ConfigInvalid("config is missing the [scenario] section")
+    for name in ("scenario", *_COMPONENTS):
+        if name not in cp:
+            raise ConfigInvalid(f"config is missing the [{name}] section")
     sc = cp["scenario"]
-    try:
-        sync_mode = SyncMode(sc.get("sync_mode", SyncMode.CO_REFERENCED.value))
-    except ValueError:
-        raise ConfigInvalid(f"unknown sync_mode {sc.get('sync_mode')!r}")
     if sc.get("clock_stream", CLOCK_STREAM) != CLOCK_STREAM:
         raise ConfigInvalid(
             f"clock_stream {sc.get('clock_stream')!r} is not this version's {CLOCK_STREAM!r}"
         )
+    if ("clock_op" in cp) != ("clock_veh" in cp):
+        raise ConfigInvalid("clock overrides need both [clock_op] and [clock_veh]")
 
-    dists: dict[str, DelayDist] = {}
-    for name in _COMPONENTS:
-        if name not in cp:
-            raise ConfigInvalid(f"config is missing the [{name}] section")
-        dists[name] = _parse_dist(cp[name], name)
-
-    clock_models = None
-    if "clock_op" in cp or "clock_veh" in cp:
-        if not ("clock_op" in cp and "clock_veh" in cp):
-            raise ConfigInvalid("clock overrides need both [clock_op] and [clock_veh]")
-        clock_models = (
-            _parse_clock(cp["clock_op"]),
-            _parse_clock(cp["clock_veh"]),
-        )
-
-    try:
+    try:  # int() refuses nan with ValueError, and infinities with OverflowError
         return ScenarioConfig(
-            l_gen=dists["l_gen"],
-            l_network=dists["l_network"],
-            l_exec=dists["l_exec"],
-            l_follow=dists["l_follow"],
-            friction_extra=dists["friction_extra"],
+            **{name: _parse_dist(cp[name], name) for name in _COMPONENTS},
             stationary=sc.getboolean("stationary", False),
-            sync_mode=sync_mode,
+            sync_mode=SyncMode(sc.get("sync_mode", SyncMode.CO_REFERENCED.value)),
             trial_interval_s=sc.getfloat("trial_interval_s", 5.0),
             trials=sc.getint("trials", 100),
             seed=sc.getint("seed", 0),
             start_ns=sc.getint("start_ns", NS_PER_S),
-            clock_models=clock_models,
+            clock_models=(
+                (_parse_clock(cp["clock_op"]), _parse_clock(cp["clock_veh"]))
+                if "clock_op" in cp else None
+            ),
             label=sc.get("label", ""),
         )
-    except ValueError as err:
-        raise ConfigInvalid(f"bad scenario value: {err}")
+    except (ValueError, OverflowError) as err:
+        raise ConfigInvalid(f"bad config value: {err}")
 
 
 def _parse_dist(section, name: str) -> DelayDist:
-    try:
-        kind = DistKind(section.get("kind", "constant"))
-    except ValueError:
-        raise ConfigInvalid(f"[{name}] has unknown kind {section.get('kind')!r}")
+    kind = DistKind(section.get("kind", "constant"))
     if kind is DistKind.EMPIRICAL:
         raw = section.get("samples_ms", "")
         if not raw.strip():
@@ -398,11 +388,8 @@ def _parse_dist(section, name: str) -> DelayDist:
             int(round(float(v) * MS_NS)) for v in raw.split(",") if v.strip()
         )
         return EmpiricalDelay(values)
-    try:
-        median_ms = section.getfloat("median_ms")
-        iqr_ms = section.getfloat("iqr_ms", 0.0)
-    except ValueError as err:
-        raise ConfigInvalid(f"[{name}] bad number: {err}")
+    median_ms = section.getfloat("median_ms")
+    iqr_ms = section.getfloat("iqr_ms", 0.0)
     if median_ms is None:
         raise ConfigInvalid(f"[{name}] requires median_ms")
     if kind is DistKind.CONSTANT:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,15 +54,14 @@ class SummaryStats:
                 raise ConfigInvalid(f"frac_over[{t}] out of [0, 1]: {f}")
 
 
-def summarize(
-    samples: Iterable[int], thresholds: Sequence[int] = ()
-) -> SummaryStats:
-    """Summarize integer-ns samples; permutation invariant bit-exactly.
+def summarize(samples, thresholds: Sequence[int] = ()) -> SummaryStats:
+    """Summarize a sample set of integer ns; permutation invariant bit-exactly.
 
-    The input is sorted before any floating-point reduction so that
+    ``samples`` is an int64 array, or anything ``np.asarray`` takes as
+    one. It is sorted (into a copy) before any floating-point reduction, so
     reorderings of the same sample set cannot change summation order.
     """
-    arr = np.sort(np.asarray(list(samples), dtype=np.int64))
+    arr = np.sort(np.asarray(samples, dtype=np.int64))
     if arr.size == 0:
         raise EmptySample("summarize requires at least one sample")
     q1, median, q3 = _quartiles(arr)
@@ -96,8 +95,9 @@ class BoxplotData:
     outliers_ns: tuple[int, ...]
 
 
-def boxplot_data(samples: Iterable[int]) -> BoxplotData:
-    arr = np.sort(np.asarray(list(samples), dtype=np.int64))
+def boxplot_data(samples) -> BoxplotData:
+    """Box plot of a sample set of integer ns, given as ``summarize`` takes it."""
+    arr = np.sort(np.asarray(samples, dtype=np.int64))
     if arr.size < 5:
         raise TooFewSamples(f"box plot requires n >= 5, got {arr.size}")
     q1, median, q3 = _quartiles(arr)

@@ -97,7 +97,7 @@ def test_c2_pairing_equals_brute_force_fifo():
         got = pair_events(op, veh, cfg)
         expected = oracle_pairs(events_of(op), events_of(veh), cfg)
         assert pairs_of(got) == expected
-        assert got.m2m_values == [veh[1] - op[1] for op, veh in expected]
+        assert got.m2m_values.tolist() == [veh[1] - op[1] for op, veh in expected]
         assert (
             2 * len(got.samples)
             + got.unmatched_op

@@ -158,6 +158,14 @@ def _config_not_utf8(tmp_path, run_dir):
     ], f"ConfigInvalid: {tmp_path / 'bad.ini'}: not valid UTF-8"
 
 
+def _config_percent_value(tmp_path, run_dir):
+    text = (run_dir / "config.echo").read_text()
+    (tmp_path / "pct.ini").write_text(text.replace("median_ms = 10.0", "median_ms = 10%", 1))
+    return [
+        "simulate", "--config", str(tmp_path / "pct.ini"), "--out", str(tmp_path / "x"),
+    ], "ConfigInvalid: bad config value: could not convert string to float: '10%'"
+
+
 def _clock_error_beyond_int64(tmp_path, run_dir):
     text = (run_dir / "config.echo").read_text()
     text += "\n[clock_op]\ninitial_offset_ns = 1e30\n\n[clock_veh]\njitter_std_ns = 0.0\n"
@@ -234,7 +242,8 @@ _OVERFLOWING = [
     [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples,
      _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
      _report_sample_beyond_int64, _sched_sample_beyond_int64, _probe_negative_timeout,
-     _probe_overflowing_interval, _clock_error_beyond_int64, *_OVERFLOWING],
+     _probe_overflowing_interval, _clock_error_beyond_int64, _config_percent_value,
+     *_OVERFLOWING],
 )
 def test_bad_input_is_a_validation_error(make_args, tmp_path, capsys):
     run_dir = tmp_path / "run"

@@ -295,7 +295,7 @@ class TestPrecisionAnalysis:
         log_a = make_log(OPERATOR, [1 * S, 1 * S, 2 * S])
         log_b = make_log(VEHICLE, [1 * S + MS, 1 * S + 2 * MS, 2 * S + MS])
         series = precision_analysis(log_a, log_b)
-        assert series.samples == ((1 * S, -MS), (1 * S, -2 * MS), (2 * S, -MS))
+        assert series.samples.tolist() == [(1 * S, -MS), (1 * S, -2 * MS), (2 * S, -MS)]
 
     def test_offsets_csv(self):
         log = make_log(OPERATOR, [1 * S, 2 * S], source=EventSource.SHARED_PULSE)

@@ -44,9 +44,10 @@ class TestConstant:
         with pytest.raises(Unfittable):
             fit_delay_dist(DistKind.CONSTANT, 10 * MS, 5)
 
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            ConstantDelay(-1)
+    def test_out_of_range_rejected(self):
+        for bad in (-1, 2**63):
+            with pytest.raises(ConfigInvalid):
+                ConstantDelay(bad)
 
 
 class TestLogNormalFit:
@@ -136,6 +137,8 @@ class TestEmpirical:
             EmpiricalDelay(())
         with pytest.raises(ConfigInvalid):
             EmpiricalDelay((5, -1))
+        with pytest.raises(ConfigInvalid):
+            EmpiricalDelay((5, 2**63))
 
 
 def test_fit_rejects_bad_targets():

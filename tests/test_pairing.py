@@ -75,14 +75,14 @@ class TestPairEvents:
         op = make_log(OPERATOR, [1 * S])
         veh = make_log(VEHICLE, [1 * S + 800 * MS])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
-        assert report.m2m_values == [800 * MS]
+        assert report.m2m_values.tolist() == [800 * MS]
         assert report.unmatched_op == report.unmatched_veh == 0
 
     def test_disjoint_windows(self):
         op = make_log(OPERATOR, [1 * S, 6 * S])
         veh = make_log(VEHICLE, [1 * S + 800 * MS, 6 * S + 900 * MS])
         report = pair_events(op, veh, PairingConfig(debounce_ns=0))
-        assert report.m2m_values == [800 * MS, 900 * MS]
+        assert report.m2m_values.tolist() == [800 * MS, 900 * MS]
 
     def test_negative_latency_is_unmatched(self):
         op = make_log(OPERATOR, [2 * S])
@@ -130,7 +130,7 @@ class TestPairEvents:
         veh = make_log(VEHICLE, [top - 8, top])
         rep = pair_events(op, veh, PairingConfig(debounce_ns=top, min_latency_ns=1,
                                                  max_window_ns=top))
-        assert rep.m2m_values == [2]
+        assert rep.m2m_values.tolist() == [2]
         assert rep.suppressed_veh == 1
         # op_t + min_latency_ns lies beyond int64: no vehicle event can follow
         rep = pair_events(op, veh, PairingConfig(debounce_ns=0, min_latency_ns=20,
@@ -180,7 +180,7 @@ def test_matches_brute_force_oracle_on_random_instances():
         got = pair_events(op, veh, cfg)
         expected = oracle_pairs(events_of(op), events_of(veh), cfg)
         assert pairs_of(got) == expected
-        assert got.m2m_values == [veh[1] - op[1] for op, veh in expected]
+        assert got.m2m_values.tolist() == [veh[1] - op[1] for op, veh in expected]
 
 
 def test_matching_is_monotone():
@@ -204,7 +204,7 @@ def test_translation_invariance(delta, data):
     veh2 = make_log(VEHICLE, veh.t_wall_ns + delta)
     base = pair_events(op, veh, cfg)
     moved = pair_events(op2, veh2, cfg)
-    assert moved.m2m_values == base.m2m_values
+    assert moved.m2m_values.tolist() == base.m2m_values.tolist()
 
 
 def test_vehicle_offset_shifts_every_latency():
@@ -218,7 +218,7 @@ def test_vehicle_offset_shifts_every_latency():
     for c in (-5 * MS, 3 * MS, 50 * MS):
         shifted = make_log(VEHICLE, [t + c for t in veh_times])
         rep = pair_events(op, shifted, cfg)
-        assert rep.m2m_values == [m + c for m in base.m2m_values]
+        assert rep.m2m_values.tolist() == [m + c for m in base.m2m_values.tolist()]
 
 
 def test_result_independent_of_record_multiplicity_order():

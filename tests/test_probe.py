@@ -144,6 +144,29 @@ class TestLoopback:
         assert all(s.rtt_ns >= 0 for s in result.samples)
         assert [s.seq for s in result.samples] == [0, 1, 2, 3]
 
+    def test_reply_must_echo_seq_and_t1(self):
+        # a stale reply with the current seq but another t1 arrives first
+        sock = open_socket("127.0.0.1", 0)
+        sock.settimeout(3.0)
+
+        def answer_twice():
+            data, addr = sock.recvfrom(2048)
+            req = decode_packet(data)
+            for t1, t2 in ((req.t1 - 1, 99), (req.t1, 7_000)):
+                sock.sendto(encode_packet(ProbePacket(KIND_RESPONSE, req.seq, t1, t2, t2)), addr)
+
+        thread = threading.Thread(target=answer_twice, daemon=True)
+        thread.start()
+        clock = iter(range(1_000, 10**6, 1_000)).__next__
+        try:
+            result = run_requester(sock.getsockname(), 1, 0.0, clock=clock, timeout_ms=3000)
+        finally:
+            thread.join(timeout=3)
+            sock.close()
+        assert not thread.is_alive()
+        assert result.lost == 0
+        assert [(s.t1, s.t2) for s in result.samples] == [(1_000, 7_000)]
+
     def test_requester_counts_losses_when_nobody_answers(self):
         sock = open_socket("127.0.0.1", 0)
         port = sock.getsockname()[1]

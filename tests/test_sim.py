@@ -115,7 +115,7 @@ class TestGroundTruth:
 
     def test_bad_csv_rows_rejected(self):
         header, row = simulate(constant_config(trials=1))[2].to_csv().splitlines()
-        for bad in ("x", "1.5", str(2**63)):
+        for bad in ("x", "1.5", str(2**63), "+5", "1_000", "\u0663"):
             with pytest.raises(ConfigInvalid):
                 GroundTruth.from_csv(f"{header}\n{bad},{row.split(',', 1)[1]}\n")
         with pytest.raises(ConfigInvalid):
@@ -172,8 +172,8 @@ def test_scaling_all_components_scales_the_median():
         l_follow=cfg.l_follow.scaled(1.5),
         friction_extra=cfg.friction_extra.scaled(1.5),
     )
-    base_median = summarize(simulate(cfg)[2].true_totals()).median_ns
-    scaled_median = summarize(simulate(scaled)[2].true_totals()).median_ns
+    base_median = summarize(simulate(cfg)[2].columns["true_total_ns"]).median_ns
+    scaled_median = summarize(simulate(scaled)[2].columns["true_total_ns"]).median_ns
     assert scaled_median >= base_median
     assert scaled_median == pytest.approx(1.5 * base_median, rel=1e-6)
 
@@ -185,10 +185,12 @@ def test_overlapping_trials_warns():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        constant_config(trials=0)
-    with pytest.raises(ConfigInvalid):
-        constant_config(trial_interval_s=0.0)
+    for bad in (
+        {"trials": 0}, {"trial_interval_s": 0.0}, {"trial_interval_s": float("nan")},
+        {"trial_interval_s": 1e9, "trials": 10**4}, {"seed": -1},
+    ):
+        with pytest.raises(ConfigInvalid):
+            constant_config(**bad)
 
 
 class TestPresets:
@@ -238,15 +240,15 @@ class TestPresets:
         cfg = replace(preset("dyn_auto"), trials=401, clock_models=ZERO_CLOCKS)
         op, veh, truth = simulate(cfg)
         reported = summarize(pair_events(op, veh).m2m_values)
-        true_stats = summarize(truth.true_totals())
+        true_stats = summarize(truth.columns["true_total_ns"])
         assert reported.median_ns == true_stats.median_ns
         assert reported.mean_ns == true_stats.mean_ns
 
 
 class TestConfigFile:
     def test_render_parse_reaches_a_fixed_point(self):
-        for name in ("dyn_auto", "static_wifi"):
-            cfg = preset(name)
+        # a "%" is plain text: the format has no interpolation
+        for cfg in (preset("dyn_auto"), replace(preset("static_wifi"), label="5% wifi")):
             once = parse_config(render_config(cfg))
             twice = parse_config(render_config(once))
             assert once == twice
