@@ -238,10 +238,9 @@ def _parse_hostport(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
     if not sep or not host:
         raise ConfigInvalid(f"expected HOST:PORT, got {value!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ConfigInvalid(f"bad port in {value!r}")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigInvalid(f"bad port in {value!r}: need 0-65535")
+    return host, int(port)
 
 
 def _cmd_probe(args) -> int:

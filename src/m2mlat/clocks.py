@@ -17,6 +17,7 @@ Sign conventions, used consistently everywhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,10 +76,15 @@ class ClockModel:
     spike_max_ns: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigInvalid(f"{name} must be finite")
         if self.jitter_std_ns < 0:
             raise ConfigInvalid("jitter_std_ns must be >= 0")
         if self.correction_interval_s <= 0:
             raise ConfigInvalid("correction_interval_s must be > 0")
+        if self.correction_interval_s * NS_PER_S >= 2**63:  # inf ns would make nan errors
+            raise ConfigInvalid("correction_interval_s must be below 2**63 ns")
         if not 0.0 < self.correction_gain <= 1.0:
             raise ConfigInvalid("correction_gain must be in (0, 1]")
         if not 0.0 <= self.spike_prob <= 1.0:

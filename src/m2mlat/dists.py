@@ -47,8 +47,16 @@ class DelayDist:
     kind: DistKind
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n integer-ns draws."""
-        raise NotImplementedError
+        """n integer-ns draws, rounded from ``_draws``; the two discrete kinds override it.
+
+        A draw that is not finite or not below 2**63 ns raises ConfigInvalid.
+        """
+        with np.errstate(over="ignore"):  # an overflow is an inf, refused below
+            draws = self._draws(rng, n)
+        if not draws.max(initial=0.0) < 2.0**63:  # nan fails this too
+            raise ConfigInvalid(f"{self.kind.value} delay draw of {draws.max():.4g} ns "
+                                "does not fit in int64")
+        return np.rint(draws).astype(np.int64)
 
     def median_ns(self) -> float:
         raise NotImplementedError
@@ -94,9 +102,8 @@ class LogNormalDelay(DelayDist):
         if self.sigma <= 0:
             raise ConfigInvalid("sigma must be > 0; use ConstantDelay for zero spread")
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = np.exp(self.mu + self.sigma * rng.standard_normal(n))
-        return np.rint(draws).astype(np.int64)
+    def _draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.exp(self.mu + self.sigma * rng.standard_normal(n))
 
     def median_ns(self) -> float:
         return math.exp(self.mu)
@@ -118,9 +125,8 @@ class GammaDelay(DelayDist):
         if self.shape <= 0 or self.scale_ns <= 0:
             raise ConfigInvalid("shape and scale must be > 0")
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        draws = rng.standard_gamma(self.shape, n) * self.scale_ns
-        return np.rint(draws).astype(np.int64)
+    def _draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.standard_gamma(self.shape, n) * self.scale_ns
 
     def median_ns(self) -> float:
         return float(gammaincinv(self.shape, 0.5)) * self.scale_ns

@@ -165,17 +165,22 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
     """
     n = cfg.trials
     rng = np.random.default_rng(cfg.seed)
-    l_gen = cfg.l_gen.sample(rng, n)
-    l_network = cfg.l_network.sample(rng, n)
-    l_exec = cfg.l_exec.sample(rng, n)
-    l_follow = cfg.l_follow.sample(rng, n)
-    if cfg.stationary:
-        friction = cfg.friction_extra.sample(rng, n)
-    else:
-        friction = np.zeros(n, dtype=np.int64)
-    totals = l_gen + l_network + l_exec + l_follow + friction
 
+    def draw(name: str) -> np.ndarray:
+        try:
+            return getattr(cfg, name).sample(rng, n)
+        except ConfigInvalid as err:
+            raise ConfigInvalid(f"[{name}] {err}") from None
+
+    l_gen, l_network, l_exec, l_follow = map(draw, _COMPONENTS[:4])
+    friction = draw("friction_extra") if cfg.stationary else np.zeros(n, dtype=np.int64)
     interval_ns = int(round(cfg.trial_interval_s * NS_PER_S))
+    parts = (l_gen, l_network, l_exec, l_follow, friction)
+    # Bounds every vehicle time in exact ints, before int64 sums that would wrap silently.
+    if cfg.start_ns + interval_ns * (n - 1) + sum(int(p.max()) for p in parts) >= 2**63:
+        raise ConfigInvalid("trial delay totals and vehicle times must fit in int64 ns")
+    totals = sum(parts)
+
     if int(totals.max()) >= interval_ns:
         warnings.warn(
             f"largest trial delay {int(totals.max())} ns reaches the "
@@ -294,17 +299,6 @@ def preset(name: str) -> ScenarioConfig:
 
 # --- flat key-value config file (INI) -----------------------------------
 
-_CLOCK_FIELDS = (
-    "initial_offset_ns",
-    "drift_ppm",
-    "jitter_std_ns",
-    "correction_interval_s",
-    "correction_gain",
-    "spike_prob",
-    "spike_max_ns",
-)
-
-
 def render_config(cfg: ScenarioConfig) -> str:
     """Serialize a scenario to the flat INI config format."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -331,7 +325,7 @@ def render_config(cfg: ScenarioConfig) -> str:
         cp[name] = section
     if cfg.clock_models is not None:
         for section, model in zip(("clock_op", "clock_veh"), cfg.clock_models):
-            cp[section] = {f: repr(getattr(model, f)) for f in _CLOCK_FIELDS}
+            cp[section] = {f: repr(v) for f, v in vars(model).items()}
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
@@ -400,12 +394,9 @@ def _parse_dist(section, name: str) -> DelayDist:
 
 
 def _parse_clock(section) -> ClockModel:
-    kwargs = {}
-    for f in _CLOCK_FIELDS:
-        if f in section:
-            raw = section.getfloat(f)
-            kwargs[f] = int(raw) if f.endswith("_ns") else raw
-    return ClockModel(**kwargs)
+    """ClockModel of a [clock_*] section; each field converts to the type of its default."""
+    fields = vars(ClockModel()).items()
+    return ClockModel(**{f: type(v)(section.getfloat(f)) for f, v in fields if f in section})
 
 
 def config_hash(cfg: ScenarioConfig) -> str:

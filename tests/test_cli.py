@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -175,6 +176,42 @@ def _clock_error_beyond_int64(tmp_path, run_dir):
     ], "ConfigInvalid: clock error does not fit in int64"
 
 
+def _edited_config(tmp_path, run_dir, pattern, repl, count=1):
+    """simulate argv for the echoed config with ``pattern`` replaced ``count`` times."""
+    text, n = re.subn(pattern, repl, (run_dir / "config.echo").read_text(), count)
+    assert n == count
+    (tmp_path / "edited.ini").write_text(text)
+    return ["simulate", "--config", str(tmp_path / "edited.ini"), "--out", str(tmp_path / "x")]
+
+
+def _draw_beyond_int64(tmp_path, run_dir):
+    return _edited_config(tmp_path, run_dir, r"median_ms = 702\.27\d*", "median_ms = 1e300"), (
+        "ConfigInvalid: [l_follow] lognormal delay draw of 1e+306 ns does not fit in int64")
+
+
+def _clock_op_value(field, value, where):
+    def make_args(tmp_path, run_dir):
+        clocks = f"[clock_op]\n{field} = {value}\n\n[clock_veh]\n\n[l_gen]"
+        argv = _edited_config(tmp_path, run_dir, r"\[l_gen\]", clocks)
+        return argv, f"ConfigInvalid: {where}"
+    make_args.__name__ = f"_clock_op_{field}_{value}"
+    return make_args
+
+
+def _totals_beyond_int64(tmp_path, run_dir):
+    # [l_gen] and [l_exec]: each 5e18 ns fits in int64, their sum does not
+    return _edited_config(tmp_path, run_dir, r"median_ms = 10\.0", "median_ms = 5e12", 2), (
+        "ConfigInvalid: trial delay totals and vehicle times must fit in int64 ns")
+
+
+def _probe_port_beyond_range(mode, port):
+    def make_args(tmp_path, run_dir):
+        return ["probe", mode, f"127.0.0.1:{port}", "--count", "1", "--timeout-ms", "10"], (
+            f"bad port in '127.0.0.1:{port}'")
+    make_args.__name__ = f"_probe{mode.replace('-', '_')}_port_{port}"
+    return make_args
+
+
 def _overflowing_flag(flag, value):
     def make_args(tmp_path, run_dir):
         logs = ["--operator", str(run_dir / "operator.csv"),
@@ -243,8 +280,13 @@ _OVERFLOWING = [
      _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
      _report_sample_beyond_int64, _sched_sample_beyond_int64, _probe_negative_timeout,
      _probe_overflowing_interval, _clock_error_beyond_int64, _config_percent_value,
-     *_OVERFLOWING],
+     _draw_beyond_int64, _totals_beyond_int64,
+     _clock_op_value("correction_interval_s", "nan", "correction_interval_s must be finite"),
+     _clock_op_value("correction_interval_s", "1e300", "correction_interval_s must be below"),
+     _probe_port_beyond_range("--peer", 70000), _probe_port_beyond_range("--peer", -1),
+     _probe_port_beyond_range("--listen", 70000), *_OVERFLOWING],
 )
+@pytest.mark.filterwarnings("error")
 def test_bad_input_is_a_validation_error(make_args, tmp_path, capsys):
     run_dir = tmp_path / "run"
     run(capsys, "simulate", "--preset", "dyn_coref", "--trials", "20",

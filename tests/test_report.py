@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import m2mlat
 from m2mlat import __version__
 from m2mlat.report import build_report, input_digest, make_provenance, render_text
 
@@ -48,3 +54,17 @@ def test_input_digest_is_order_sensitive_and_stable():
     assert input_digest(a, b) == input_digest(a, b)
     assert input_digest(a, b) != input_digest(b, a)
     assert len(input_digest(a)) == 12
+
+
+def test_analysis_modules_load_no_simulator_and_no_scipy():
+    # Parsing, pairing and reporting import neither the simulator stack nor scipy.
+    code = (
+        "import sys, m2mlat.events, m2mlat.pairing, m2mlat.report, m2mlat.stats\n"
+        "print(sorted(m for m in ('scipy', 'm2mlat.sim', 'm2mlat.clocks', 'm2mlat.dists')"
+        " if m in sys.modules))"
+    )
+    src = str(Path(m2mlat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -266,6 +266,14 @@ class TestConfigFile:
         assert parsed.clock_models == cfg.clock_models
         assert parsed.effective_clock_models()[1].jitter_std_ns == 1000.0
 
+    def test_echoed_preset_clock_models_reproduce_the_run(self):
+        # jitter_std_ns = 328600.9 must parse back as a float, not be cut to an int
+        cfg = replace(preset("dyn_coref"), trials=50,
+                      clock_models=preset_models(SyncMode.CO_REFERENCED))
+        parsed = parse_config(render_config(cfg))
+        assert parsed == cfg
+        assert simulate(parsed)[2] == simulate(cfg)[2]
+
     def test_no_clock_sections_means_sync_mode_presets(self):
         cfg = preset("dyn_auto")
         text = render_config(cfg)
