@@ -30,6 +30,18 @@ increasing and ``t_wall_ns`` is non-decreasing (equal timestamps are
 legal: interrupt bursts can collide at nanosecond granularity);
 ``_check_order`` is the one place that rule is written.
 
+``parse_log`` reads an ASCII log in one regex pass over the whole text,
+with no split into lines. For CSV the row pattern is built from the header
+(or the first row's layout) and the pinned node id, and every other line
+must be blank. For ring text every ``m2m_irq:`` marker must sit in a
+well-formed event line, one per line; the other non-blank lines are the
+ones a lenient parse skips. This fast path only returns what the line loop
+(``_parse_lines``) returns for the same input, and it hands the input to
+that loop unchanged whenever it cannot show this: text that is not ASCII,
+a line that is none of the above, a strict ring parse with marker-less
+lines, a cell beyond int64, or rows that break the order rule or start at
+a ``t_wall_ns`` of 0. So the loop's line parsers write every error message.
+
 CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
 output of ``write_log`` (which, like every CSV table of the toolkit, goes
 through ``tables.write_table``) reproduces the original log exactly for
@@ -181,15 +193,13 @@ def parse_log(
     and first failure reason are reported in the returned log's ``meta``
     under ``parse_skipped`` / ``parse_first_error``.
     """
-    state = _LenientState(lenient)
-    text = raw if isinstance(raw, str) else _decode(raw, state)
-    if fmt is LogFormat.CSV:
-        return _parse_csv(text, node, state)
-    if fmt is LogFormat.KERNEL_RING:
-        if node is None:
-            raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
-        return EventLog(node, *_collect(text.split("\n"), 1, _parse_kernel_line, state))
-    raise ConfigInvalid(f"unsupported log format: {fmt!r}")
+    data = _ascii(raw)
+    log = None
+    if data is not None and fmt is LogFormat.CSV:
+        log = _parse_csv_fast(data, node)
+    elif data is not None and fmt is LogFormat.KERNEL_RING and node is not None:
+        log = _parse_ring_fast(data, node, lenient)
+    return _parse_lines(raw, fmt, node, lenient) if log is None else log
 
 
 def write_log(log: EventLog) -> str:
@@ -205,6 +215,22 @@ def write_log(log: EventLog) -> str:
     if log.source.any():
         cells["source"] = [_SOURCE_NAMES[c] for c in log.source.tolist()]
     return write_table(tuple(cells), zip(*cells.values()))
+
+
+def _parse_lines(
+    raw: str | bytes, fmt: LogFormat, node: NodeId | None, lenient: bool
+) -> EventLog:
+    """``parse_log`` one line at a time: the reference parser, and the only
+    one that rejects lines."""
+    state = _LenientState(lenient)
+    text = raw if isinstance(raw, str) else _decode(raw, state)
+    if fmt is LogFormat.CSV:
+        return _parse_csv(text, node, state)
+    if fmt is LogFormat.KERNEL_RING:
+        if node is None:
+            raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
+        return EventLog(node, *_collect(text.split("\n"), 1, _parse_kernel_line, state))
+    raise ConfigInvalid(f"unsupported log format: {fmt!r}")
 
 
 class _LenientState:
@@ -255,9 +281,8 @@ def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog
     while start < len(lines) and not lines[start].strip():
         start += 1
     if start < len(lines):
-        first = [c.strip() for c in lines[start].split(",")]
-        if first and first[0] == "node":
-            layout = _header_layout(first, start + 1)
+        layout = _header(lines[start], start + 1)
+        if layout is not None:
             start += 1
 
     # Without a header the first data row pins the layout, and without a
@@ -306,6 +331,12 @@ def _collect(
         meta["parse_skipped"] = str(state.skipped)
         meta["parse_first_error"] = str(state.first)
     return (*np.array(rows, dtype=np.int64).T, meta)
+
+
+def _header(line: str, line_no: int) -> tuple[str, ...] | None:
+    """The layout a header line declares, or None if the line is no header."""
+    cells = [c.strip() for c in line.split(",")]
+    return _header_layout(cells, line_no) if cells[0] == "node" else None
 
 
 def _header_layout(cells: list[str], line_no: int) -> tuple[str, ...]:
@@ -391,3 +422,117 @@ def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     if t_wall <= 0:
         raise UnparseableLine(line_no, "ts must be positive")
     return seq, t_wall, -1, _SOURCE_BY_NAME[m.group(3)]
+
+
+# The whole-text fast path of parse_log. It reads ASCII bytes with one
+# regex pass per format and gives up (returns None) wherever it cannot
+# show that _parse_lines would return the same log.
+
+# The ASCII bytes str.strip() removes, less LF.
+_BLANK = rb"[\t\x0b\x0c\r\x1c-\x1f ]"
+_LEADING_BLANK_LINES = re.compile(rb"(?:%s*\n)*" % _BLANK)
+_LF_BEFORE_BLANK_LINE = re.compile(rb"\n(?=%s*$)" % _BLANK, re.M)
+_MARKERLESS_LINE = re.compile(rb"^(?!%s*$)(?![^\n]*m2m_irq:)" % _BLANK, re.M)
+_RING_EVENT = re.compile(
+    rb"m2m_irq: *seq=([0-9]{1,19}) +ts=([0-9]{1,19}) +src=(hall|pulse) *$", re.M
+)
+_CSV_CELL = {
+    "seq": rb"([0-9]{1,19})",
+    "t_wall_ns": rb"([0-9]{1,19})",
+    "t_mono_ns": rb"([0-9]{1,19})?",
+    "source": rb"(%s)?" % "|".join(_SOURCE_NAMES).encode(),
+}
+_SOURCE_CODES = {None: 0, **{name.encode(): c for name, c in _SOURCE_BY_NAME.items()}}
+
+
+def _ascii(raw) -> bytes | None:
+    """The log as bytes if it is all ASCII, else None."""
+    if isinstance(raw, str):
+        return raw.encode() if raw.isascii() else None
+    return raw if isinstance(raw, bytes) and raw.isascii() else None
+
+
+def _line_at(data: bytes, start: int) -> str:
+    end = data.find(b"\n", start)
+    return data[start:None if end < 0 else end].decode()
+
+
+def _groups(pattern: re.Pattern, data: bytes) -> list[list]:
+    """Each group of ``pattern`` over all its matches in ``data``, None
+    where a group did not take part. ``split`` lists the text between
+    matches and the groups of each match in one flat list, so each group is
+    a slice of it, with no tuple per match."""
+    flat = pattern.split(data)
+    width = pattern.groups + 1
+    return [flat[i::width] for i in range(1, width)]
+
+
+def _blank_lines(data: bytes, start: int) -> int:
+    """How many lines from the one that begins at ``start`` on are blank."""
+    first = not _line_at(data, start).strip()
+    return first + len(_LF_BEFORE_BLANK_LINE.findall(data, start))
+
+
+def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog | None:
+    start = _LEADING_BLANK_LINES.match(data).end()
+    try:
+        layout = _header(_line_at(data, start), data.count(b"\n", 0, start) + 1)
+    except LineError:
+        return None
+    if layout is not None:
+        end = data.find(b"\n", start)
+        if end < 0:
+            return None
+        start = _LEADING_BLANK_LINES.match(data, end + 1).end()
+    first = _line_at(data, start).split(",")
+    layout = layout or _sniff_layout([c.strip() for c in first])
+    # The loop strips each cell of a line split at commas, so the node cell
+    # only matches itself if stripping leaves it whole.
+    node_id = first[0] if node is None else node.id
+    if layout is None or not node_id or node_id != node_id.strip() or "," in node_id:
+        return None
+    cells = (re.escape(node_id.encode()), *(_CSV_CELL[c] for c in layout[1:]))
+    row = re.compile(b"^%s$" % b",".join(cells), re.M)
+    # The lines before start are blank or the header, which no row matches.
+    columns = dict(zip(layout[1:], _groups(row, data)))
+    rows = len(columns["seq"])
+    if not rows or rows + _blank_lines(data, start) != data.count(b"\n", start) + 1:
+        return None
+    ints = [columns["seq"], columns["t_wall_ns"]]
+    if "t_mono_ns" in columns:
+        ints.append([c or b"-1" for c in columns["t_mono_ns"]])
+    return _fast_log(node or infer_node(node_id), ints, columns.get("source"), {})
+
+
+def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | None:
+    seq, ts, source = _groups(_RING_EVENT, data)
+    # One match per marker: every line with a marker is an event line with
+    # no other marker, so the other non-blank lines are the marker-less ones
+    # the loop skips.
+    if not seq or data.count(b"m2m_irq:") != len(seq):
+        return None
+    skipped = data.count(b"\n") + 1 - len(seq) - _blank_lines(data, 0)
+    meta = {}
+    if skipped:
+        if not lenient:
+            return None
+        start = _MARKERLESS_LINE.search(data).start()
+        try:
+            _parse_kernel_line(_line_at(data, start), data.count(b"\n", 0, start) + 1)
+        except LineError as err:
+            meta = {"parse_skipped": str(skipped), "parse_first_error": str(err)}
+    return _fast_log(node, [seq, ts], source, meta)
+
+
+def _fast_log(node: NodeId, ints: list, sources, meta: dict[str, str]) -> EventLog | None:
+    """The log of the matched cells: ``ints`` holds the seq, t_wall_ns and
+    any t_mono_ns cells. None if a cell passes int64 or a row breaks the
+    order rule."""
+    source = None
+    if sources is not None:
+        source = np.fromiter(map(_SOURCE_CODES.__getitem__, sources), np.int64, len(sources))
+    try:
+        seq, t_wall, *t_mono = np.array(ints, dtype=np.int64)
+        return EventLog(node, seq, t_wall, t_mono[0] if t_mono else None, source, meta)
+    except (OverflowError, LineError, ConfigInvalid):
+        return None

@@ -121,7 +121,11 @@ class ProbeResult:
 
 def open_socket(host: str, port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind((host, port))
+    try:
+        sock.bind((host, port))
+    except BaseException:
+        sock.close()
+        raise
     return sock
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import socket
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +177,18 @@ class TestLoopback:
         result = run_requester(("127.0.0.1", port), 2, 1.0, timeout_ms=50)
         assert len(result.samples) == 0
         assert result.lost == 2
+
+    def test_socket_is_closed_when_bind_fails(self):
+        # an unclosed socket warns when it is freed: on the exception's
+        # release, or at the latest in the collection
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as held:
+                held.bind(("127.0.0.1", 0))
+                with pytest.raises(OSError):
+                    open_socket("127.0.0.1", held.getsockname()[1])
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_result_csv():
