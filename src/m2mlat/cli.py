@@ -35,7 +35,7 @@ import sys
 import threading
 from pathlib import Path
 
-from . import __version__, budget, clocks, probe, report, sim, stats
+from . import __version__, budget, clocks, probe, report, stats
 from .errors import ConfigInvalid, EmptyLog, M2MLatError
 from .events import LogFormat, NodeId, Role, parse_log, with_role, write_log
 from .pairing import PairingConfig, pair_events
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic two-node capture")
     src = p_sim.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=sim.PRESET_NAMES)
+    src.add_argument("--preset", help="preset name; sim.preset checks it and lists the names")
     src.add_argument("--config", type=Path, help="scenario config file (INI)")
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
@@ -163,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim  # the simulator loads scipy; no other command needs it
+
     if args.preset:
         cfg = sim.preset(args.preset)
     else:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
 from .events import EventLog
@@ -182,6 +181,8 @@ def clock_errors(model: ClockModel, t_true_ns, seed: int, salt: int = 0) -> np.n
     if model.jitter_std_ns > 0.0 or model.spike_prob > 0.0:
         u = _uniforms(t, seed, salt, 3 if model.spike_prob > 0.0 else 1)
         if model.jitter_std_ns > 0.0:
+            from scipy.special import ndtri  # here, so importing clocks loads no scipy
+
             offset += ndtri(u[:, 0]) * model.jitter_std_ns
         if model.spike_prob > 0.0:
             spike = (2.0 * u[:, 2] - 1.0) * model.spike_max_ns

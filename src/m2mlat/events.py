@@ -10,7 +10,9 @@ are supported:
   and defaults to ``hall``. A headerless file is accepted when its first
   line does not begin with ``node,``; headerless 4-column rows are
   disambiguated by whether the fourth field is numeric (``t_mono_ns``) or
-  a source name.
+  a source name. Without a header the first row that parses fixes the
+  layout, so a lenient parse that skips a bad first line still reads the
+  rows after it.
 * Kernel ring text: one event per line matching
   ``m2m_irq: seq=<uint> ts=<uint ns> src=<hall|pulse>``. Anything before
   the ``m2m_irq:`` marker (such as a bracketed kernel timestamp) is
@@ -285,17 +287,17 @@ def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog
         if layout is not None:
             start += 1
 
-    # Without a header the first data row pins the layout, and without a
-    # node the first event pins the node id, for the rest of the file.
+    # Without a header the first row that parses pins the layout, and
+    # without a node it pins the node id, for the rest of the file.
     node_id = node.id if node is not None else None
 
     def parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
         nonlocal layout, node_id
-        if layout is None:
-            layout = _sniff_layout([c.strip() for c in line.split(",")])
-            if layout is None:
-                raise UnparseableLine(line_no, "expected 3 to 5 columns")
-        node_id, row = _parse_csv_row(line, line_no, layout, node_id)
+        row_layout = layout or _sniff_layout([c.strip() for c in line.split(",")])
+        if row_layout is None:
+            raise UnparseableLine(line_no, "expected 3 to 5 columns")
+        node_id, row = _parse_csv_row(line, line_no, row_layout, node_id)
+        layout = row_layout
         return row
 
     columns = _collect(lines[start:], start + 1, parse_line, state)

@@ -7,11 +7,17 @@ independent of the library implementations they check.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import m2mlat
 from m2mlat.events import EventLog, EventSource, NodeId, Role
 from m2mlat.pairing import PairingConfig
 
@@ -128,3 +134,20 @@ def oracle_calib_ns(misalignment_deg: float, rate_deg_per_s: float) -> int:
     if value >= 0:
         return int(floor_half)
     return -int((-value + Fraction(1, 2)).__floor__())
+
+
+def loaded_modules(code: str, *args: str) -> list[str]:
+    """Which of scipy, ``m2mlat.sim``, ``m2mlat.clocks`` and ``m2mlat.dists``
+    are in ``sys.modules`` after ``code`` runs in a fresh interpreter, with
+    ``args`` as its ``sys.argv[1:]`` and the package's ``src`` directory on
+    PYTHONPATH. The code must not raise."""
+    probe = code + (
+        "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+        "('scipy', 'm2mlat.sim', 'm2mlat.clocks', 'm2mlat.dists') if m in sys.modules)))\n"
+    )
+    src = str(Path(m2mlat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])

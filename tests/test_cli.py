@@ -10,9 +10,9 @@ from m2mlat import probe
 from m2mlat.cli import _read_int_column, run_cli
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import parse_log
-from m2mlat.sim import GroundTruth, parse_config
+from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config
 
-from helpers import lax_integers
+from helpers import lax_integers, loaded_modules
 
 MS = 1_000_000
 
@@ -59,7 +59,15 @@ class TestSimulate:
             "--config", "x.ini", "--out", str(tmp_path),
         )
         assert code == 1
+        assert err.startswith("error: argument --config: not allowed with argument --preset")
+
+    def test_unknown_preset_names_every_preset(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "simulate", "--preset", "nope", "--out", str(out))
+        assert code == 1
         assert err.startswith("error:")
+        assert all(name in err for name in PRESET_NAMES), err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -448,6 +456,39 @@ class TestTopLevel:
         code, stdout, _ = run(capsys, "--version")
         assert code == 0
         assert stdout.startswith("m2mlat ")
+
+
+@pytest.fixture(scope="module")
+def session(tmp_path_factory):
+    """A simulated capture, its analysis, and two scheduling sample files."""
+    d = tmp_path_factory.mktemp("session")
+    assert run_cli(["simulate", "--preset", "dyn_coref", "--trials", "40",
+                    "--seed", "5", "--out", str(d)]) == 0
+    assert run_cli(["analyze", "--operator", str(d / "operator.csv"),
+                    "--vehicle", str(d / "vehicle.csv"), "--out", str(d / "rep")]) == 0
+    (d / "sched_a.csv").write_text("latency_ns\n2000\n118000\n")
+    (d / "sched_b.csv").write_text("2000\n106000\n")
+    return d
+
+
+NO_SCIPY = ["m2mlat.clocks"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], NO_SCIPY),  # import only
+    (["analyze", "--operator", "{d}/operator.csv", "--vehicle", "{d}/vehicle.csv",
+      "--out", "{d}/again"], NO_SCIPY),
+    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"], NO_SCIPY),
+    (["precision", "--node-a", "{d}/operator.csv", "--node-b", "{d}/vehicle.csv"], NO_SCIPY),
+    (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv",
+      "--sync-ms", "0.33", "--calib-angle-deg", "1", "--steer-rate-dps", "100"], NO_SCIPY),
+    (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"],
+     ["m2mlat.clocks", "m2mlat.dists", "m2mlat.sim", "scipy"]),
+], ids=["import", "analyze", "report", "precision", "budget", "simulate"])
+def test_only_simulate_loads_scipy(session, argv, loaded):
+    # main() in a fresh interpreter, as the console script runs it
+    code = "import sys, m2mlat.cli\nif sys.argv[1:]:\n    assert m2mlat.cli.main(sys.argv[1:]) == 0"
+    assert loaded_modules(code, *(a.format(d=session) for a in argv)) == loaded
 
 
 @given(lax_integers(), st.booleans(), st.booleans(), st.integers(0, 3))

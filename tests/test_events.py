@@ -110,6 +110,18 @@ class TestParseCsv:
         with pytest.raises(UnparseableLine):
             parse_log("operator,0,1000\nbogus")
 
+    def test_bad_first_row_does_not_pin_the_layout(self):
+        # headerless: the first row that parses fixes the layout, not the first line
+        text = "junk,a,b,c\nop,0,1000\nop,1,2000"
+        log = parse_log(text, lenient=True)
+        assert log.seq.tolist() == [0, 1]
+        assert log.node.id == "op"
+        assert log.meta["parse_skipped"] == "1"
+        assert log.meta["parse_first_error"].startswith("line 1: ")
+        with pytest.raises(UnparseableLine) as exc:
+            parse_log(text)
+        assert exc.value.line_no == 1
+
     def test_line_that_is_not_utf8(self):
         raw = b"operator,0,1000\noperator,1,\xff\noperator,2,3000\n"
         with pytest.raises(UnparseableLine) as exc:

@@ -166,6 +166,7 @@ EDGE_CASES = {
     "ring_not_utf8": b"m2m_irq: seq=0 ts=1000 src=hall\n\xff\nm2m_irq: seq=1 ts=2000 src=hall\n",
     "csv_non_ascii_node": "béta,0,1000\nbéta,1,2000\n",
     "csv_arabic_digit": "operator,0,1000\noperator,١,2000\n",
+    "csv_bad_first_row": "junk,a,b,c\nop,0,1000\nop,1,2000",
     "csv_bad_header": "node,seq\noperator,0,1000\n",
     "csv_header_only": "node,seq,t_wall_ns\n",
     "csv_header_without_lf": "node,seq,t_wall_ns",
