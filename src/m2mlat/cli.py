@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from . import sim  # the simulator loads scipy; no other command needs it
+    from . import sim  # only this command needs the simulator
 
     if args.preset:
         cfg = sim.preset(args.preset)

@@ -51,6 +51,43 @@ _U64 = 1 << 64
 _SHIFTS = tuple(np.array([s], dtype=np.uint64) for s in (30, 27, 31, 11))
 _MULTIPLIERS = tuple(np.array([m], dtype=np.uint64) for m in (_MIX_B, 0x94D049BB133111EB))
 _LANE_STEPS = np.array([j * _MIX_A % _U64 for j in (1, 2, 3)], dtype=np.uint64)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+# Cephes ndtri's constants. Its centre branch covers exp(-2) < u <=
+# 1 - exp(-2); the tails, with x = sqrt(-2 log y) for y = min(u, 1 - u),
+# take P1/Q1 below x = 8 and P2/Q2 from there. Coefficients run from the
+# highest power down, and each Q carries its implied leading 1.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
 
 
 @dataclass(frozen=True)
@@ -142,8 +179,54 @@ def _uniforms(t: np.ndarray, seed: int, salt: int, lanes: int) -> np.ndarray:
     """
     key = np.array([_mix_key(seed, salt)], dtype=np.uint64)
     base = _mix(key ^ _mix(t.view(np.uint64)))
-    bits = _mix(base[:, None] + _LANE_STEPS[:lanes])
-    return ((bits >> _SHIFTS[3]).astype(np.float64) + 0.5) * 2.0**-53
+    return _unit_floats(_mix(base[:, None] + _LANE_STEPS[:lanes]))
+
+
+def _unit_floats(bits: np.ndarray) -> np.ndarray:
+    """``(m + 0.5) / 2**53`` for the top 53 bits m of each uint64, in the open (0, 1).
+
+    m = 2**53 - 1 rounds to exactly 1.0, so it is clamped to the largest
+    double below 1; the clamp moves no other value.
+    """
+    u = ((bits >> _SHIFTS[3]).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _horner(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """``coef[0] * x**n + ... + coef[n]`` in Horner's order (Cephes ``polevl``)."""
+    out = coef[0] * x
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF at each float64 u in the open (0, 1).
+
+    A port of Cephes ``ndtri`` (S. L. Moshier), the algorithm
+    ``scipy.special.ndtri`` implements, in Cephes' order of operations.
+    It evaluates the lower half at y = min(u, 1 - u) and mirrors it for
+    u > 0.5; both steps are exact, so the centre branch gives scipy's
+    results bit for bit. In the tails numpy's ``log`` may round otherwise
+    than libm's, which moves a result by a few ulp.
+    """
+    y = np.minimum(u, 1.0 - u)
+    yc = y - 0.5
+    y2 = yc * yc
+    # The centre formula over every element costs less than gathering the
+    # ~70% that need it; the tails overwrite the rest.
+    out = (yc + yc * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _SQRT_2PI
+    tail = np.flatnonzero((u <= _EXP_M2) | (u > 1.0 - _EXP_M2))
+    x = np.sqrt(-2.0 * np.log(y[tail]))
+    z = 1.0 / x
+    p, q = _horner(z, _P1), _horner(z, _Q1)
+    far = x >= 8.0  # y below exp(-32): rare, so evaluated apart
+    if far.any():
+        p[far], q[far] = _horner(z[far], _P2), _horner(z[far], _Q2)
+    out[tail] = z * p / q - (x - np.log(x) / x)
+    return np.negative(out, out=out, where=u > 0.5)
 
 
 def _disciplined(model: ClockModel, t: np.ndarray) -> np.ndarray:
@@ -168,8 +251,10 @@ def clock_errors(model: ClockModel, t_true_ns, seed: int, salt: int = 0) -> np.n
     The stochastic terms come from a counter-based stream (``CLOCK_STREAM``):
     a splitmix64 hash keyed by (seed, salt, t), so each element is a pure
     function of its own time, whatever the order or repetition of the
-    others. Jitter is Gaussian from lane 1; lane 2 decides a spike and
-    lane 3 draws its uniform size.
+    others. Jitter is Gaussian from lane 1, through ``_ndtri``, a numpy
+    port of Cephes' inverse normal CDF (scipy is not loaded); lane 2
+    decides a spike and lane 3 draws its uniform size. An error that is
+    not finite or not below 2**63 ns in magnitude raises ConfigInvalid.
     """
     try:
         t = np.atleast_1d(np.asarray(t_true_ns, dtype=np.int64))
@@ -177,20 +262,20 @@ def clock_errors(model: ClockModel, t_true_ns, seed: int, salt: int = 0) -> np.n
         raise ConfigInvalid("t_true_ns must be < 2**63")
     if t.size and t.min() < 0:
         raise ConfigInvalid("t_true_ns must be >= 0")
-    offset = _disciplined(model, t)
-    if model.jitter_std_ns > 0.0 or model.spike_prob > 0.0:
-        u = _uniforms(t, seed, salt, 3 if model.spike_prob > 0.0 else 1)
-        if model.jitter_std_ns > 0.0:
-            from scipy.special import ndtri  # here, so importing clocks loads no scipy
-
-            offset += ndtri(u[:, 0]) * model.jitter_std_ns
-        if model.spike_prob > 0.0:
-            spike = (2.0 * u[:, 2] - 1.0) * model.spike_max_ns
-            offset += np.where(u[:, 1] < model.spike_prob, spike, 0.0)
-    if model.spike_max_ns > 0:
-        offset = np.minimum(np.maximum(offset, -model.spike_max_ns), model.spike_max_ns)
-    offset = np.rint(offset)
-    if np.abs(offset).max(initial=0.0) >= 2.0**63:
+    # An overflow is an inf, and inf - inf a nan; the guard below refuses both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = _disciplined(model, t)
+        if model.jitter_std_ns > 0.0 or model.spike_prob > 0.0:
+            u = _uniforms(t, seed, salt, 3 if model.spike_prob > 0.0 else 1)
+            if model.jitter_std_ns > 0.0:
+                offset += _ndtri(u[:, 0]) * model.jitter_std_ns
+            if model.spike_prob > 0.0:
+                spike = (2.0 * u[:, 2] - 1.0) * model.spike_max_ns
+                offset += np.where(u[:, 1] < model.spike_prob, spike, 0.0)
+        if model.spike_max_ns > 0:
+            offset = np.minimum(np.maximum(offset, -model.spike_max_ns), model.spike_max_ns)
+        offset = np.rint(offset)
+    if not np.abs(offset).max(initial=0.0) < 2.0**63:  # nan fails this too
         raise ConfigInvalid("clock error does not fit in int64")
     return offset.astype(np.int64)
 

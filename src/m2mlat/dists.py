@@ -8,7 +8,9 @@ so each supported family can be fitted to a (median, IQR) pair:
   sit at exp(mu +- sigma * z75), sigma = asinh(iqr / (2 * median)) / z75;
 * gamma is solved by bisection on the shape, whose iqr/median ratio is
   monotone; its quantiles come from ``scipy.special.gammaincinv`` (the
-  unit-scale gamma ppf), which spares the package importing ``scipy.stats``;
+  unit-scale gamma ppf). This is the one place the package uses scipy,
+  and ``_gamma_ppf`` imports it on first use, so only a gamma delay's
+  median, IQR or fit loads scipy; sampling one does not;
 * constants are their own median with zero spread;
 * empirical distributions resample a frozen sample list and cannot be
   fitted, only constructed.
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import ConfigInvalid, Unfittable
 
@@ -129,10 +130,10 @@ class GammaDelay(DelayDist):
         return rng.standard_gamma(self.shape, n) * self.scale_ns
 
     def median_ns(self) -> float:
-        return float(gammaincinv(self.shape, 0.5)) * self.scale_ns
+        return float(_gamma_ppf(self.shape, 0.5)) * self.scale_ns
 
     def iqr_ns(self) -> float:
-        q1, q3 = gammaincinv(self.shape, [0.25, 0.75])
+        q1, q3 = _gamma_ppf(self.shape, [0.25, 0.75])
         return float(q3 - q1) * self.scale_ns
 
     def scaled(self, factor: float) -> "GammaDelay":
@@ -169,8 +170,15 @@ _GAMMA_SHAPE_LO = 1e-3
 _GAMMA_SHAPE_HI = 1e6
 
 
+def _gamma_ppf(shape: float, q):
+    """Quantiles q of the unit-scale gamma distribution with this shape."""
+    from scipy.special import gammaincinv  # here, so only gamma delays load scipy
+
+    return gammaincinv(shape, q)
+
+
 def _gamma_ratio(shape: float) -> float:
-    q1, q2, q3 = gammaincinv(shape, [0.25, 0.5, 0.75])
+    q1, q2, q3 = _gamma_ppf(shape, [0.25, 0.5, 0.75])
     return (q3 - q1) / q2
 
 
@@ -216,5 +224,5 @@ def _fit_gamma(median_ns: float, iqr_ns: float) -> GammaDelay:
         if hi / lo < 1.0 + 1e-13:
             break
     shape = math.sqrt(lo * hi)
-    scale = median_ns / float(gammaincinv(shape, 0.5))
+    scale = median_ns / float(_gamma_ppf(shape, 0.5))
     return GammaDelay(shape, scale)

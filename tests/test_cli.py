@@ -184,6 +184,17 @@ def _clock_error_beyond_int64(tmp_path, run_dir):
     ], "ConfigInvalid: clock error does not fit in int64"
 
 
+def _clock_error_nan(tmp_path, run_dir):
+    # An inf drift plus a -inf jitter draw is a nan error; at seed 1, 400
+    # trials hold such a draw.
+    text = re.sub(r"(?m)^trials = \d+$", "trials = 400", (run_dir / "config.echo").read_text())
+    text += "\n[clock_op]\n\n[clock_veh]\ndrift_ppm = 1e306\njitter_std_ns = 1e308\n"
+    (tmp_path / "nan.ini").write_text(text)
+    return [
+        "simulate", "--config", str(tmp_path / "nan.ini"), "--out", str(tmp_path / "x"),
+    ], "ConfigInvalid: clock error does not fit in int64"
+
+
 def _edited_config(tmp_path, run_dir, pattern, repl, count=1):
     """simulate argv for the echoed config with ``pattern`` replaced ``count`` times."""
     text, n = re.subn(pattern, repl, (run_dir / "config.echo").read_text(), count)
@@ -287,7 +298,8 @@ _OVERFLOWING = [
     [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples,
      _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
      _report_sample_beyond_int64, _sched_sample_beyond_int64, _probe_negative_timeout,
-     _probe_overflowing_interval, _clock_error_beyond_int64, _config_percent_value,
+     _probe_overflowing_interval, _clock_error_beyond_int64, _clock_error_nan,
+     _config_percent_value,
      _draw_beyond_int64, _totals_beyond_int64,
      _clock_op_value("correction_interval_s", "nan", "correction_interval_s must be finite"),
      _clock_op_value("correction_interval_s", "1e300", "correction_interval_s must be below"),
@@ -468,6 +480,9 @@ def session(tmp_path_factory):
                     "--vehicle", str(d / "vehicle.csv"), "--out", str(d / "rep")]) == 0
     (d / "sched_a.csv").write_text("latency_ns\n2000\n118000\n")
     (d / "sched_b.csv").write_text("2000\n106000\n")
+    echo = (d / "config.echo").read_text()
+    (d / "gamma.ini").write_text(echo.replace("[l_follow]\nkind = lognormal",
+                                              "[l_follow]\nkind = gamma"))
     return d
 
 
@@ -483,12 +498,21 @@ NO_SCIPY = ["m2mlat.clocks"]
     (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv",
       "--sync-ms", "0.33", "--calib-angle-deg", "1", "--steer-rate-dps", "100"], NO_SCIPY),
     (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"],
+     ["m2mlat.clocks", "m2mlat.dists", "m2mlat.sim"]),
+    # only fitting a gamma delay needs scipy
+    (["simulate", "--config", "{d}/gamma.ini", "--out", "{d}/gamma"],
      ["m2mlat.clocks", "m2mlat.dists", "m2mlat.sim", "scipy"]),
-], ids=["import", "analyze", "report", "precision", "budget", "simulate"])
+], ids=["import", "analyze", "report", "precision", "budget", "simulate", "simulate-gamma"])
 def test_only_simulate_loads_scipy(session, argv, loaded):
     # main() in a fresh interpreter, as the console script runs it
     code = "import sys, m2mlat.cli\nif sys.argv[1:]:\n    assert m2mlat.cli.main(sys.argv[1:]) == 0"
     assert loaded_modules(code, *(a.format(d=session) for a in argv)) == loaded
+
+
+def test_gamma_config_fit_is_pinned(session):
+    # gammaincinv is imported where the fit needs it; the fit is unchanged
+    l_follow = parse_config((session / "gamma.ini").read_text()).l_follow
+    assert (l_follow.shape, l_follow.scale_ns) == (45.5792894572486, 15521016.234494293)
 
 
 @given(lax_integers(), st.booleans(), st.booleans(), st.integers(0, 3))

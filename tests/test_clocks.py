@@ -10,6 +10,8 @@ from m2mlat.clocks import (
     ClockModel,
     SyncMode,
     _disciplined,
+    _ndtri,
+    _unit_floats,
     clock_errors,
     kernel_asymmetry,
     precision_analysis,
@@ -191,6 +193,22 @@ class TestClockErrors:
                            spike_max_ns=1_000_000, correction_interval_s=1000.0)
         errors = clock_errors(model, np.arange(0, 100_000) * MS, seed=3)
         assert np.abs(errors).max() == 1_000_000
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_error_is_refused(self):
+        # inf drift plus a -inf jitter draw is nan, which must not pass the int64 guard
+        model = ClockModel(drift_ppm=1e306, jitter_std_ns=1e308)
+        with pytest.raises(ConfigInvalid, match="clock error does not fit in int64"):
+            clock_errors(model, np.arange(1, 2001) * S, seed=1)
+
+    def test_unit_floats_stay_inside_the_open_interval(self):
+        bits = np.array([2**64 - 1, 0, (2**52 - 1) << 11], dtype=np.uint64)
+        u = _unit_floats(bits)
+        # all ones: (2**53 - 1) + 0.5 rounds to 2**53, clamped below 1
+        assert u[0] == np.nextafter(1.0, 0.0)
+        assert u[1] == 2.0**-54
+        assert u[2] == (2**52 - 0.5) * 2.0**-53  # exact below 2**52, unclamped
+        assert np.isfinite(_ndtri(u)).all()
 
     def test_stream_moments(self):
         t = np.arange(200_000) * 3 * MS + 1
