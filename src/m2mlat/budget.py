@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import ConfigInvalid, NegativeComponent, ZeroRate
+from .errors import ConfigInvalid, EmptyLog, NegativeComponent, ZeroRate
 from .tables import write_table
 
 # Hall-effect sensor reaction time; wiring propagation is negligible next
@@ -50,6 +50,20 @@ def calib_error(c: CalibModel) -> int:
     if not math.isfinite(ns):
         raise ConfigInvalid(f"calibration error is not finite: {ns} ns")
     return _round_half_away(ns)
+
+
+def kernel_asymmetry(a_ns, b_ns) -> int:
+    """Worst-case inter-node interrupt-handling asymmetry in ns.
+
+    ``a_ns`` and ``b_ns`` are the two nodes' interrupt scheduling latency
+    samples (any iterable of integers, numpy arrays included). One node
+    sees its maximum scheduling delay while the other sees its minimum;
+    the measured latency absorbs the difference.
+    """
+    a, b = [int(x) for x in a_ns], [int(x) for x in b_ns]
+    if not a or not b:
+        raise EmptyLog("scheduling stats require at least one sample")
+    return max(max(a) - min(b), max(b) - min(a))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ that takes randomness seeds it from --seed; numeric results are also
 written as machine-readable CSV next to the human-readable text when
 --out is given.
 
+Each handler imports the modules its command runs, so a command loads
+only those: only ``simulate`` loads the simulator, only ``probe`` the
+probe, and ``budget``, ``--help`` and ``--version`` load no numpy.
+
 Examples:
   m2mlat simulate --preset dyn_coref --trials 500 --seed 7 --out run1/
   m2mlat analyze --operator run1/operator.csv --vehicle run1/vehicle.csv \
@@ -32,13 +36,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import threading
 from pathlib import Path
 
-from . import __version__, budget, clocks, probe, report, stats
+from . import __version__
 from .errors import ConfigInvalid, EmptyLog, M2MLatError
-from .events import LogFormat, NodeId, Role, parse_log, with_role, write_log
-from .pairing import PairingConfig, pair_events
 
 MS_NS = 1_000_000
 
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="pair two logs and summarize latency")
     p_an.add_argument("--operator", type=Path, required=True)
     p_an.add_argument("--vehicle", type=Path, required=True)
-    p_an.add_argument("--format", choices=[f.value for f in LogFormat], default="csv")
+    p_an.add_argument("--format", choices=("csv", "kernelring"), default="csv")
     p_an.add_argument("--debounce-ms", type=_finite_float, default=500.0)
     p_an.add_argument("--min-latency-ms", type=_finite_float, default=0.0)
     p_an.add_argument("--max-window-ms", type=_finite_float, default=2000.0)
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr = sub.add_parser("precision", help="shared-stimulus offset analysis")
     p_pr.add_argument("--node-a", type=Path, required=True)
     p_pr.add_argument("--node-b", type=Path, required=True)
-    p_pr.add_argument("--format", choices=[f.value for f in LogFormat], default="csv")
+    p_pr.add_argument("--format", choices=("csv", "kernelring"), default="csv")
     p_pr.add_argument("--out", type=Path, help="output path prefix")
 
     p_probe = sub.add_parser("probe", help="two-way time-transfer over UDP")
@@ -164,6 +165,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _cmd_simulate(args) -> int:
     from . import sim  # only this command needs the simulator
+    from .events import write_log
 
     if args.preset:
         cfg = sim.preset(args.preset)
@@ -189,6 +191,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_log(path: Path, fmt: LogFormat, role: Role, lenient: bool = False):
+    from .events import LogFormat, NodeId, parse_log, with_role
+
     raw = path.read_bytes()
     node = NodeId(path.stem or role.value, role) if fmt is LogFormat.KERNEL_RING else None
     try:
@@ -200,6 +204,10 @@ def _read_log(path: Path, fmt: LogFormat, role: Role, lenient: bool = False):
 
 
 def _cmd_analyze(args) -> int:
+    from . import report
+    from .events import LogFormat, Role
+    from .pairing import PairingConfig, pair_events
+
     fmt = LogFormat(args.format)
     op_log, op_raw = _read_log(args.operator, fmt, Role.OPERATOR, args.lenient)
     veh_log, veh_raw = _read_log(args.vehicle, fmt, Role.VEHICLE, args.lenient)
@@ -217,6 +225,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_precision(args) -> int:
+    from . import clocks, stats
+    from .events import LogFormat, Role
+
     fmt = LogFormat(args.format)
     log_a, _ = _read_log(args.node_a, fmt, Role.OPERATOR)
     log_b, _ = _read_log(args.node_b, fmt, Role.VEHICLE)
@@ -246,6 +257,10 @@ def _parse_hostport(value: str) -> tuple[str, int]:
 
 
 def _cmd_probe(args) -> int:
+    import threading
+
+    from . import probe, stats
+
     if not args.listen and not args.peer:
         raise ConfigInvalid("probe needs --listen and/or --peer")
     _ns(args.timeout_ms, "--timeout-ms")  # socket timeouts and sleeps overflow
@@ -304,15 +319,17 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _read_int_column(path: Path, column: str) -> list[int]:
+def _read_int_column(path: Path, column: str, raw: bytes | None = None) -> list[int]:
     """Integers of one CSV column, or of bare one-value lines without a header.
 
-    The first non-blank line is the header when it names ``column``. A cell
-    that is not ASCII digits after an optional ``-`` (bytes that are not
-    UTF-8 included), or is beyond int64, raises ConfigInvalid naming the
-    file and the line.
+    ``raw`` is the file's bytes when the caller has read them already. The
+    first non-blank line is the header when it names ``column``. A cell that
+    is not ASCII digits after an optional ``-`` (bytes that are not UTF-8
+    included), or is beyond int64, raises ConfigInvalid naming the file and
+    the line. Lines end at LF, CRLF or a lone CR.
     """
-    text = path.read_text(encoding="utf-8", errors="replace")
+    raw = path.read_bytes() if raw is None else raw
+    text = raw.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
     lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     idx = None
     if lines:
@@ -338,10 +355,12 @@ def _read_int_column(path: Path, column: str) -> list[int]:
 
 
 def _cmd_budget(args) -> int:
+    from . import budget
+
     if args.kernel_ms is not None:
         kernel_ns = _ns(args.kernel_ms, "--kernel-ms")
     elif args.sched_a and args.sched_b:
-        kernel_ns = clocks.kernel_asymmetry(
+        kernel_ns = budget.kernel_asymmetry(
             _read_int_column(args.sched_a, "latency_ns"),
             _read_int_column(args.sched_b, "latency_ns"),
         )
@@ -358,8 +377,10 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    raw = args.samples.read_bytes()
-    values = _read_int_column(args.samples, "m2m_ns")
+    from . import report
+
+    raw = args.samples.read_bytes()  # read once: the digest covers the bytes parsed
+    values = _read_int_column(args.samples, "m2m_ns", raw)
     if not values:
         raise ConfigInvalid(f"{args.samples} contains no samples")
     return _emit_report(args, values, report.input_digest(raw))
@@ -367,6 +388,8 @@ def _cmd_report(args) -> int:
 
 def _emit_report(args, values, digest: str, pairing=None) -> int:
     """Print the report of one sample set; with --out, also write its files."""
+    from . import report, stats
+
     thresholds = [_ns(t, "--threshold-ms") for t in (args.threshold_ms or [1000.0])]
     rep = report.build_report(
         args.label, values, report.make_provenance(None, digest), thresholds, pairing

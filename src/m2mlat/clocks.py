@@ -339,19 +339,6 @@ def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     return OffsetSeries(samples, summarize(offsets), summarize(np.abs(offsets)))
 
 
-def kernel_asymmetry(a_ns, b_ns) -> int:
-    """Worst-case inter-node interrupt-handling asymmetry in ns.
-
-    ``a_ns`` and ``b_ns`` are the two nodes' interrupt scheduling latency
-    samples. One node sees its maximum scheduling delay while the other
-    sees its minimum; the measured latency absorbs the difference.
-    """
-    a, b = np.asarray(a_ns, dtype=np.int64), np.asarray(b_ns, dtype=np.int64)
-    if not a.size or not b.size:
-        raise EmptyLog("scheduling stats require at least one sample")
-    return max(a.max().item() - b.min().item(), b.max().item() - a.min().item())
-
-
 def probe_offset(t1: int, t2: int, t3: int, t4: int) -> tuple[float, int]:
     """Two-way time-transfer estimate from one request/response exchange.
 

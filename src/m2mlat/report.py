@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .pairing import PairingReport
 from .stats import BoxplotData, SummaryStats, boxplot_data, summarize
+
+if TYPE_CHECKING:  # annotations only: importing pairing would load the log parser
+    from .pairing import PairingReport
 
 DEFAULT_THRESHOLDS_NS = (1_000_000_000,)
 

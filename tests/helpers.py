@@ -136,14 +136,20 @@ def oracle_calib_ns(misalignment_deg: float, rate_deg_per_s: float) -> int:
     return -int((-value + Fraction(1, 2)).__floor__())
 
 
+WATCHED_MODULES = (
+    "numpy", "scipy", "m2mlat.clocks", "m2mlat.dists", "m2mlat.events",
+    "m2mlat.pairing", "m2mlat.probe", "m2mlat.sim", "m2mlat.stats",
+)
+
+
 def loaded_modules(code: str, *args: str) -> list[str]:
-    """Which of scipy, ``m2mlat.sim``, ``m2mlat.clocks`` and ``m2mlat.dists``
-    are in ``sys.modules`` after ``code`` runs in a fresh interpreter, with
-    ``args`` as its ``sys.argv[1:]`` and the package's ``src`` directory on
-    PYTHONPATH. The code must not raise."""
+    """Which of ``WATCHED_MODULES`` are in ``sys.modules``, sorted, after
+    ``code`` runs in a fresh interpreter, with ``args`` as its
+    ``sys.argv[1:]`` and the package's ``src`` directory on PYTHONPATH.
+    The code must not raise."""
     probe = code + (
         "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-        "('scipy', 'm2mlat.sim', 'm2mlat.clocks', 'm2mlat.dists') if m in sys.modules)))\n"
+        f"{WATCHED_MODULES!r} if m in sys.modules)))\n"
     )
     src = str(Path(m2mlat.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from m2mlat.budget import (
     DEFAULT_CIRCUIT_ERROR_NS,
     CalibModel,
     calib_error,
+    kernel_asymmetry,
     total_error,
 )
-from m2mlat.errors import ConfigInvalid, NegativeComponent, ZeroRate
+from m2mlat.errors import ConfigInvalid, EmptyLog, NegativeComponent, ZeroRate
 
 from helpers import oracle_calib_ns
 
@@ -98,6 +100,43 @@ class TestTotalError:
         header, row = b.to_csv().strip().split("\n")
         assert header.startswith("e_sync_ns,")
         assert row == "322000,2000,5000,10000000,10329000,true"
+
+
+class TestKernelAsymmetry:
+    def test_identical_nodes(self):
+        samples = [2_000, 5_000, 62_000]
+        assert kernel_asymmetry(samples, samples) == 60_000
+
+    def test_autonomous_table_row(self):
+        assert kernel_asymmetry([2_000, 118_000], [2_000, 106_000]) == 116_000
+
+    def test_co_referenced_table_row(self):
+        assert kernel_asymmetry([2_000, 62_000], [3_000, 52_000]) == 59_000
+
+    def test_from_samples(self):
+        a = np.array([5_000, 2_000, 9_000])
+        assert kernel_asymmetry(a, [4_000, 3_000]) == 6_000
+        assert kernel_asymmetry([-(2**63)], [2**63 - 1]) == 2**64 - 1
+
+    def test_invalid_stats(self):
+        with pytest.raises(EmptyLog):
+            kernel_asymmetry([], [1_000])
+        with pytest.raises(EmptyLog):
+            kernel_asymmetry([1_000], np.array([], dtype=np.int64))
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(INT64, min_size=1, max_size=20), st.lists(INT64, min_size=1, max_size=20),
+       st.booleans(), st.booleans())
+def test_kernel_asymmetry_matches_numpy_oracle(a, b, a_array, b_array):
+    # oracle: numpy's int64 extremes, differenced as Python ints
+    x, y = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    expected = max(int(x.max()) - int(y.min()), int(y.max()) - int(x.min()))
+    got = kernel_asymmetry(x if a_array else a, y if b_array else b)
+    assert type(got) is int
+    assert got == expected
 
 
 def test_rounding_is_half_away_from_zero():

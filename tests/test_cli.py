@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import re
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from m2mlat import probe
-from m2mlat.cli import _read_int_column, run_cli
+from m2mlat.cli import _read_int_column, build_parser, run_cli
 from m2mlat.errors import ConfigInvalid
-from m2mlat.events import parse_log
+from m2mlat.events import LogFormat, parse_log
+from m2mlat.report import input_digest
 from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config
 
 from helpers import lax_integers, loaded_modules
@@ -452,6 +454,21 @@ class TestReport:
         assert code == 0
         assert (tmp_path / "rep.stats.csv").exists()
 
+    def test_reads_the_samples_once(self, tmp_path, capsys, monkeypatch):
+        # the config_hash must describe the very bytes the values came from
+        samples = tmp_path / "values.txt"
+        samples.write_bytes(b"m2m_ns\r\n5\r7\r\n9\n11\r13\n")  # every line ending
+        reads = []
+        for name in ("read_bytes", "read_text"):
+            real = getattr(Path, name)
+            monkeypatch.setattr(Path, name, lambda self, *a, real=real, name=name, **k: (
+                reads.append((name, self)) or real(self, *a, **k)))
+        code, stdout, _ = run(capsys, "report", "--samples", str(samples))
+        assert code == 0
+        assert reads == [("read_bytes", samples)]
+        assert "samples: 5" in stdout
+        assert f"config_hash: {input_digest(samples.read_bytes())}" in stdout
+
 
 class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
@@ -486,27 +503,72 @@ def session(tmp_path_factory):
     return d
 
 
-NO_SCIPY = ["m2mlat.clocks"]
+BUDGET = ["--sync-ms", "0.33", "--calib-angle-deg", "1", "--steer-rate-dps", "100"]
+SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2mlat.stats", "numpy"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    ([], NO_SCIPY),  # import only
+    ([], []),  # import only
+    (["--version"], []),
+    (["--help"], []),
     (["analyze", "--operator", "{d}/operator.csv", "--vehicle", "{d}/vehicle.csv",
-      "--out", "{d}/again"], NO_SCIPY),
-    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"], NO_SCIPY),
-    (["precision", "--node-a", "{d}/operator.csv", "--node-b", "{d}/vehicle.csv"], NO_SCIPY),
-    (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv",
-      "--sync-ms", "0.33", "--calib-angle-deg", "1", "--steer-rate-dps", "100"], NO_SCIPY),
-    (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"],
-     ["m2mlat.clocks", "m2mlat.dists", "m2mlat.sim"]),
+      "--out", "{d}/again"], ["m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]),
+    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"],
+     ["m2mlat.stats", "numpy"]),
+    (["precision", "--node-a", "{d}/operator.csv", "--node-b", "{d}/vehicle.csv"],
+     ["m2mlat.clocks", "m2mlat.events", "m2mlat.stats", "numpy"]),
+    (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv", *BUDGET], []),
+    (["budget", "--kernel-ms", "0.005", *BUDGET], []),
+    (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"], SIMULATE),
     # only fitting a gamma delay needs scipy
-    (["simulate", "--config", "{d}/gamma.ini", "--out", "{d}/gamma"],
-     ["m2mlat.clocks", "m2mlat.dists", "m2mlat.sim", "scipy"]),
-], ids=["import", "analyze", "report", "precision", "budget", "simulate", "simulate-gamma"])
+    (["simulate", "--config", "{d}/gamma.ini", "--out", "{d}/gamma"], [*SIMULATE, "scipy"]),
+], ids=["import", "version", "help", "analyze", "report", "precision", "budget",
+        "budget-kernel-ms", "simulate", "simulate-gamma"])
 def test_only_simulate_loads_scipy(session, argv, loaded):
-    # main() in a fresh interpreter, as the console script runs it
+    # Pins each command's set of loaded modules: each handler imports what it
+    # runs, so only simulate loads scipy, budget loads no numpy, and report
+    # no events, pairing or clocks. main() runs in a fresh interpreter, as
+    # the console script runs it.
     code = "import sys, m2mlat.cli\nif sys.argv[1:]:\n    assert m2mlat.cli.main(sys.argv[1:]) == 0"
     assert loaded_modules(code, *(a.format(d=session) for a in argv)) == loaded
+
+
+def test_budget_as_module_loads_no_numpy(session):
+    # python -m m2mlat.cli budget ..., run through runpy as -m runs it
+    code = (
+        "import runpy\ntry:\n"
+        "    runpy.run_module('m2mlat.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+    )
+    argv = ["budget", "--sched-a", f"{session}/sched_a.csv",
+            "--sched-b", f"{session}/sched_b.csv", *BUDGET]
+    assert loaded_modules(code, *argv) == []
+
+
+def test_only_probe_loads_the_probe():
+    sock = probe.open_socket("127.0.0.1", 0)
+    stop = threading.Event()
+    thread = threading.Thread(target=probe.run_responder, args=(sock,),
+                              kwargs={"stop": stop, "max_packets": 1}, daemon=True)
+    thread.start()
+    try:
+        code = "import sys, m2mlat.cli\nassert m2mlat.cli.main(sys.argv[1:]) == 0"
+        loaded = loaded_modules(code, "probe", "--peer", f"127.0.0.1:{sock.getsockname()[1]}",
+                                "--count", "1", "--interval-ms", "0")
+    finally:
+        stop.set()
+        thread.join(timeout=3)
+        sock.close()
+    # the probe's estimator lives in clocks, which summarizes through stats
+    assert loaded == ["m2mlat.clocks", "m2mlat.events", "m2mlat.probe", "m2mlat.stats", "numpy"]
+
+
+def test_format_choices_match_log_formats():
+    # the parser names the formats literally, so building it imports no events
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    for command in ("analyze", "precision"):
+        (fmt,) = [a for a in subparsers[command]._actions if a.dest == "format"]
+        assert set(fmt.choices) == {f.value for f in LogFormat}
 
 
 def test_gamma_config_fit_is_pinned(session):

@@ -13,7 +13,6 @@ from m2mlat.clocks import (
     _ndtri,
     _unit_floats,
     clock_errors,
-    kernel_asymmetry,
     precision_analysis,
     preset_models,
     probe_offset,
@@ -320,29 +319,6 @@ class TestPrecisionAnalysis:
         out = precision_analysis(log, log).to_csv()
         assert out.splitlines()[0] == "t_ref_ns,offset_ns"
         assert out.splitlines()[1] == f"{1 * S},0"
-
-
-class TestKernelAsymmetry:
-    def test_identical_nodes(self):
-        samples = [2_000, 5_000, 62_000]
-        assert kernel_asymmetry(samples, samples) == 60_000
-
-    def test_autonomous_table_row(self):
-        assert kernel_asymmetry([2_000, 118_000], [2_000, 106_000]) == 116_000
-
-    def test_co_referenced_table_row(self):
-        assert kernel_asymmetry([2_000, 62_000], [3_000, 52_000]) == 59_000
-
-    def test_from_samples(self):
-        a = np.array([5_000, 2_000, 9_000])
-        assert kernel_asymmetry(a, [4_000, 3_000]) == 6_000
-        assert kernel_asymmetry([-(2**63)], [2**63 - 1]) == 2**64 - 1
-
-    def test_invalid_stats(self):
-        with pytest.raises(EmptyLog):
-            kernel_asymmetry([], [1_000])
-        with pytest.raises(EmptyLog):
-            kernel_asymmetry([1_000], np.array([], dtype=np.int64))
 
 
 class TestProbeOffset:

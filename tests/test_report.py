@@ -54,8 +54,13 @@ def test_input_digest_is_order_sensitive_and_stable():
 
 def test_analysis_modules_load_no_simulator_and_no_scipy():
     # Parsing, pairing and reporting import neither the simulator stack nor scipy.
-    assert loaded_modules("import m2mlat.events, m2mlat.pairing, m2mlat.report, m2mlat.stats") == []
+    analysis = ["m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]
+    assert loaded_modules(
+        "import m2mlat.events, m2mlat.pairing, m2mlat.report, m2mlat.stats") == analysis
+    # report names PairingReport only in annotations, so it loads no pairing
+    assert loaded_modules("import m2mlat.report") == ["m2mlat.stats", "numpy"]
     # clocks draws jitter through its own ndtri, and the simulator loads scipy
     # only to fit a gamma delay
-    assert loaded_modules("import m2mlat.clocks") == ["m2mlat.clocks"]
-    assert loaded_modules("import m2mlat.sim") == ["m2mlat.clocks", "m2mlat.dists", "m2mlat.sim"]
+    clocks = ["m2mlat.clocks", "m2mlat.events", "m2mlat.stats", "numpy"]
+    assert loaded_modules("import m2mlat.clocks") == clocks
+    assert loaded_modules("import m2mlat.sim") == sorted(clocks + ["m2mlat.dists", "m2mlat.sim"])
