@@ -307,7 +307,9 @@ class OffsetSeries:
     stats_abs: SummaryStats
 
     def to_csv(self) -> str:
-        return write_table(OFFSET_DTYPE.names, self.samples.tolist())
+        # one list per column: faster than a tuple per structured row
+        columns = OFFSET_DTYPE.names
+        return write_table(columns, zip(*(self.samples[c].tolist() for c in columns)))
 
 
 def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:

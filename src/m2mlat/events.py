@@ -6,11 +6,11 @@ are supported:
 
 * CSV, the toolkit's canonical format: header
   ``node,seq,t_wall_ns[,t_mono_ns][,source]``, one event per line, UTF-8,
-  LF line endings. ``source`` is one of ``hall``, ``pulse``, ``synthetic``
-  and defaults to ``hall``. A headerless file is accepted when its first
-  line does not begin with ``node,``; headerless 4-column rows are
-  disambiguated by whether the fourth field is numeric (``t_mono_ns``) or
-  a source name. Without a header the first row that parses fixes the
+  LF or CRLF line endings. ``source`` is one of ``hall``, ``pulse``,
+  ``synthetic`` and defaults to ``hall``. A headerless file is accepted
+  when its first line does not begin with ``node,``; headerless 4-column
+  rows are disambiguated by whether the fourth field is numeric
+  (``t_mono_ns``) or a source name. Without a header the first row that parses fixes the
   layout, so a lenient parse that skips a bad first line still reads the
   rows after it.
 * Kernel ring text: one event per line matching
@@ -32,17 +32,22 @@ increasing and ``t_wall_ns`` is non-decreasing (equal timestamps are
 legal: interrupt bursts can collide at nanosecond granularity);
 ``_check_order`` is the one place that rule is written.
 
-``parse_log`` reads an ASCII log in one regex pass over the whole text,
-with no split into lines. For CSV the row pattern is built from the header
-(or the first row's layout) and the pinned node id, and every other line
-must be blank. For ring text every ``m2m_irq:`` marker must sit in a
-well-formed event line, one per line; the other non-blank lines are the
-ones a lenient parse skips. This fast path only returns what the line loop
-(``_parse_lines``) returns for the same input, and it hands the input to
-that loop unchanged whenever it cannot show this: text that is not ASCII,
-a line that is none of the above, a strict ring parse with marker-less
-lines, a cell beyond int64, or rows that break the order rule or start at
-a ``t_wall_ns`` of 0. So the loop's line parsers write every error message.
+``parse_log`` reads an ASCII log with no split into lines and no Python
+object per event. For CSV the row pattern is built from the header (or the
+first row's layout) and the pinned node id; regex matches with no capture
+groups check that every line after the header is such a row, which may
+end in CR, or blank. numpy then reads the columns from the bytes: the
+commas and LFs bound each cell, the integer cells come from one Horner
+pass per column, and ``source`` from a cell's first byte. For ring text one
+regex pass collects the fields of every event; each ``m2m_irq:`` marker
+must sit in a well-formed event line, one per line, and the other
+non-blank lines are the ones a lenient parse skips. This fast path only
+returns what the line loop (``_parse_lines``) returns for the same input,
+and it hands the input to that loop unchanged whenever it cannot show
+this: text that is not ASCII, a line that is none of the above, a strict
+ring parse with marker-less lines, a cell beyond int64, or rows that break
+the order rule or start at a ``t_wall_ns`` of 0. So the loop's line
+parsers write every error message.
 
 CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
 output of ``write_log`` (which, like every CSV table of the toolkit, goes
@@ -59,6 +64,7 @@ from enum import Enum
 from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigInvalid,
@@ -426,9 +432,9 @@ def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     return seq, t_wall, -1, _SOURCE_BY_NAME[m.group(3)]
 
 
-# The whole-text fast path of parse_log. It reads ASCII bytes with one
-# regex pass per format and gives up (returns None) wherever it cannot
-# show that _parse_lines would return the same log.
+# The whole-text fast path of parse_log. It checks ASCII bytes with regex
+# passes, reads CSV columns with numpy, and gives up (returns None)
+# wherever it cannot show that _parse_lines would return the same log.
 
 # The ASCII bytes str.strip() removes, less LF.
 _BLANK = rb"[\t\x0b\x0c\r\x1c-\x1f ]"
@@ -439,12 +445,14 @@ _RING_EVENT = re.compile(
     rb"m2m_irq: *seq=([0-9]{1,19}) +ts=([0-9]{1,19}) +src=(hall|pulse) *$", re.M
 )
 _CSV_CELL = {
-    "seq": rb"([0-9]{1,19})",
-    "t_wall_ns": rb"([0-9]{1,19})",
-    "t_mono_ns": rb"([0-9]{1,19})?",
-    "source": rb"(%s)?" % "|".join(_SOURCE_NAMES).encode(),
+    "seq": rb"[0-9]{1,19}",
+    "t_wall_ns": rb"[0-9]{1,19}",
+    "t_mono_ns": rb"[0-9]{0,19}",
+    "source": rb"(?:%s)?" % "|".join(_SOURCE_NAMES).encode(),
 }
-_SOURCE_CODES = {None: 0, **{name.encode(): c for name, c in _SOURCE_BY_NAME.items()}}
+_SOURCE_CODES = {name.encode(): code for name, code in _SOURCE_BY_NAME.items()}
+# The most lines of a CSV body that one regex match reads.
+_LINES_PER_MATCH = 1024
 
 
 def _ascii(raw) -> bytes | None:
@@ -491,19 +499,83 @@ def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog | None:
     # The loop strips each cell of a line split at commas, so the node cell
     # only matches itself if stripping leaves it whole.
     node_id = first[0] if node is None else node.id
-    if layout is None or not node_id or node_id != node_id.strip() or "," in node_id:
+    if (layout is None or not node_id or node_id != node_id.strip()
+            or "," in node_id or "\n" in node_id):
         return None
-    cells = (re.escape(node_id.encode()), *(_CSV_CELL[c] for c in layout[1:]))
-    row = re.compile(b"^%s$" % b",".join(cells), re.M)
-    # The lines before start are blank or the header, which no row matches.
-    columns = dict(zip(layout[1:], _groups(row, data)))
-    rows = len(columns["seq"])
-    if not rows or rows + _blank_lines(data, start) != data.count(b"\n", start) + 1:
+    # Every line from start on is a row, which may end in CR, or blank. A
+    # match keeps some state per line it reads, so it reads a bounded run
+    # of lines at a time.
+    row = b",".join((re.escape(node_id.encode()), *(_CSV_CELL[c] for c in layout[1:])))
+    line = rb"(?:%s\r?|%s*)" % (row, _BLANK)
+    lines = re.compile(rb"(?:%s\n)*%s" % (line, line))
+    text = np.frombuffer(data, np.uint8)
+    lfs = np.flatnonzero(text[start:] == ord("\n")) + start
+    cuts = lfs[_LINES_PER_MATCH - 1::_LINES_PER_MATCH].tolist()
+    runs = zip([start, *(cut + 1 for cut in cuts)], [*cuts, len(data)])
+    if not all(lines.fullmatch(data, lo, hi) for lo, hi in runs):
         return None
-    ints = [columns["seq"], columns["t_wall_ns"]]
+    return _csv_columns(text, start, lfs, node or infer_node(node_id), layout[1:])
+
+
+def _csv_columns(text: np.ndarray, start: int, lfs: np.ndarray, node: NodeId,
+                 cells: tuple[str, ...]) -> EventLog | None:
+    """The log of the rows and blank lines from ``start`` on, whose rows
+    hold ``cells`` after the node id; ``lfs`` is where their LFs are.
+
+    Node ids and blank lines hold no comma, so each row holds
+    ``len(cells)`` commas, and a cell runs from the comma before it to the
+    next comma or, for the last one, the end of its row (before any CR).
+    None if no row is there, a cell passes int64 or a row breaks the order
+    rule.
+    """
+    commas = (np.flatnonzero(text[start:] == ord(",")) + start).reshape(-1, len(cells))
+    if not len(commas):
+        return None
+    ends = np.append(lfs, len(text))[np.searchsorted(lfs, commas[:, -1])]
+    ends -= text[ends - 1] == ord("\r")
+    stops = np.vstack((commas.T[1:], ends))
+    lengths = stops - commas.T - 1
+    columns = {}
+    for name, stop, length in zip(cells, stops, lengths):
+        if name == "source":
+            # The source names differ in their first byte. An empty cell reads
+            # the byte after it, or at the end of the text the comma before it.
+            codes = np.zeros(256, np.int64)
+            codes[[ord(source[0]) for source in _SOURCE_NAMES]] = range(len(_SOURCE_NAMES))
+            columns[name] = codes[text[np.minimum(stop - length, len(text) - 1)]]
+            continue
+        columns[name] = _uint_cells(text, stop, length)
+        if columns[name] is None:
+            return None
     if "t_mono_ns" in columns:
-        ints.append([c or b"-1" for c in columns["t_mono_ns"]])
-    return _fast_log(node or infer_node(node_id), ints, columns.get("source"), {})
+        columns["t_mono_ns"][lengths[cells.index("t_mono_ns")] == 0] = -1
+    return _fast_log(node, columns["seq"], columns["t_wall_ns"], columns.get("t_mono_ns"),
+                     columns.get("source"), {})
+
+
+def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the digit cells of ``lengths[i]`` (at most 19)
+    digits that end at ``stops[i]``, 0 when empty; None if one is 2**63 or more.
+
+    One Horner pass reads as many bytes as the longest cell has, up to where
+    each cell ends. Every byte is clamped to a digit, so no sum passes
+    10**19, and each cell is its sum modulo 10**length.
+    """
+    width = max(int(lengths.max()), 1)
+    if stops.min() < width:  # a cell near the start of the text
+        text = np.concatenate((np.zeros(width, np.uint8), text))
+        stops = stops + width
+    digits = sliding_window_view(text, width)[stops - width]
+    digits -= np.uint8(ord("0"))
+    np.minimum(digits, np.full(width, 9, np.uint8), out=digits)
+    value = np.zeros(len(stops), np.uint64)
+    for column in digits.T:
+        value *= np.uint64(10)
+        value += column
+    value %= (10 ** np.arange(width + 1, dtype=np.uint64))[lengths]
+    if value.max() >= np.uint64(2**63):
+        return None
+    return value.view(np.int64)
 
 
 def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | None:
@@ -523,18 +595,17 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | Non
             _parse_kernel_line(_line_at(data, start), data.count(b"\n", 0, start) + 1)
         except LineError as err:
             meta = {"parse_skipped": str(skipped), "parse_first_error": str(err)}
-    return _fast_log(node, [seq, ts], source, meta)
-
-
-def _fast_log(node: NodeId, ints: list, sources, meta: dict[str, str]) -> EventLog | None:
-    """The log of the matched cells: ``ints`` holds the seq, t_wall_ns and
-    any t_mono_ns cells. None if a cell passes int64 or a row breaks the
-    order rule."""
-    source = None
-    if sources is not None:
-        source = np.fromiter(map(_SOURCE_CODES.__getitem__, sources), np.int64, len(sources))
     try:
-        seq, t_wall, *t_mono = np.array(ints, dtype=np.int64)
-        return EventLog(node, seq, t_wall, t_mono[0] if t_mono else None, source, meta)
-    except (OverflowError, LineError, ConfigInvalid):
+        seq, t_wall = np.array([seq, ts], dtype=np.int64)
+    except OverflowError:
+        return None
+    codes = np.fromiter(map(_SOURCE_CODES.__getitem__, source), np.int64, len(source))
+    return _fast_log(node, seq, t_wall, None, codes, meta)
+
+
+def _fast_log(node: NodeId, seq, t_wall, t_mono, source, meta: dict[str, str]) -> EventLog | None:
+    """The log of the read columns, or None if a row breaks the order rule."""
+    try:
+        return EventLog(node, seq, t_wall, t_mono, source, meta)
+    except (LineError, ConfigInvalid):
         return None

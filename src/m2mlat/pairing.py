@@ -9,6 +9,14 @@ consumed at most once, so later operator events pair with later vehicle
 events. Negative latencies are never accepted; they indicate clock error
 exceeding the true latency and count as unmatched. Both steps run on the
 logs' int64 columns, and each match is one row of a structured array.
+
+Both steps are array operations, with an event-by-event walk kept only
+where events interact. Debouncing walks a stretch of events, each within
+the window of the one before, that lasts the window or more; any other
+stretch keeps just its first event. Matching solves every window at once
+from the hits it would have if no window competed, and walks a chain of
+windows only where that solution does not hold. Field captures, with one
+burst per motion and seconds between motions, need neither walk.
 """
 
 from __future__ import annotations
@@ -83,7 +91,9 @@ class PairingReport:
         return self.samples["m2m_ns"]
 
     def to_csv(self) -> str:
-        return write_table(SAMPLE_DTYPE.names, self.samples.tolist())
+        # one list per column: faster than a tuple per structured row
+        columns = SAMPLE_DTYPE.names
+        return write_table(columns, zip(*(self.samples[c].tolist() for c in columns)))
 
     def meta_text(self) -> str:
         return (
@@ -108,15 +118,28 @@ def debounce(log: EventLog, debounce_ns: int) -> EventLog:
     if debounce_ns < 0:
         raise ConfigInvalid("debounce_ns must be >= 0")
     t = log.t_wall_ns
-    if (np.diff(t) >= debounce_ns).all():
+    gap = np.diff(t) >= debounce_ns
+    if gap.all():
         return log
-    # next_kept[i]: first event debounce_ns or more after event i (t > 0, so t - w fits)
-    next_kept = np.searchsorted(t - debounce_ns, t).tolist()
-    keep, i = [], 0
-    while i < len(next_kept):
-        keep.append(i)
-        i = next_kept[i]
-    index = np.array(keep)
+    # An event debounce_ns or more after the one before it is kept whatever
+    # was kept before it. So a stretch between two such events keeps only
+    # its first event unless it lasts debounce_ns or more, and only such a
+    # stretch needs the greedy walk.
+    keep = np.concatenate(([True], gap))
+    heads = np.flatnonzero(keep)
+    tails = np.append(heads[1:], len(t)) - 1
+    long = t[tails] - t[heads] >= debounce_ns
+    if long.any():
+        # next_kept[i]: first event debounce_ns or more after event i (t > 0, so t - w fits)
+        next_kept = np.searchsorted(t - debounce_ns, t).tolist()
+        walked = []
+        for head, tail in zip(heads[long].tolist(), tails[long].tolist()):
+            i = next_kept[head]
+            while i <= tail:
+                walked.append(i)
+                i = next_kept[i]
+        keep[walked] = True
+    index = np.flatnonzero(keep)
     return EventLog(log.node, *(c[index] for c in log.columns), dict(log.meta))
 
 
@@ -149,21 +172,11 @@ def pair_events(
     ops = debounce(op_log, cfg.debounce_ns)
     vehs = debounce(veh_log, cfg.debounce_ns)
 
-    # first[i]: the earliest vehicle event at or after operator event i's
-    # window start (searched as veh_t - min_latency_ns, which cannot
-    # overflow). Windows only move right and a match consumes the vehicle
-    # event at ``start``, so every vehicle event before ``start`` is out of reach.
-    first = np.searchsorted(vehs.t_wall_ns - cfg.min_latency_ns, ops.t_wall_ns).tolist()
-    times = vehs.t_wall_ns.tolist()
-    n = len(times)
-    start = 0
-    op_idx, veh_idx = [], []
-    for i, t in enumerate(ops.t_wall_ns.tolist()):
-        start = max(start, first[i])
-        if start < n and times[start] - t <= cfg.max_window_ns:
-            op_idx.append(i)
-            veh_idx.append(start)
-            start += 1
+    # Operator event i's window holds vehicle events first[i] to last[i]
+    # (searched as veh_t minus a duration, which cannot overflow).
+    first = np.searchsorted(vehs.t_wall_ns - cfg.min_latency_ns, ops.t_wall_ns)
+    last = np.searchsorted(vehs.t_wall_ns - cfg.max_window_ns, ops.t_wall_ns, side="right") - 1
+    op_idx, veh_idx = _match(first, last)
 
     op_t, veh_t = ops.t_wall_ns[op_idx], vehs.t_wall_ns[veh_idx]
     table = (ops.seq[op_idx], vehs.seq[veh_idx], op_t, veh_t, compute_m2m(op_t, veh_t))
@@ -171,8 +184,56 @@ def pair_events(
     return PairingReport(
         samples=samples,
         unmatched_op=len(ops) - len(samples),
-        unmatched_veh=n - len(samples),
+        unmatched_veh=len(vehs) - len(samples),
         suppressed_op=len(op_log) - len(ops),
-        suppressed_veh=len(veh_log) - n,
+        suppressed_veh=len(veh_log) - len(vehs),
         config=cfg,
     )
+
+
+def _match(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matched operator and vehicle event indices of the FIFO rule, for
+    operator windows that hold vehicle events ``first[i]`` to ``last[i]``.
+
+    Operator event i tries vehicle event ``s_i = max(first_i, s_(i-1) +
+    hit_(i-1))`` and hits when ``s_i <= last_i``: windows only move right
+    and a match consumes the vehicle event it takes, so every vehicle event
+    before ``s`` is out of reach.
+
+    One round takes each window's hit as if no window competed (``first_i
+    <= last_i``), solves for every ``s`` at once with a cumsum and a
+    cummax, and reads the hits again. Those hits can only be too many, so
+    the round's ``s`` and ``s + hit`` are upper bounds. Where ``first_i``
+    reaches the bound of the event before, ``s_i`` is ``first_i`` whatever
+    came before; such an event starts a stretch, and a stretch whose hits
+    read the same twice is solved. ``_walk`` runs on the other stretches
+    only, each of which it starts at its first event's ``first``.
+    """
+    hit = first <= last
+    taken = np.cumsum(hit) - hit  # hits before each operator event
+    start = taken + np.maximum.accumulate(first - taken)
+    wrong = (start <= last) != hit
+    if wrong.any():
+        head = np.concatenate(([True], first[1:] >= start[:-1] + hit[:-1]))
+        stretch = np.cumsum(head)
+        unsolved = np.zeros(stretch[-1] + 1, bool)
+        unsolved[stretch[wrong]] = True
+        redo = np.flatnonzero(unsolved[stretch])
+        start[redo], hit[redo] = _walk(first[redo].tolist(), last[redo].tolist())
+    op_idx = np.flatnonzero(hit)
+    return op_idx, start[op_idx]
+
+
+def _walk(first: list[int], last: list[int]) -> tuple[list[int], list[bool]]:
+    """The FIFO rule one operator event at a time, the reference for
+    ``_match``: the vehicle event each operator event tries, and whether it
+    hits."""
+    start, starts, hits = 0, [], []
+    for lo, hi in zip(first, last):
+        if start < lo:
+            start = lo
+        hit = start <= hi
+        starts.append(start)
+        hits.append(hit)
+        start += hit
+    return starts, hits

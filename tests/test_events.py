@@ -154,6 +154,23 @@ class TestParseCsv:
         assert (log.seq.tolist(), log.t_wall_ns.tolist(), log.t_mono_ns.tolist()) == (
             [top], [top], [top])
 
+    @pytest.mark.parametrize("text, columns", [
+        # a cell that ends before the longest cell of its column is long
+        ("a,0,7\na,12345,123456789012\n", ([0, 12345], [7, 123456789012], [-1, -1], [0, 0])),
+        ("node,seq,t_wall_ns,t_mono_ns,source\r\nop,1,2,,pulse\r\n\r\nop,3,4,56,\r\n",
+         ([1, 3], [2, 4], [-1, 56], [1, 0])),
+        ("op,1,2,,synthetic\r\nop,3,4,5,hall", ([1, 3], [2, 4], [-1, 5], [2, 0])),
+    ], ids=["short_first_row", "crlf", "crlf_then_no_lf_at_the_end"])
+    def test_columns_read_without_the_line_loop(self, monkeypatch, text, columns):
+        from m2mlat import events
+
+        def no_loop(*args):
+            raise AssertionError("line loop ran")
+
+        monkeypatch.setattr(events, "_collect", no_loop)
+        log = parse_log(text)
+        assert tuple(c.tolist() for c in log.columns) == columns
+
 
 class TestParseKernelRing:
     def test_basic_line(self):

@@ -94,7 +94,13 @@ def ring_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-TOKENS = [bytes([b]) for b in b" \t\r,-+_0123456789\n\xff"] + ["١".encode(), b"m2m_irq:", b" m2m_irq: "]
+TOKENS = [bytes([b]) for b in b" \t\r,-+_0123456789\n\xff"] + [
+    token.encode() for token in (
+        "١", "m2m_irq:", " m2m_irq: ", "\r\n", "é",
+        "\u00a0",  # whitespace to str.strip(), but not ASCII
+        str(2**63), "1" * 20,
+    )
+]
 
 
 @st.composite

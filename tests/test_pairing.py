@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from m2mlat.errors import ConfigInvalid, EmptyLog, RoleMismatch
 from m2mlat.pairing import (
     PairingConfig,
+    _match,
+    _walk,
     compute_m2m,
     debounce,
     pair_events,
@@ -51,7 +53,19 @@ class TestDebounce:
             window = int(rng.integers(0, 800))
             log = make_log(OPERATOR, times)
             kept = debounce(log, window)
-            assert events_of(kept) == oracle_debounce(events_of(log), window)
+            expected = oracle_debounce(events_of(log), window)
+            assert events_of(kept) == expected
+            assert (kept is log) == (len(expected) == n)
+
+    def test_burst_longer_than_the_window(self):
+        # 30 events w/3 apart: the greedy walk keeps every third one, the
+        # first of each stretch lasting the window or more
+        w = 300 * MS
+        times = [7 * S + k * (w // 3) for k in range(30)] + [20 * S, 20 * S + 1]
+        log = make_log(OPERATOR, times)
+        kept = debounce(log, w)
+        assert events_of(kept) == oracle_debounce(events_of(log), w)
+        assert kept.t_wall_ns.tolist() == times[0:30:3] + [20 * S]
 
 
 class TestComputeM2m:
@@ -181,6 +195,52 @@ def test_matches_brute_force_oracle_on_random_instances():
         expected = oracle_pairs(events_of(op), events_of(veh), cfg)
         assert pairs_of(got) == expected
         assert got.m2m_values.tolist() == [veh[1] - op[1] for op, veh in expected]
+
+
+def _alternating_chain(n):
+    """n operator windows that all start at vehicle event 0; the vehicle
+    events are twice as far apart as the operator events, so the windows
+    hit and miss in turn: operator event i takes vehicle event i / 2 when i
+    is even and misses when it is odd."""
+    op = make_log(OPERATOR, [S + i for i in range(n)])
+    veh = make_log(VEHICLE, [S + n + 2 * j for j in range(n)])
+    return op, veh, PairingConfig(debounce_ns=0, max_window_ns=n)
+
+
+def test_windows_sharing_one_first_vehicle_event():
+    op, veh, cfg = _alternating_chain(300)
+    got = pair_events(op, veh, cfg)
+    assert pairs_of(got) == oracle_pairs(events_of(op), events_of(veh), cfg)
+    assert got.samples["op_seq"].tolist() == list(range(0, 300, 2))
+    assert got.samples["veh_seq"].tolist() == list(range(150))
+
+
+def test_collision_chain_of_50000_events():
+    # one chain of collisions across the whole log, which a resolution that
+    # settles one more event per pass over the log could not finish here
+    n = 50_000
+    op, veh, cfg = _alternating_chain(n)
+    got = pair_events(op, veh, cfg)
+    assert got.samples["op_seq"].tolist() == list(range(0, n, 2))
+    assert got.samples["veh_seq"].tolist() == list(range(n // 2))
+    assert (got.unmatched_op, got.unmatched_veh) == (n // 2, n // 2)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_match_equals_the_walk(data):
+    # dense windows over few vehicle events, so collisions chain
+    n_op, n_veh = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 80))
+    op_t = np.sort(data.draw(st.lists(st.integers(1, 500), min_size=n_op, max_size=n_op)))
+    veh_t = np.sort(data.draw(st.lists(st.integers(1, 500), min_size=n_veh, max_size=n_veh)))
+    lo = data.draw(st.integers(0, 40))
+    hi = lo + data.draw(st.integers(1, 200))
+    first = np.searchsorted(veh_t - lo, op_t)
+    last = np.searchsorted(veh_t - hi, op_t, side="right") - 1
+    starts, hits = _walk(first.tolist(), last.tolist())
+    op_idx, veh_idx = _match(first, last)
+    assert op_idx.tolist() == [i for i, hit in enumerate(hits) if hit]
+    assert veh_idx.tolist() == [s for s, hit in zip(starts, hits) if hit]
 
 
 def test_matching_is_monotone():
