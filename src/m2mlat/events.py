@@ -32,12 +32,12 @@ increasing and ``t_wall_ns`` is non-decreasing (equal timestamps are
 legal: interrupt bursts can collide at nanosecond granularity);
 ``_check_order`` is the one place that rule is written.
 
-``parse_log`` reads an ASCII log with no split into lines and no Python
-object per event. For CSV the row pattern is built from the header (or the
-first row's layout) and the pinned node id; regex matches with no capture
-groups check that every line after the header is such a row, which may
-end in CR, or blank. numpy then reads the columns from the bytes: the
-commas and LFs bound each cell, the integer cells come from one Horner
+``parse_log`` reads an ASCII log with no split into lines. For CSV the row
+pattern is built from the header (or the first row's layout) and the
+pinned node id; regex matches with no capture groups check that every
+line after the header is such a row, which may end in CR, or blank. numpy
+then reads the columns from the bytes, with no Python object per event:
+the commas and LFs bound each cell, the integer cells come from one Horner
 pass per column, and ``source`` from a cell's first byte. For ring text one
 regex pass collects the fields of every event; each ``m2m_irq:`` marker
 must sit in a well-formed event line, one per line, and the other
