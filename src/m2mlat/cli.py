@@ -87,9 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--operator", type=Path, required=True)
     p_an.add_argument("--vehicle", type=Path, required=True)
     p_an.add_argument("--format", choices=("csv", "kernelring"), default="csv")
-    p_an.add_argument("--debounce-ms", type=_finite_float, default=500.0)
-    p_an.add_argument("--min-latency-ms", type=_finite_float, default=0.0)
-    p_an.add_argument("--max-window-ms", type=_finite_float, default=2000.0)
+    # None means pairing's default; only the flags given reach PairingConfig
+    p_an.add_argument("--debounce-ms", type=_finite_float)
+    p_an.add_argument("--min-latency-ms", type=_finite_float)
+    p_an.add_argument("--max-window-ms", type=_finite_float)
     p_an.add_argument(
         "--threshold-ms", type=_finite_float, action="append",
         help="report the fraction of samples above this (repeatable; default 1000)",
@@ -211,11 +212,11 @@ def _cmd_analyze(args) -> int:
     fmt = LogFormat(args.format)
     op_log, op_raw = _read_log(args.operator, fmt, Role.OPERATOR, args.lenient)
     veh_log, veh_raw = _read_log(args.vehicle, fmt, Role.VEHICLE, args.lenient)
-    cfg = PairingConfig(
-        debounce_ns=_ns(args.debounce_ms, "--debounce-ms"),
-        min_latency_ns=_ns(args.min_latency_ms, "--min-latency-ms"),
-        max_window_ns=_ns(args.max_window_ms, "--max-window-ms"),
-    )
+    cfg = PairingConfig(**{
+        f"{name}_ns": _ns(value, f"--{name.replace('_', '-')}-ms")
+        for name in ("debounce", "min_latency", "max_window")
+        if (value := getattr(args, f"{name}_ms")) is not None
+    })
     pairing = pair_events(op_log, veh_log, cfg)
     if not len(pairing.samples):
         raise EmptyLog("no event pairs inside the matching window")
@@ -265,8 +266,8 @@ def _cmd_probe(args) -> int:
         raise ConfigInvalid("probe needs --listen and/or --peer")
     _ns(args.timeout_ms, "--timeout-ms")  # socket timeouts and sleeps overflow
     _ns(args.interval_ms, "--interval-ms")  # beyond int64 ns
-    if args.timeout_ms <= 0 or args.interval_ms < 0:
-        raise ConfigInvalid("probe needs --timeout-ms > 0 and --interval-ms >= 0")
+    if args.count < 1 or args.timeout_ms <= 0 or args.interval_ms < 0:
+        raise ConfigInvalid("probe needs --count >= 1, --timeout-ms > 0, --interval-ms >= 0")
     responder_thread = None
     responder_sock = None
     stop = threading.Event()
@@ -319,51 +320,17 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def _read_int_column(path: Path, column: str, raw: bytes | None = None) -> list[int]:
-    """Integers of one CSV column, or of bare one-value lines without a header.
-
-    ``raw`` is the file's bytes when the caller has read them already. The
-    first non-blank line is the header when it names ``column``. A cell that
-    is not ASCII digits after an optional ``-`` (bytes that are not UTF-8
-    included), or is beyond int64, raises ConfigInvalid naming the file and
-    the line. Lines end at LF, CRLF or a lone CR.
-    """
-    raw = path.read_bytes() if raw is None else raw
-    text = raw.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
-    lines = [(no, ln) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
-    idx = None
-    if lines:
-        header = [c.strip() for c in lines[0][1].split(",")]
-        if column in header:
-            idx = header.index(column)
-            lines = lines[1:]
-    values = []
-    for line_no, line in lines:
-        try:
-            cell = (line if idx is None else line.split(",")[idx]).strip()
-        except IndexError:
-            cell = ""
-        digits = cell[1:] if cell[:1] == "-" else cell
-        # ASCII digits only: int() would also take "1_000", "+2" and other scripts' digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise ConfigInvalid(f"{path} line {line_no}: no integer {column}: {line!r}")
-        value = int(cell)
-        if not -(2**63) <= value < 2**63:
-            raise ConfigInvalid(f"{path} line {line_no}: {column} does not fit in int64: {value}")
-        values.append(value)
-    return values
-
-
 def _cmd_budget(args) -> int:
     from . import budget
+    from .tables import read_int_columns
 
     if args.kernel_ms is not None:
         kernel_ns = _ns(args.kernel_ms, "--kernel-ms")
     elif args.sched_a and args.sched_b:
-        kernel_ns = budget.kernel_asymmetry(
-            _read_int_column(args.sched_a, "latency_ns"),
-            _read_int_column(args.sched_b, "latency_ns"),
-        )
+        kernel_ns = budget.kernel_asymmetry(*(
+            read_int_columns(path.read_bytes(), ("latency_ns",), path)[0]
+            for path in (args.sched_a, args.sched_b)
+        ))
     else:
         raise ConfigInvalid("budget needs --kernel-ms or both --sched-a and --sched-b")
     calib = budget.CalibModel(args.calib_angle_deg, args.steer_rate_dps)
@@ -378,9 +345,10 @@ def _cmd_budget(args) -> int:
 
 def _cmd_report(args) -> int:
     from . import report
+    from .tables import read_int_columns
 
     raw = args.samples.read_bytes()  # read once: the digest covers the bytes parsed
-    values = _read_int_column(args.samples, "m2m_ns", raw)
+    (values,) = read_int_columns(raw, ("m2m_ns",), args.samples)
     if not values:
         raise ConfigInvalid(f"{args.samples} contains no samples")
     return _emit_report(args, values, report.input_digest(raw))
@@ -390,9 +358,10 @@ def _emit_report(args, values, digest: str, pairing=None) -> int:
     """Print the report of one sample set; with --out, also write its files."""
     from . import report, stats
 
-    thresholds = [_ns(t, "--threshold-ms") for t in (args.threshold_ms or [1000.0])]
+    thresholds = [_ns(t, "--threshold-ms") for t in args.threshold_ms or ()]
     rep = report.build_report(
-        args.label, values, report.make_provenance(None, digest), thresholds, pairing
+        args.label, values, report.make_provenance(None, digest),
+        thresholds or report.DEFAULT_THRESHOLDS_NS, pairing,
     )
     text = report.render_text(rep)
     print(text, end="")

@@ -17,8 +17,9 @@ so each supported family can be fitted to a (median, IQR) pair:
 
 All sampling takes an explicit numpy Generator and returns integer
 nanoseconds. Families are sampled through their standard variates
-(``standard_normal``, ``standard_gamma``), so scaling a fitted
-distribution and re-sampling with the same seed scales every draw.
+(``standard_normal``, ``standard_gamma``), so the same seed drives the
+same variates through any parameters: a log-normal with ``mu + ln(k)``,
+or a gamma with ``k`` times the scale, draws ``k`` times each value.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class DelayDist:
     def iqr_ns(self) -> float:
         raise NotImplementedError
 
-    def scaled(self, factor: float) -> "DelayDist":
-        """Distribution of ``factor * X``; factor must be positive."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantDelay(DelayDist):
@@ -88,9 +85,6 @@ class ConstantDelay(DelayDist):
 
     def iqr_ns(self) -> float:
         return 0.0
-
-    def scaled(self, factor: float) -> "ConstantDelay":
-        return ConstantDelay(int(round(self.value_ns * factor)))
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,6 @@ class LogNormalDelay(DelayDist):
     def iqr_ns(self) -> float:
         return math.exp(self.mu) * 2.0 * math.sinh(self.sigma * Z75)
 
-    def scaled(self, factor: float) -> "LogNormalDelay":
-        return LogNormalDelay(self.mu + math.log(factor), self.sigma)
-
 
 @dataclass(frozen=True)
 class GammaDelay(DelayDist):
@@ -135,9 +126,6 @@ class GammaDelay(DelayDist):
     def iqr_ns(self) -> float:
         q1, q3 = _gamma_ppf(self.shape, [0.25, 0.75])
         return float(q3 - q1) * self.scale_ns
-
-    def scaled(self, factor: float) -> "GammaDelay":
-        return GammaDelay(self.shape, self.scale_ns * factor)
 
 
 @dataclass(frozen=True)
@@ -161,9 +149,6 @@ class EmpiricalDelay(DelayDist):
     def iqr_ns(self) -> float:
         q1, q3 = np.quantile(self.values_ns, [0.25, 0.75], method="linear")
         return float(q3 - q1)
-
-    def scaled(self, factor: float) -> "EmpiricalDelay":
-        return EmpiricalDelay(tuple(int(round(v * factor)) for v in self.values_ns))
 
 
 _GAMMA_SHAPE_LO = 1e-3

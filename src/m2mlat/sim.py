@@ -26,7 +26,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -51,7 +50,7 @@ from .dists import (
 )
 from .errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from .events import EventLog, EventSource, NodeId, Role
-from .tables import write_table
+from .tables import read_int_columns, table_lines, write_table
 
 MS_NS = 1_000_000
 
@@ -101,8 +100,6 @@ TRUTH_COLUMNS = (
     "friction_ns", "true_total_ns", "clock_err_op_ns", "clock_err_veh_ns",
     "recorded_op_ns", "recorded_veh_ns",
 )
-# A truth CSV row: one ASCII integer per column (no "+", "_", spaces or other digits).
-_TRUTH_ROW = re.compile(",".join(["-?[0-9]+"] * len(TRUTH_COLUMNS)))
 
 
 class GroundTruth:
@@ -143,17 +140,12 @@ class GroundTruth:
 
     @classmethod
     def from_csv(cls, text: str) -> "GroundTruth":
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        if not lines or lines[0] != ",".join(TRUTH_COLUMNS):
+        """Ground truth of a truth CSV, whose header is exactly TRUTH_COLUMNS."""
+        lines = table_lines(text)
+        if not lines or [c.strip() for c in lines[0][1].split(",")] != list(TRUTH_COLUMNS):
             raise ConfigInvalid("bad ground-truth header")
-        if not all(map(_TRUTH_ROW.fullmatch, lines[1:])):
-            raise ConfigInvalid("bad ground-truth row")
-        rows = [ln.split(",") for ln in lines[1:]]
-        try:
-            table = np.array(rows, dtype=np.int64).reshape(len(rows), len(TRUTH_COLUMNS))
-        except OverflowError:
-            raise ConfigInvalid("bad ground-truth row: beyond int64")
-        return cls(dict(zip(TRUTH_COLUMNS, table.T)))
+        columns = read_int_columns(text, TRUTH_COLUMNS, "ground truth")
+        return cls(dict(zip(TRUTH_COLUMNS, columns)))
 
 
 def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:

@@ -5,16 +5,15 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from m2mlat import probe
-from m2mlat.cli import _read_int_column, build_parser, run_cli
+from m2mlat.cli import build_parser, run_cli
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import LogFormat, parse_log
 from m2mlat.report import input_digest
 from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config
 
-from helpers import lax_integers, loaded_modules
+from helpers import loaded_modules
 
 MS = 1_000_000
 
@@ -275,6 +274,10 @@ def _probe_negative_timeout(tmp_path, run_dir):
             "--timeout-ms", "-5"], "--timeout-ms > 0"
 
 
+def _probe_count_below_one(tmp_path, run_dir):
+    return ["probe", "--peer", "127.0.0.1:9", "--count", "-3"], "--count >= 1"
+
+
 def _probe_overflowing_interval(tmp_path, run_dir):
     return ["probe", "--peer", "127.0.0.1:9", "--count", "2", "--timeout-ms", "10",
             "--interval-ms", "1e303"], "--interval-ms 1e+303"
@@ -300,7 +303,7 @@ _OVERFLOWING = [
     [_bad_report_samples, _bad_log_encoding, _nan_debounce, _bad_sched_samples,
      _vehicle_log_error, _precision_log_error, _config_not_utf8, _calib_not_finite,
      _report_sample_beyond_int64, _sched_sample_beyond_int64, _probe_negative_timeout,
-     _probe_overflowing_interval, _clock_error_beyond_int64, _clock_error_nan,
+     _probe_count_below_one, _probe_overflowing_interval, _clock_error_beyond_int64, _clock_error_nan,
      _config_percent_value,
      _draw_beyond_int64, _totals_beyond_int64,
      _clock_op_value("correction_interval_s", "nan", "correction_interval_s must be finite"),
@@ -575,21 +578,3 @@ def test_gamma_config_fit_is_pinned(session):
     # gammaincinv is imported where the fit needs it; the fit is unchanged
     l_follow = parse_config((session / "gamma.ini").read_text()).l_follow
     assert (l_follow.shape, l_follow.scale_ns) == (45.5792894572486, 15521016.234494293)
-
-
-@given(lax_integers(), st.booleans(), st.booleans(), st.integers(0, 3))
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_int_column_rejects_lax_spellings(tmp_path, cell, negative, header, good):
-    # a leading "-" is allowed, since samples may be negative; the rest of
-    # the cell must still be ASCII digits
-    def row(value):
-        return f"9,{value}" if header else f" {value} "
-
-    lines = (["id,m2m_ns"] if header else []) + [row(-i) for i in range(good)]
-    path = tmp_path / "samples.csv"
-    bad = ("-" if negative else "") + cell
-    path.write_text("\n".join(lines + [row(bad), row(5)]) + "\n")
-    with pytest.raises(ConfigInvalid, match=f"line {len(lines) + 1}: no integer m2m_ns"):
-        _read_int_column(path, "m2m_ns")
-    path.write_text("\n".join(lines + [row(-12), row("7\r")]) + "\n")
-    assert _read_int_column(path, "m2m_ns") == [-i for i in range(good)] + [-12, 7]

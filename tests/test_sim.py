@@ -3,12 +3,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from m2mlat.clocks import CLOCK_STREAM, ClockModel, SyncMode, preset_models
-from m2mlat.dists import ConstantDelay, DistKind, fit_delay_dist
+from m2mlat.dists import ConstantDelay, DistKind, LogNormalDelay, fit_delay_dist
 from m2mlat.errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from m2mlat.clocks import precision_analysis
 from m2mlat.events import EventSource, Role, write_log
@@ -164,13 +165,14 @@ class TestStationaryFriction:
 
 def test_scaling_all_components_scales_the_median():
     cfg = replace(preset("dyn_coref"), trials=400, clock_models=ZERO_CLOCKS)
+    net, follow = cfg.l_network, cfg.l_follow
     scaled = replace(
         cfg,
-        l_gen=cfg.l_gen.scaled(1.5),
-        l_network=cfg.l_network.scaled(1.5),
-        l_exec=cfg.l_exec.scaled(1.5),
-        l_follow=cfg.l_follow.scaled(1.5),
-        friction_extra=cfg.friction_extra.scaled(1.5),
+        l_gen=ConstantDelay(round(1.5 * cfg.l_gen.value_ns)),
+        l_network=LogNormalDelay(net.mu + math.log(1.5), net.sigma),
+        l_exec=ConstantDelay(round(1.5 * cfg.l_exec.value_ns)),
+        l_follow=LogNormalDelay(follow.mu + math.log(1.5), follow.sigma),
+        friction_extra=ConstantDelay(round(1.5 * cfg.friction_extra.value_ns)),
     )
     base_median = summarize(simulate(cfg)[2].columns["true_total_ns"]).median_ns
     scaled_median = summarize(simulate(scaled)[2].columns["true_total_ns"]).median_ns
