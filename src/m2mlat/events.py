@@ -14,13 +14,14 @@ are supported:
   layout, so a lenient parse that skips a bad first line still reads the
   rows after it.
 * Kernel ring text: one event per line matching
-  ``m2m_irq: seq=<uint> ts=<uint ns> src=<hall|pulse>``. Anything before
-  the ``m2m_irq:`` marker (such as a bracketed kernel timestamp) is
-  ignored. Ring logs carry no node identity, so ``parse_log`` requires an
-  explicit ``node`` for this format. Interrupt-logging kernel modules do
-  not share a standard output grammar; this line shape is the contract
-  this toolkit commits to, and an emitter must match it (or be piped
-  through a one-line rewrite) to be ingested.
+  ``m2m_irq: seq=<uint> ts=<uint ns> src=<hall|pulse>``, UTF-8, LF or CRLF
+  line endings. The fields may be separated by any ASCII blank (such as a
+  tab), and anything before the ``m2m_irq:`` marker (such as a bracketed
+  kernel timestamp) is ignored. Ring logs carry no node identity, so
+  ``parse_log`` requires an explicit ``node`` for this format.
+  Interrupt-logging kernel modules do not share a standard output grammar;
+  this line shape is the contract this toolkit commits to, and an emitter
+  must match it (or be piped through a one-line rewrite) to be ingested.
 
 Timestamps are stored as 64-bit signed integer nanoseconds; derived
 statistics may be floating point but storage never is, and a cell beyond
@@ -32,22 +33,25 @@ increasing and ``t_wall_ns`` is non-decreasing (equal timestamps are
 legal: interrupt bursts can collide at nanosecond granularity);
 ``_check_order`` is the one place that rule is written.
 
-``parse_log`` reads an ASCII log with no split into lines. For CSV the row
-pattern is built from the header (or the first row's layout) and the
-pinned node id; regex matches with no capture groups check that every
-line after the header is such a row, which may end in CR, or blank. numpy
-then reads the columns from the bytes, with no Python object per event:
-the commas and LFs bound each cell, the integer cells come from one Horner
-pass per column, and ``source`` from a cell's first byte. For ring text one
-regex pass collects the fields of every event; each ``m2m_irq:`` marker
-must sit in a well-formed event line, one per line, and the other
-non-blank lines are the ones a lenient parse skips. This fast path only
-returns what the line loop (``_parse_lines``) returns for the same input,
-and it hands the input to that loop unchanged whenever it cannot show
-this: text that is not ASCII, a line that is none of the above, a strict
-ring parse with marker-less lines, a cell beyond int64, or rows that break
-the order rule or start at a ``t_wall_ns`` of 0. So the loop's line
-parsers write every error message.
+``parse_log`` reads a log with no split into lines, and numpy reads the
+columns of either format from the bytes, with no Python object per event:
+the integer cells come from one Horner pass per column, and ``source``
+from one byte of its cell. CSV must be ASCII. Its row pattern is built from
+the header (or the first row's layout) and the pinned node id; regex
+matches with no capture groups check that every line after the header is
+such a row, which may end in CR, or blank, and the commas and LFs then
+bound each cell. Ring text must be UTF-8. One scan each finds its spaces
+(the ASCII bytes ``str.strip()`` removes, LF among them), its ``m2m_irq:``
+markers and its ``=`` signs, and gathers at those positions check that
+each marker starts a well-formed event, so there is one per line; the
+other lines that are not blank are the ones a lenient parse skips. This
+fast path only returns what the line loop (``_parse_lines``) returns for
+the same input, and it hands the input to that loop unchanged whenever it
+cannot show this: CSV that is not ASCII, ring text that is not UTF-8, a
+line that is none of the above, a strict ring parse with marker-less
+lines, a cell beyond int64, or rows that break the order rule or start at
+a ``t_wall_ns`` of 0. So the loop's line parsers write every error
+message.
 
 CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
 output of ``write_log`` (which, like every CSV table of the toolkit, goes
@@ -201,12 +205,13 @@ def parse_log(
     and first failure reason are reported in the returned log's ``meta``
     under ``parse_skipped`` / ``parse_first_error``.
     """
-    data = _ascii(raw)
     log = None
-    if data is not None and fmt is LogFormat.CSV:
-        log = _parse_csv_fast(data, node)
-    elif data is not None and fmt is LogFormat.KERNEL_RING and node is not None:
-        log = _parse_ring_fast(data, node, lenient)
+    if fmt is LogFormat.CSV:
+        data = _ascii(raw)
+        log = None if data is None else _parse_csv_fast(data, node)
+    elif fmt is LogFormat.KERNEL_RING and node is not None:
+        data = _utf8(raw)
+        log = None if data is None else _parse_ring_fast(data, node, lenient)
     return _parse_lines(raw, fmt, node, lenient) if log is None else log
 
 
@@ -432,27 +437,27 @@ def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     return seq, t_wall, -1, _SOURCE_BY_NAME[m.group(3)]
 
 
-# The whole-text fast path of parse_log. It checks ASCII bytes with regex
-# passes, reads CSV columns with numpy, and gives up (returns None)
-# wherever it cannot show that _parse_lines would return the same log.
+# The whole-text fast path of parse_log. It checks the bytes with regex
+# passes and numpy scans, reads the columns with numpy, and gives up
+# (returns None) wherever it cannot show that _parse_lines would return the
+# same log.
 
 # The ASCII bytes str.strip() removes, less LF.
 _BLANK = rb"[\t\x0b\x0c\r\x1c-\x1f ]"
+# The same bytes and LF, by byte value.
+_IS_SPACE = np.array([re.fullmatch(rb"%s|\n" % _BLANK, bytes([byte])) is not None
+                      for byte in range(256)])
 _LEADING_BLANK_LINES = re.compile(rb"(?:%s*\n)*" % _BLANK)
-_LF_BEFORE_BLANK_LINE = re.compile(rb"\n(?=%s*$)" % _BLANK, re.M)
-_MARKERLESS_LINE = re.compile(rb"^(?!%s*$)(?![^\n]*m2m_irq:)" % _BLANK, re.M)
-_RING_EVENT = re.compile(
-    rb"m2m_irq: *seq=([0-9]{1,19}) +ts=([0-9]{1,19}) +src=(hall|pulse) *$", re.M
-)
 _CSV_CELL = {
     "seq": rb"[0-9]{1,19}",
     "t_wall_ns": rb"[0-9]{1,19}",
     "t_mono_ns": rb"[0-9]{0,19}",
     "source": rb"(?:%s)?" % "|".join(_SOURCE_NAMES).encode(),
 }
-_SOURCE_CODES = {name.encode(): code for name, code in _SOURCE_BY_NAME.items()}
 # The most lines of a CSV body that one regex match reads.
 _LINES_PER_MATCH = 1024
+# The bytes that one step of a scan for a byte value reads.
+_SCAN_BLOCK = 1 << 16
 
 
 def _ascii(raw) -> bytes | None:
@@ -462,25 +467,32 @@ def _ascii(raw) -> bytes | None:
     return raw if isinstance(raw, bytes) and raw.isascii() else None
 
 
+def _utf8(raw) -> bytes | None:
+    """The log as bytes if it is valid UTF-8, else None."""
+    try:
+        if isinstance(raw, str):
+            return raw.encode()
+        if isinstance(raw, bytes):
+            if not raw.isascii():
+                raw.decode()
+            return raw
+    except UnicodeError:
+        pass
+    return None
+
+
 def _line_at(data: bytes, start: int) -> str:
     end = data.find(b"\n", start)
     return data[start:None if end < 0 else end].decode()
 
 
-def _groups(pattern: re.Pattern, data: bytes) -> list[list]:
-    """Each group of ``pattern`` over all its matches in ``data``, None
-    where a group did not take part. ``split`` lists the text between
-    matches and the groups of each match in one flat list, so each group is
-    a slice of it, with no tuple per match."""
-    flat = pattern.split(data)
-    width = pattern.groups + 1
-    return [flat[i::width] for i in range(1, width)]
-
-
-def _blank_lines(data: bytes, start: int) -> int:
-    """How many lines from the one that begins at ``start`` on are blank."""
-    first = not _line_at(data, start).strip()
-    return first + len(_LF_BEFORE_BLANK_LINE.findall(data, start))
+def _where(text: np.ndarray, compare: np.ufunc, byte: int) -> np.ndarray:
+    """The positions of the bytes ``b`` of ``text`` for which
+    ``compare(b, byte)`` holds, found a block at a time: in a ring parse,
+    masks as long as the text, each freed at once, left the allocator's
+    heap larger for the rest of the process."""
+    return np.concatenate([np.flatnonzero(compare(text[start:start + _SCAN_BLOCK], byte)) + start
+                           for start in range(0, len(text), _SCAN_BLOCK)] or [np.zeros(0, np.intp)])
 
 
 def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog | None:
@@ -554,12 +566,13 @@ def _csv_columns(text: np.ndarray, start: int, lfs: np.ndarray, node: NodeId,
 
 
 def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
-    """The int64 values of the digit cells of ``lengths[i]`` (at most 19)
-    digits that end at ``stops[i]``, 0 when empty; None if one is 2**63 or more.
+    """The int64 values of the cells of ``lengths[i]`` (at most 19) bytes
+    that end at ``stops[i]``, 0 when empty; None if a cell holds a byte that
+    is no ASCII digit, or is 2**63 or more.
 
     One Horner pass reads as many bytes as the longest cell has, up to where
-    each cell ends. Every byte is clamped to a digit, so no sum passes
-    10**19, and each cell is its sum modulo 10**length.
+    each cell ends, with the bytes before a cell read as 0. Nineteen digits
+    stay below 2**64, so no sum wraps.
     """
     width = max(int(lengths.max()), 1)
     if stops.min() < width:  # a cell near the start of the text
@@ -567,40 +580,135 @@ def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.
         stops = stops + width
     digits = sliding_window_view(text, width)[stops - width]
     digits -= np.uint8(ord("0"))
-    np.minimum(digits, np.full(width, 9, np.uint8), out=digits)
     value = np.zeros(len(stops), np.uint64)
-    for column in digits.T:
+    every = width - int(lengths.min())  # the first place that every cell holds
+    for place, column in enumerate(digits.T):
+        if place < every:
+            column *= lengths >= width - place  # a byte before its cell reads as 0
         value *= np.uint64(10)
         value += column
-    value %= (10 ** np.arange(width + 1, dtype=np.uint64))[lengths]
+    if digits.max() > 9:
+        return None
     if value.max() >= np.uint64(2**63):
         return None
     return value.view(np.int64)
 
 
 def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | None:
-    seq, ts, source = _groups(_RING_EVENT, data)
-    # One match per marker: every line with a marker is an event line with
-    # no other marker, so the other non-blank lines are the marker-less ones
-    # the loop skips.
-    if not seq or data.count(b"m2m_irq:") != len(seq):
+    """The log of ring text that is UTF-8, read from the bytes as CSV is.
+
+    One scan each finds the spaces (the ASCII bytes ``str.strip()`` removes,
+    LF among them), the ``m2m_irq:`` markers and, in ``_ring_tails``, the
+    ``=`` signs. A line of ASCII is blank if the spaces hold all its bytes,
+    which their positions show; a line of other text is decoded. Each marker
+    must start a tail that ``_ring_tails`` reads. No tail holds a second
+    marker, so the lines the loop skips are the others that are not blank.
+    """
+    text = np.frombuffer(data, np.uint8)
+    spaces = _where(text, np.less_equal, ord(" "))
+    byte = text.take(spaces)
+    space = _IS_SPACE.take(byte)
+    if not space.all():  # a control byte that is no space
+        spaces, byte = spaces[space], byte[space]
+    colons = _where(text, np.equal, ord(":"))
+    colons = colons[colons >= 7]
+    for back, marker_byte in enumerate(b"qri_m2m", 1):
+        colons = colons[text[colons - back] == marker_byte]
+    if not len(colons):
         return None
-    skipped = data.count(b"\n") + 1 - len(seq) - _blank_lines(data, 0)
+    # Line k runs from bounds[k] + 1 up to bounds[k + 1], and is blank if as
+    # many spaces as bytes lie between those two LFs.
+    at_lf = np.flatnonzero(byte == ord("\n"))
+    bounds = np.concatenate(([-1], spaces[at_lf], [len(text)]))
+    blank = np.diff(bounds) == np.diff(np.concatenate(([-1], at_lf, [len(spaces)])))
+    del byte, space, at_lf  # the parse's peak memory is what it holds at once
+    if not data.isascii():
+        for line in np.unique(np.searchsorted(bounds, _where(text, np.greater, 0x7f)) - 1).tolist():
+            blank[line] = not _line_at(data, int(bounds[line]) + 1).strip()
+    lines = np.searchsorted(bounds, colons) - 1
+    ends = bounds[lines + 1]
+    markerless = ~blank
+    markerless[lines] = False
+    skipped = np.flatnonzero(markerless)
     meta = {}
-    if skipped:
+    if len(skipped):
         if not lenient:
             return None
-        start = _MARKERLESS_LINE.search(data).start()
+        first = int(skipped[0])
         try:
-            _parse_kernel_line(_line_at(data, start), data.count(b"\n", 0, start) + 1)
+            _parse_kernel_line(_line_at(data, int(bounds[first]) + 1), first + 1)
         except LineError as err:
-            meta = {"parse_skipped": str(skipped), "parse_first_error": str(err)}
-    try:
-        seq, t_wall = np.array([seq, ts], dtype=np.int64)
-    except OverflowError:
+            meta = {"parse_skipped": str(len(skipped)), "parse_first_error": str(err)}
+    del bounds, blank, lines, markerless, skipped
+    columns = _ring_tails(text, spaces, colons, ends)
+    return None if columns is None else _fast_log(node, *columns, meta)
+
+
+def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
+                ends: np.ndarray) -> tuple | None:
+    """The ``seq``, ``t_wall_ns``, ``t_mono_ns`` and ``source`` columns of
+    the tails that run from the markers ending at ``colons`` up to ``ends``,
+    or None unless every tail is well formed.
+
+    A tail is blanks, ``seq=`` and 1-19 digits, blanks, ``ts=`` and 1-19
+    digits, blanks, ``src=`` and a source name, then blanks. A blank is a
+    space other than LF: what the loop's ``\\s`` takes there in ASCII. The
+    three ``=`` of a tail are the first three after its marker, and each
+    digit cell ends at the next space. Each blank run then starts at the
+    space that follows the run before it, so walking ``spaces`` from the
+    first one after the marker checks it with two gathers.
+    """
+    eqs = _where(text, np.equal, ord("="))
+    first = np.searchsorted(eqs, colons)
+    if first[-1] + 3 > len(eqs) or not len(spaces):  # a tail holds three = and blanks
         return None
-    codes = np.fromiter(map(_SOURCE_CODES.__getitem__, source), np.int64, len(source))
-    return _fast_log(node, seq, t_wall, None, codes, meta)
+    seq_eq, ts_eq, src_eq = eqs[first], eqs[first + 1], eqs[first + 2]
+    del eqs, first
+    pulse = _word_at(text, src_eq + 1, b"pulse")
+    if not ((_word_at(text, src_eq + 1, b"hall") | pulse) & _word_at(text, seq_eq - 3, b"seq")
+            & _word_at(text, ts_eq - 2, b"ts") & _word_at(text, src_eq - 3, b"src")).all():
+        return None
+    at = np.searchsorted(spaces, colons)
+    if not _space_run(spaces, at, colons + 1, seq_eq - 3).all():
+        return None
+    at += seq_eq - 4 - colons
+    cells = []
+    for eq, word in ((seq_eq, ts_eq - 2), (ts_eq, src_eq - 3)):
+        stops = spaces.take(at, mode="clip")
+        lengths = stops - eq - 1
+        if not ((lengths > 0) & (lengths < 20) & (stops < word)
+                & _space_run(spaces, at, stops, word)).all():
+            return None
+        at += word - stops
+        cells.append(_uint_cells(text, stops, lengths))
+        if cells[-1] is None:
+            return None
+    if not _space_run(spaces, at, src_eq + 5 + pulse, ends).all():
+        return None
+    seq, t_wall = cells
+    # source codes index tuple(EventSource): hall is 0 and pulse 1
+    return seq, t_wall, None, pulse.astype(np.int64)
+
+
+def _space_run(spaces: np.ndarray, at: np.ndarray, starts: np.ndarray,
+               stops: np.ndarray) -> np.ndarray:
+    """Whether the bytes from ``starts`` up to ``stops`` are spaces, the
+    first of them ``spaces[at]``: true of an empty run and false of one that
+    would end before it starts. ``spaces`` rises, so it holds every byte of
+    the run if it holds its first and last this far apart."""
+    last = at + (stops - starts) - 1
+    return (stops == starts) | (
+        (stops > starts) & (last < len(spaces)) & (spaces.take(at, mode="clip") == starts)
+        & (spaces.take(last, mode="clip") == stops - 1))
+
+
+def _word_at(text: np.ndarray, starts: np.ndarray, word: bytes) -> np.ndarray:
+    """Whether ``word`` starts at each of ``starts``; a byte past the end of
+    the text reads as its last one."""
+    found = np.ones(len(starts), bool)
+    for offset, byte in enumerate(word):
+        found &= text.take(starts + offset, mode="clip") == byte
+    return found
 
 
 def _fast_log(node: NodeId, seq, t_wall, t_mono, source, meta: dict[str, str]) -> EventLog | None:

@@ -7,6 +7,7 @@ the same message, strict and lenient.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -94,7 +95,7 @@ def ring_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-TOKENS = [bytes([b]) for b in b" \t\r,-+_0123456789\n\xff"] + [
+TOKENS = [bytes([b]) for b in b" \t\r,-+_=0123456789\n\xff"] + [
     token.encode() for token in (
         "١", "m2m_irq:", " m2m_irq: ", "\r\n", "é",
         "\u00a0",  # whitespace to str.strip(), but not ASCII
@@ -179,6 +180,24 @@ EDGE_CASES = {
     "csv_no_rows": "\n \n",
     "ring_noise_only": "[ 0.1] booting\n",
     "ring_noise_last": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=hall\n[ 9.9] halt",
+    "ring_marker_ends_the_text": RING_HEAD + "m2m_irq:",
+    "ring_eq_before_marker": "[ a=1] m2m_irq: seq=0 ts=1000 src=hall\nx= m2m_irq: seq=1 ts=2000 src=hall\n",
+    "ring_eq_after_source": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=hall=\n",
+    "ring_19_digit_cells": f"m2m_irq: seq={10**18} ts={10**18 + 1} src=hall\n",
+    "ring_19_nines": RING_HEAD + f"m2m_irq: seq=1 ts={10**19 - 1} src=hall\n",
+    "ring_20_digit_cells": RING_HEAD + f"m2m_irq: seq={1:020d} ts={2000:020d} src=hall\n",
+    "ring_20_digit_ts_beyond_int64": RING_HEAD + f"m2m_irq: seq=1 ts={10**19} src=hall\n",
+    "ring_ts_2**64_and_more": RING_HEAD + f"m2m_irq: seq=1 ts={2**64 + 2000} src=hall\n",
+    "ring_junk_among_trailing_blanks": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=hall x ",
+    "ring_source_cut_by_the_end": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=hal",
+    "ring_pulse_on_a_last_line_without_lf": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=pulse",
+    "ring_nbsp_line": RING_HEAD + "\u00a0\n[ 1.0] noise\n\u00a0 \u3000\nm2m_irq: seq=1 ts=2000 src=hall\n",
+    "ring_camera_dmesg_line": RING_HEAD + "[    3.2] usb 1-1: Product: Caméra\n"
+                              "m2m_irq: seq=1 ts=2000 src=hall\n",
+    "ring_nbsp_between_fields": "m2m_irq: seq=0\u00a0ts=1000 src=hall\n",
+    "ring_ascii_blanks_between_fields": "m2m_irq:\x1fseq=0\x0bts=1000\x0c\x1csrc=hall\x1e\n",
+    "ring_no_blank_at_all": "m2m_irq:seq=0ts=1000src=hall",
+    "ring_control_byte_line": RING_HEAD + "\x00\n\x1b\nm2m_irq: seq=1 ts=2000 src=hall\n",
 }
 
 
@@ -186,6 +205,8 @@ EDGE_CASES = {
 def test_edge_cases_match_line_loop(name, raw):
     if name.startswith("ring"):
         assert_same(raw, RING, OPERATOR)
+        if isinstance(raw, str):
+            assert_same(raw.encode(), RING, OPERATOR)
     else:
         assert_same(raw, CSV)
         assert_same(raw, CSV, OPERATOR)
@@ -199,6 +220,13 @@ def test_node_id_the_loop_cannot_match():
 
 # -- the fast path is taken ---------------------------------------------------
 
+def _forbid_the_line_loop(monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("line loop ran")
+
+    monkeypatch.setattr(events, "_collect", no_loop)
+
+
 @pytest.mark.parametrize("raw, fmt, lenient", [
     ("node,seq,t_wall_ns\noperator,0,1000\noperator,1,2000\n", CSV, False),
     ("vehicle,0,1000,,pulse\nvehicle,2,2000,55,\nvehicle,3,2000,,synthetic\n", CSV, False),
@@ -208,10 +236,48 @@ def test_node_id_the_loop_cannot_match():
 def test_canonical_logs_skip_the_line_loop(monkeypatch, raw, fmt, lenient):
     node = OPERATOR if fmt is RING else None
     expected = events._parse_lines(raw, fmt, node, lenient)
-
-    def no_loop(*args):
-        raise AssertionError("line loop ran")
-
-    monkeypatch.setattr(events, "_collect", no_loop)
+    _forbid_the_line_loop(monkeypatch)
     assert parse_log(raw.encode(), fmt, node=node, lenient=lenient) == expected
     assert parse_log(raw, fmt, node=node, lenient=lenient) == expected
+
+
+def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
+    """The shape of a 4,000-trial field capture: 12,000 events with
+    bracketed uptimes, and a dmesg line after 15% of them."""
+    rng = np.random.default_rng(401)
+    edges = 4000 * 3
+    t = 1_700_000_000 * 10**9 + np.cumsum(rng.integers(1, 5 * 10**9, edges))
+    seq = 10**6 + np.cumsum(rng.integers(1, 3, edges))
+    uptime = (t - t[0]) / 1e9 + 12.5
+    lines = []
+    for s, ts, up, noise in zip(seq.tolist(), t.tolist(), uptime.tolist(),
+                                (rng.random(edges) < 0.15).tolist()):
+        lines.append(f"[{up:12.6f}] m2m_irq: seq={s} ts={ts} src=hall")
+        if noise:
+            lines.append(f"[{up + 0.000731:12.6f}] {DMESG[s % len(DMESG)]}")
+    raw = ("\n".join(lines) + "\n").encode()
+    assert_same(raw, RING, OPERATOR)
+    expected = events._parse_lines(raw, RING, OPERATOR, True)
+    assert len(expected) == edges
+    _forbid_the_line_loop(monkeypatch)
+    assert parse_log(raw, RING, node=OPERATOR, lenient=True) == expected
+
+
+def test_a_blank_run_that_ends_before_it_starts_is_refused():
+    # spaces[0] and spaces[2] are as far apart as the ends of a run from 6 to 5
+    spaces = np.array([4, 5, 6])
+    assert events._space_run(spaces, np.array([2]), np.array([6]), np.array([5])).tolist() == [False]
+    assert events._space_run(spaces, np.array([0]), np.array([4]), np.array([7])).tolist() == [True]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_ring_scans_find_the_same_bytes_block_by_block(monkeypatch, block):
+    monkeypatch.setattr(events, "_SCAN_BLOCK", block)
+    for name, raw in EDGE_CASES.items():
+        if name.startswith("ring"):
+            assert_same(raw, RING, OPERATOR)
+    # the fast path takes this log only if it finds the blank that ends it
+    raw = RING_HEAD + "m2m_irq: seq=1 ts=2000 src=pulse\r"
+    expected = events._parse_lines(raw, RING, OPERATOR, False)
+    _forbid_the_line_loop(monkeypatch)
+    assert parse_log(raw, RING, node=OPERATOR) == expected
