@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import ConfigInvalid, EmptyLog, NegativeComponent, ZeroRate
 from .tables import write_table
@@ -101,7 +100,7 @@ class ErrorBudget:
         parts = ("e_sync_ns", "e_circuit_ns", "e_kernel_ns", "e_calib_ns", "e_total_ns")
         return write_table(
             parts + ("in_precision_band",),
-            [attrgetter(*parts)(self) + (str(self.in_precision_band).lower(),)],
+            [[getattr(self, p)] for p in parts] + [[str(self.in_precision_band).lower()]],
         )
 
 

@@ -307,9 +307,8 @@ class OffsetSeries:
     stats_abs: SummaryStats
 
     def to_csv(self) -> str:
-        # one list per column: faster than a tuple per structured row
         columns = OFFSET_DTYPE.names
-        return write_table(columns, zip(*(self.samples[c].tolist() for c in columns)))
+        return write_table(columns, [self.samples[c] for c in columns])
 
 
 def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:

@@ -58,6 +58,9 @@ output of ``write_log`` (which, like every CSV table of the toolkit, goes
 through ``tables.write_table``) reproduces the original log exactly for
 logs with empty meta and a canonical node id ("operator" or "vehicle");
 for any other node, pass the original ``node`` back into ``parse_log``.
+``write_log`` refuses a node id that holds a comma, CR or LF, or that
+starts or ends with a blank (anything ``str.strip()`` removes): a row
+would then split into other cells, or read back as another id.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -219,15 +221,20 @@ def write_log(log: EventLog) -> str:
     """Serialize a log to CSV text, the one writable format.
 
     Optional columns are emitted only when some event needs them, so all
-    header variants of the format are produced naturally.
+    header variants of the format are produced naturally. A node id that
+    ``parse_log`` could not read back (see the module docstring) raises
+    ConfigInvalid.
     """
-    cells = {"node": repeat(log.node.id), "seq": log.seq.tolist(),
-             "t_wall_ns": log.t_wall_ns.tolist()}
+    node_id = log.node.id
+    if node_id != node_id.strip() or any(char in node_id for char in ",\r\n"):
+        raise ConfigInvalid(f"node id {node_id!r} cannot be written to CSV: it holds a "
+                            "comma, CR or LF, or starts or ends with a blank")
+    cells = {"node": [node_id] * len(log), "seq": log.seq, "t_wall_ns": log.t_wall_ns}
     if (log.t_mono_ns >= 0).any():
         cells["t_mono_ns"] = ["" if t < 0 else t for t in log.t_mono_ns.tolist()]
     if log.source.any():
-        cells["source"] = [_SOURCE_NAMES[c] for c in log.source.tolist()]
-    return write_table(tuple(cells), zip(*cells.values()))
+        cells["source"] = np.array(_SOURCE_NAMES, object)[log.source]
+    return write_table(tuple(cells), list(cells.values()))
 
 
 def _parse_lines(
@@ -572,13 +579,16 @@ def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.
 
     One Horner pass reads as many bytes as the longest cell has, up to where
     each cell ends, with the bytes before a cell read as 0. Nineteen digits
-    stay below 2**64, so no sum wraps.
+    stay below 2**64, so no sum wraps. ``stops`` ascend, so the cells that
+    end within the first ``width`` bytes come first; each is read from the
+    start of the text and moved to the end of its window.
     """
     width = max(int(lengths.max()), 1)
-    if stops.min() < width:  # a cell near the start of the text
-        text = np.concatenate((np.zeros(width, np.uint8), text))
-        stops = stops + width
-    digits = sliding_window_view(text, width)[stops - width]
+    digits = sliding_window_view(text, width)[np.maximum(stops - width, 0)]
+    for row, stop in enumerate(stops[:width].tolist()):
+        if stop >= width:
+            break
+        digits[row, width - stop:] = text[:stop]
     digits -= np.uint8(ord("0"))
     value = np.zeros(len(stops), np.uint64)
     every = width - int(lengths.min())  # the first place that every cell holds

@@ -91,9 +91,8 @@ class PairingReport:
         return self.samples["m2m_ns"]
 
     def to_csv(self) -> str:
-        # one list per column: faster than a tuple per structured row
         columns = SAMPLE_DTYPE.names
-        return write_table(columns, zip(*(self.samples[c].tolist() for c in columns)))
+        return write_table(columns, [self.samples[c] for c in columns])
 
     def meta_text(self) -> str:
         return (

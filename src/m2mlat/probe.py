@@ -24,7 +24,6 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .clocks import probe_offset
 from .errors import MalformedPacket, NegativeRtt
@@ -116,7 +115,7 @@ class ProbeResult:
 
     def to_csv(self) -> str:
         columns = ("seq", "t1", "t2", "t3", "t4", "offset_ns", "rtt_ns")
-        return write_table(columns, map(attrgetter(*columns), self.samples))
+        return write_table(columns, [[getattr(s, c) for s in self.samples] for c in columns])
 
 
 def open_socket(host: str, port: int) -> socket.socket:

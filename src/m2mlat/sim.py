@@ -135,8 +135,7 @@ class GroundTruth:
         )
 
     def to_csv(self) -> str:
-        rows = zip(*(self.columns[k].tolist() for k in TRUTH_COLUMNS))
-        return write_table(TRUTH_COLUMNS, rows)
+        return write_table(TRUTH_COLUMNS, list(self.columns.values()))
 
     @classmethod
     def from_csv(cls, text: str) -> "GroundTruth":

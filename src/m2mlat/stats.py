@@ -8,7 +8,6 @@ Quantiles use linear interpolation between order statistics (rank
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -168,7 +167,7 @@ def stats_csv(stats: SummaryStats) -> str:
     over = sorted(stats.frac_over)
     return write_table(
         _STATS_COLUMNS + tuple(f"frac_over_{t}ns" for t in over),
-        [attrgetter(*_STATS_COLUMNS)(stats) + tuple(stats.frac_over[t] for t in over)],
+        [[getattr(stats, c)] for c in _STATS_COLUMNS] + [[stats.frac_over[t]] for t in over],
     )
 
 
@@ -177,5 +176,5 @@ def boxplot_csv(bp: BoxplotData) -> str:
     outliers = ";".join(map(str, bp.outliers_ns))
     return write_table(
         _BOXPLOT_COLUMNS + ("outliers_ns",),
-        [attrgetter(*_BOXPLOT_COLUMNS)(bp) + (outliers,)],
+        [[getattr(bp, c)] for c in _BOXPLOT_COLUMNS] + [[outliers]],
     )

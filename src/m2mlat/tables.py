@@ -1,25 +1,74 @@
 """The integer CSV table format: ``write_table`` writes every table the
 toolkit emits, and ``read_int_columns`` reads each integer table it takes
 in (sample files, scheduling files, ground truth) without numpy.
+
+``write_table`` takes one sequence per column and formats blocks of
+``_ROWS_PER_FORMAT`` (1,024) rows, one ``%`` each: a column whose int or
+str cells are all equal within the block is written into the block's row
+pattern, and the cells of the other columns fill its ``%s`` fields, so no
+tuple or line string is made per row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import ConfigInvalid
 
+# The most rows that one % call formats.
+_ROWS_PER_FORMAT = 1024
 
-def write_table(columns: Sequence[str], rows: Iterable[tuple]) -> str:
-    """CSV text, LF after every line: the header, then one line per row tuple.
+
+def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
+    """CSV text, LF after every line: the header ``columns``, then one
+    line per row of ``cells``, which holds one list or 1-D numpy array per
+    column, all of one length.
 
     Cells are written with ``str`` (a float's is its shortest round-trip
-    repr), so callers pass each cell already in its output form.
+    repr), so callers pass each cell already in its output form: an int,
+    float, bool or str.
     """
-    pattern = ",".join(["%s"] * len(columns))
-    lines = [",".join(columns)]
-    lines.extend(pattern % row for row in rows)
-    return "\n".join(lines) + "\n"
+    rows = len(cells[0]) if cells else 0
+    if len(cells) != len(columns) or any(len(column) != rows for column in cells):
+        raise ValueError(f"write_table needs {len(columns)} columns of one length")
+    out = [",".join(columns) + "\n"]
+    for start in range(0, rows, _ROWS_PER_FORMAT):
+        fields, varying = [], []
+        for column in cells:
+            block = column[start:start + _ROWS_PER_FORMAT]
+            typed = False  # a numpy array's cells share one type unless it holds objects
+            if hasattr(block, "dtype"):
+                typed, block = block.dtype.kind != "O", block.tolist()
+            text = _constant_text(block, typed)
+            if text is None:
+                fields.append("%s")
+                varying.append(block)
+            else:
+                fields.append(text)
+        k = min(rows - start, _ROWS_PER_FORMAT)
+        flat = [None] * (k * len(varying))
+        for j, block in enumerate(varying):
+            flat[j::len(varying)] = block
+        out.append((",".join(fields) + "\n") * k % tuple(flat))
+    return "".join(out)
+
+
+def _constant_text(block: list, typed: bool) -> str | None:
+    """The text of every cell of ``block``, escaped for a ``%`` pattern, if
+    the cells are equal ints or equal strs; else None. ``typed``: every
+    cell has one type.
+
+    Equal cells of other types may print differently (``0.0 == -0.0``, and
+    ``True == 1``), so only an int or str column folds, and a list whose
+    first cell is an int only if every cell is an int.
+    """
+    first = block[0]
+    if (type(first) not in (int, str) or block[-1] != first
+            or block.count(first) != len(block)):
+        return None
+    if not typed and type(first) is int and set(map(type, block)) != {int}:
+        return None
+    return str(first).replace("%", "%%")
 
 
 def table_lines(raw: bytes | str) -> list[tuple[int, str]]:

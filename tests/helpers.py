@@ -136,6 +136,14 @@ def oracle_calib_ns(misalignment_deg: float, rate_deg_per_s: float) -> int:
     return -int((-value + Fraction(1, 2)).__floor__())
 
 
+def oracle_write_table(columns, rows) -> str:
+    """The CSV text of ``rows``, one tuple each, built a line at a time."""
+    pattern = ",".join(["%s"] * len(columns))
+    lines = [",".join(columns)]
+    lines.extend(pattern % tuple(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 WATCHED_MODULES = (
     "numpy", "scipy", "m2mlat.clocks", "m2mlat.dists", "m2mlat.events",
     "m2mlat.pairing", "m2mlat.probe", "m2mlat.sim", "m2mlat.stats",

@@ -313,6 +313,19 @@ class TestWriteLog:
         assert out.startswith("node,seq,t_wall_ns,source\n")
         assert "vehicle,0,5,pulse" in out
 
+    @pytest.mark.parametrize("node_id", ["a,b", "a\rb", "a\nb", " op", "op ", "op\t", "\x1fop"])
+    def test_a_node_id_that_would_not_read_back_is_refused(self, node_id):
+        log = make_log(NodeId(node_id, Role.OPERATOR), [5])
+        with pytest.raises(ConfigInvalid, match="cannot be written to CSV"):
+            write_log(log)
+
+    def test_a_node_id_holding_percent_is_written_literally(self):
+        node = NodeId("op%s", Role.OPERATOR)
+        log = make_log(node, [5, 10], source=EventSource.SHARED_PULSE)
+        out = write_log(log)
+        assert out == "node,seq,t_wall_ns,source\nop%s,0,5,pulse\nop%s,1,10,pulse\n"
+        assert parse_log(out, node=node) == log
+
 
 def _event_strategy():
     return st.tuples(
@@ -325,7 +338,8 @@ def _event_strategy():
 
 @st.composite
 def csv_logs(draw):
-    node = draw(st.sampled_from([OPERATOR, VEHICLE, NodeId("bench_rig", Role.OPERATOR)]))
+    node = draw(st.sampled_from([OPERATOR, VEHICLE, NodeId("bench_rig", Role.OPERATOR),
+                                 NodeId("op%s", Role.OPERATOR)]))
     rows = draw(st.lists(_event_strategy(), min_size=1, max_size=25))
     columns = ([], [], [], [])
     seq = -1

@@ -7,6 +7,8 @@ the same message, strict and lenient.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,3 +283,24 @@ def test_ring_scans_find_the_same_bytes_block_by_block(monkeypatch, block):
     expected = events._parse_lines(raw, RING, OPERATOR, False)
     _forbid_the_line_loop(monkeypatch)
     assert parse_log(raw, RING, node=OPERATOR) == expected
+
+
+def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
+    """The first row's seq ends within the first ``width`` bytes of the
+    text, where ``width`` is the 7 digits of the later seqs."""
+    seq = 1 + 100 * np.arange(12_000)
+    t = 1_700_000_000 * 10**9 + 5 * 10**9 * seq
+    body = "".join(f"op,{s},{ts}\n" for s, ts in zip(seq.tolist(), t.tolist())).encode()
+    headed = b"node,seq,t_wall_ns\n" + body
+    assert parse_log(body) == events._parse_lines(body, CSV, None, False)
+
+    def peak(raw):
+        tracemalloc.start()
+        try:
+            parse_log(raw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _forbid_the_line_loop(monkeypatch)
+    assert peak(body) <= peak(headed)
