@@ -292,7 +292,7 @@ def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
     t = 1_700_000_000 * 10**9 + 5 * 10**9 * seq
     body = "".join(f"op,{s},{ts}\n" for s, ts in zip(seq.tolist(), t.tolist())).encode()
     headed = b"node,seq,t_wall_ns\n" + body
-    assert parse_log(body) == events._parse_lines(body, CSV, None, False)
+    assert parse_log(body) == parse_log(headed) == events._parse_lines(body, CSV, None, False)
 
     def peak(raw):
         tracemalloc.start()

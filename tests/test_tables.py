@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import write_log
@@ -117,6 +117,8 @@ def assert_writes_as_oracle(names, columns):
 
 
 @given(tables())
+@example((["n", "s", "f"], [np.array([5] * 1024 + list(range(1025))), ["%s"] * 1024 + ["x%"] * 1025,
+                            [0.0, -0.0] * 1024 + [1.5]]))
 @settings(max_examples=150, deadline=None)
 def test_write_table_matches_the_row_oracle(table):
     assert_writes_as_oracle(*table)
