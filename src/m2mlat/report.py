@@ -72,6 +72,13 @@ def build_report(
     )
 
 
+def _exact_ms(ns: int) -> str:
+    """``ns`` in ms, exact: no exponent, trailing zeros dropped."""
+    whole, frac = divmod(abs(ns), 1_000_000)
+    text = f"{'-' if ns < 0 else ''}{whole}"
+    return f"{text}.{frac:06d}".rstrip("0") if frac else text
+
+
 def render_text(report: Report) -> str:
     s = report.stats
     bp = report.boxplot
@@ -93,7 +100,7 @@ def render_text(report: Report) -> str:
         f"iqr_ms: {s.iqr_ns / 1e6:.6f}",
     ]
     for t in sorted(s.frac_over):
-        lines.append(f"frac_over_{t / 1e6:g}ms: {s.frac_over[t]:.4f}")
+        lines.append(f"frac_over_{_exact_ms(t)}ms: {s.frac_over[t]:.4f}")
     lines += [
         "",
         f"boxplot_q1_ms: {bp.q1_ns / 1e6:.6f}",

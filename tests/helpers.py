@@ -150,18 +150,31 @@ WATCHED_MODULES = (
 )
 
 
+def run_python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with the package's ``src``
+    directory on PYTHONPATH; stdout and stderr captured as bytes. Without
+    PYTHONUNBUFFERED, as a console script usually runs, stdout to the pipe
+    is block-buffered, so output left unflushed at exit goes missing."""
+    src = str(Path(m2mlat.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, timeout=60)
+
+
+def fresh_result(code: str, *args: str):
+    """The JSON value that ``code``, run in a fresh interpreter (see
+    ``run_python``) with ``args`` as its ``sys.argv[1:]``, prints on the
+    last line of its stdout. The code must not raise."""
+    out = run_python("-c", code, *args)
+    assert out.returncode == 0, out.stderr.decode()
+    return json.loads(out.stdout.splitlines()[-1])
+
+
 def loaded_modules(code: str, *args: str) -> list[str]:
     """Which of ``WATCHED_MODULES`` are in ``sys.modules``, sorted, after
-    ``code`` runs in a fresh interpreter, with ``args`` as its
-    ``sys.argv[1:]`` and the package's ``src`` directory on PYTHONPATH.
-    The code must not raise."""
-    probe = code + (
+    ``code`` runs in a fresh interpreter (see ``fresh_result``)."""
+    return fresh_result(code + (
         "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
         f"{WATCHED_MODULES!r} if m in sys.modules)))\n"
-    )
-    src = str(Path(m2mlat.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout.splitlines()[-1])
+    ), *args)

@@ -13,7 +13,7 @@ from m2mlat.events import LogFormat, parse_log
 from m2mlat.report import input_digest
 from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config
 
-from helpers import loaded_modules
+from helpers import fresh_result, loaded_modules, run_python
 
 MS = 1_000_000
 
@@ -546,6 +546,55 @@ def test_budget_as_module_loads_no_numpy(session):
     argv = ["budget", "--sched-a", f"{session}/sched_a.csv",
             "--sched-b", f"{session}/sched_b.csv", *BUDGET]
     assert loaded_modules(code, *argv) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["report", "--samples", "{d}/rep.pairs.csv"], 0),
+    (["budget", "--kernel-ms", "0.005", *BUDGET], 0),
+    (["report", "--samples", "{d}/missing.csv"], 2),
+], ids=["report", "budget", "io-error"])
+@pytest.mark.parametrize("entry, frozen", [("main", True), ("run_cli", False)])
+def test_only_main_freezes_the_collector(session, argv, code, entry, frozen):
+    # main() ends the process, so it freezes the collector as it returns and
+    # shutdown skips its collections; run_cli serves in-process callers
+    probe = (
+        "import gc, json, sys, m2mlat.cli\n"
+        f"code = m2mlat.cli.{entry}(sys.argv[1:])\n"
+        "print(json.dumps([code, gc.get_freeze_count()]))"
+    )
+    got_code, freeze_count = fresh_result(probe, *(a.format(d=session) for a in argv))
+    assert got_code == code
+    assert (freeze_count > 0) is frozen
+
+
+def test_console_path_matches_run_cli(tmp_path, capsys, monkeypatch):
+    # python -m m2mlat.cli, its output on pipes, against run_cli in process:
+    # the same stdout, stderr, exit code and --out files, byte for byte
+    steps = [
+        ["simulate", "--preset", "dyn_coref", "--trials", "40", "--seed", "3", "--out", "sim"],
+        ["analyze", "--operator", "sim/operator.csv", "--vehicle", "sim/vehicle.csv", "--out", "rep"],
+        ["report", "--samples", "rep.pairs.csv", "--threshold-ms", "800", "--out", "again"],
+        ["precision", "--node-a", "sim/operator.csv", "--node-b", "sim/vehicle.csv", "--out", "prec"],
+        ["budget", "--kernel-ms", "0.005", *BUDGET, "--out", "budget"],
+        ["simulate", "--preset", "no_such_preset", "--out", "nope"],
+    ]
+    console, in_process = tmp_path / "console", tmp_path / "in_process"
+    console.mkdir()
+    in_process.mkdir()
+    monkeypatch.chdir(in_process)
+    for argv in steps:
+        child = run_python("-m", "m2mlat.cli", *argv, cwd=console)
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out.encode(), err.encode()), argv
+    assert code == 1 and err.startswith("error:")
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert len(files(console)) == 16  # simulate 4, analyze 5, report 3, precision 3, budget 1
+    assert files(console) == files(in_process)
 
 
 def test_only_probe_loads_the_probe():

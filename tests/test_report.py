@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import re
+from decimal import Decimal
+
 import numpy as np
+import pytest
 
 from m2mlat import __version__
+from m2mlat.cli import run_cli
 from m2mlat.report import build_report, input_digest, make_provenance, render_text
 
 from helpers import loaded_modules
@@ -39,6 +44,33 @@ def test_render_includes_thresholds_and_boxplot():
     text = render_text(_sample_report())
     assert "frac_over_1000ms:" in text
     assert "boxplot_whisker_hi_ms:" in text
+
+
+@pytest.mark.parametrize("thresholds_ns, keys", [
+    ((1_000_000_000,), ["1000"]),
+    ((1_000_000_100, 1_000_000_200), ["1000.0001", "1000.0002"]),
+    ((1_234_567_800,), ["1234.5678"]),
+    ((-1_500_000, 1, 2**62), ["-1.5", "0.000001", "4611686018427.387904"]),
+])
+def test_threshold_keys_are_exact_ms(thresholds_ns, keys):
+    # the text names each threshold by its exact ms value, as stats.csv
+    # names it by its ns value: no rounding, no exponent, no trailing zeros
+    rep = build_report("t", [5, 7, 9, 11, 13], make_provenance(None, "x"), thresholds_ns)
+    found = re.findall(r"^frac_over_(.*)ms: ", render_text(rep), re.M)
+    assert found == keys
+    assert [int(Decimal(k) * 1_000_000) for k in found] == sorted(thresholds_ns)
+
+
+def test_report_cli_keeps_close_thresholds_apart(tmp_path, capsys):
+    samples = tmp_path / "values.txt"
+    samples.write_text("999000000\n999000000\n1000000150\n1000000150\n1000000250\n")
+    code = run_cli(["report", "--samples", str(samples), "--threshold-ms", "1000.0001",
+                    "--threshold-ms", "1000.0002", "--out", str(tmp_path / "rep")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "frac_over_1000.0001ms: 0.6000\nfrac_over_1000.0002ms: 0.2000\n" in out
+    header = (tmp_path / "rep.stats.csv").read_text().splitlines()[0]
+    assert header.endswith(",frac_over_1000000100ns,frac_over_1000000200ns")
 
 
 def test_unknown_seed_becomes_na():
