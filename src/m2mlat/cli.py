@@ -236,8 +236,13 @@ def _cmd_analyze(args) -> int:
     pairing = pair_events(op_log, veh_log, cfg)
     if not len(pairing.samples):
         raise EmptyLog("no event pairs inside the matching window")
+    skips = []  # a lenient parse's skips, for each log that skipped lines
+    for side, log in (("op", op_log), ("veh", veh_log)):
+        if "parse_skipped" in log.meta:
+            skips += [(f"skipped_{side}", log.meta["parse_skipped"]),
+                      (f"first_error_{side}", log.meta["parse_first_error"])]
     return _emit_report(
-        args, pairing.m2m_values, report.input_digest(op_raw, veh_raw), pairing
+        args, pairing.m2m_values, report.input_digest(op_raw, veh_raw), pairing, skips
     )
 
 
@@ -370,8 +375,12 @@ def _cmd_report(args) -> int:
     return _emit_report(args, values, report.input_digest(raw))
 
 
-def _emit_report(args, values, digest: str, pairing=None) -> int:
-    """Print the report of one sample set; with --out, also write its files."""
+def _emit_report(args, values, digest: str, pairing=None, skips=()) -> int:
+    """Print the report of one sample set; with --out, also write its files.
+
+    The ``(field, value)`` pairs of ``skips`` follow the report on stdout,
+    after a blank line, and the pairing fields in ``.meta.txt``.
+    """
     from . import report, stats
 
     thresholds = [_ns(t, "--threshold-ms") for t in args.threshold_ms or ()]
@@ -381,11 +390,14 @@ def _emit_report(args, values, digest: str, pairing=None) -> int:
     )
     text = report.render_text(rep)
     print(text, end="")
+    if skips:
+        print("", *(f"{key}: {value}" for key, value in skips), sep="\n")
     if args.out:
         files = {".report.txt": text}
         if pairing is not None:
             files[".pairs.csv"] = pairing.to_csv()
-            files[".meta.txt"] = pairing.meta_text()
+            files[".meta.txt"] = pairing.meta_text() + "".join(
+                f"{key}={value}\n" for key, value in skips)
         files[".stats.csv"] = stats.stats_csv(rep.stats)
         files[".boxplot.csv"] = stats.boxplot_csv(rep.boxplot)
         _write_prefixed(args.out, files)

@@ -35,23 +35,25 @@ legal: interrupt bursts can collide at nanosecond granularity);
 
 ``parse_log`` reads a log with no split into lines, and numpy reads the
 columns of either format from the bytes, with no Python object per event:
-the integer cells come from one Horner pass per column, and ``source``
-from one byte of its cell. CSV must be ASCII. Its row pattern is built from
-the header (or the first row's layout) and the pinned node id; regex
-matches with no capture groups check that every line after the header is
-such a row, which may end in CR, or blank, and the commas and LFs then
-bound each cell. Ring text must be UTF-8. One scan each finds its spaces
-(the ASCII bytes ``str.strip()`` removes, LF among them), its ``m2m_irq:``
-markers and its ``=`` signs, and gathers at those positions check that
-each marker starts a well-formed event, so there is one per line; the
-other lines that are not blank are the ones a lenient parse skips. This
-fast path only returns what the line loop (``_parse_lines``) returns for
-the same input, and it hands the input to that loop unchanged whenever it
-cannot show this: CSV that is not ASCII, ring text that is not UTF-8, a
-line that is none of the above, a strict ring parse with marker-less
-lines, a cell beyond int64, or rows that break the order rule or start at
-a ``t_wall_ns`` of 0. So the loop's line parsers write every error
-message.
+the integer cells come from one Horner pass per column. CSV must be ASCII.
+Its layout comes from the header (or the first row), and one scan each
+finds the LFs and commas after the header. A line with one comma per cell
+after the node id must be a row: gathers check that it starts with the
+pinned node id and its first comma, that each integer cell holds 1-19
+digits (``t_mono_ns`` 0-19), and that each ``source`` cell is empty or one
+of the names, byte for byte, with at most one CR after the last cell. Every
+other line must hold only blank bytes. Ring text must be UTF-8. One scan
+each finds its spaces (the ASCII bytes ``str.strip()`` removes, LF among
+them), its ``m2m_irq:`` markers and its ``=`` signs, and gathers at those
+positions check that each marker starts a well-formed event, so there is
+one per line; the other lines that are not blank are the ones a lenient
+parse skips. This fast path only returns what the line loop
+(``_parse_lines``) returns for the same input, and it hands the input to
+that loop unchanged whenever it cannot show this: CSV that is not ASCII,
+ring text that is not UTF-8, a line that is none of the above, a strict
+ring parse with marker-less lines, a cell beyond int64, or rows that break
+the order rule or start at a ``t_wall_ns`` of 0. So the loop's line
+parsers write every error message.
 
 CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
 output of ``write_log`` (which, like every CSV table of the toolkit, goes
@@ -444,25 +446,17 @@ def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     return seq, t_wall, -1, _SOURCE_BY_NAME[m.group(3)]
 
 
-# The whole-text fast path of parse_log. It checks the bytes with regex
-# passes and numpy scans, reads the columns with numpy, and gives up
-# (returns None) wherever it cannot show that _parse_lines would return the
-# same log.
+# The whole-text fast path of parse_log. It checks the bytes with numpy
+# scans and gathers, reads the columns with numpy, and gives up (returns
+# None) wherever it cannot show that _parse_lines would return the same log.
 
 # The ASCII bytes str.strip() removes, less LF.
-_BLANK = rb"[\t\x0b\x0c\r\x1c-\x1f ]"
-# The same bytes and LF, by byte value.
-_IS_SPACE = np.array([re.fullmatch(rb"%s|\n" % _BLANK, bytes([byte])) is not None
-                      for byte in range(256)])
-_LEADING_BLANK_LINES = re.compile(rb"(?:%s*\n)*" % _BLANK)
-_CSV_CELL = {
-    "seq": rb"[0-9]{1,19}",
-    "t_wall_ns": rb"[0-9]{1,19}",
-    "t_mono_ns": rb"[0-9]{0,19}",
-    "source": rb"(?:%s)?" % "|".join(_SOURCE_NAMES).encode(),
-}
-# The most lines of a CSV body that one regex match reads.
-_LINES_PER_MATCH = 1024
+_BLANK = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
+# By byte value: whether it is one of _BLANK, and whether it is one of
+# _BLANK or LF.
+_IS_BLANK, _IS_SPACE = (np.frombuffer(bytes(byte in spaces for byte in range(256)), bool)
+                        for spaces in (_BLANK, _BLANK + b"\n"))
+_LEADING_BLANK_LINES = re.compile(rb"(?:[%s]*\n)*" % _BLANK)
 # The bytes that one step of a scan for a byte value reads.
 _SCAN_BLOCK = 1 << 16
 
@@ -521,55 +515,83 @@ def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog | None:
     if (layout is None or not node_id or node_id != node_id.strip()
             or "," in node_id or "\n" in node_id):
         return None
-    # Every line from start on is a row, which may end in CR, or blank. A
-    # match keeps some state per line it reads, so it reads a bounded run
-    # of lines at a time.
-    row = b",".join((re.escape(node_id.encode()), *(_CSV_CELL[c] for c in layout[1:])))
-    line = rb"(?:%s\r?|%s*)" % (row, _BLANK)
-    lines = re.compile(rb"(?:%s\n)*%s" % (line, line))
-    text = np.frombuffer(data, np.uint8)
-    lfs = np.flatnonzero(text[start:] == ord("\n")) + start
-    cuts = lfs[_LINES_PER_MATCH - 1::_LINES_PER_MATCH].tolist()
-    runs = zip([start, *(cut + 1 for cut in cuts)], [*cuts, len(data)])
-    if not all(lines.fullmatch(data, lo, hi) for lo, hi in runs):
-        return None
-    return _csv_columns(text, start, lfs, node or infer_node(node_id), layout[1:])
+    return _csv_columns(np.frombuffer(data, np.uint8, offset=start), node_id,
+                        node or infer_node(node_id), layout[1:])
 
 
-def _csv_columns(text: np.ndarray, start: int, lfs: np.ndarray, node: NodeId,
+def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
                  cells: tuple[str, ...]) -> EventLog | None:
-    """The log of the rows and blank lines from ``start`` on, whose rows
-    hold ``cells`` after the node id; ``lfs`` is where their LFs are.
+    """The log of the lines of ``text`` if each one is blank or a row of
+    ``node_id`` and ``cells``, else None; None too if no row is there, a
+    cell passes int64 or a row breaks the order rule.
 
-    Node ids and blank lines hold no comma, so each row holds
-    ``len(cells)`` commas, and a cell runs from the comma before it to the
-    next comma or, for the last one, the end of its row (before any CR).
-    None if no row is there, a cell passes int64 or a row breaks the order
-    rule.
+    Node ids and blank lines hold no comma, so a row is a line that holds
+    ``len(cells)`` commas, and every other line must hold only ``_BLANK``
+    bytes. A row starts with the node id, up to its first comma, and may
+    end in one CR; each cell runs from the comma before it to the next
+    comma or, for the last one, the end of its row before that CR.
     """
-    commas = (np.flatnonzero(text[start:] == ord(",")) + start).reshape(-1, len(cells))
-    if not len(commas):
+    # Whole-text masks: scanning blocks at a time (_where) left a higher peak RSS.
+    commas = np.flatnonzero(text == ord(","))
+    # Line k runs from bounds[k] + 1 up to bounds[k + 1]. A comma is no
+    # blank, so the blank check refuses a line with the wrong number of
+    # commas too.
+    bounds = np.concatenate(([-1], np.flatnonzero(text == ord("\n")), [len(text)]))
+    row = np.diff(np.searchsorted(commas, bounds)) == len(cells)
+    others = np.flatnonzero(~row)
+    heads, stops = bounds[others] + 1, bounds[others + 1]
+    heads, stops = heads[heads < stops], stops[heads < stops]
+    # A line that is not blank seldom starts with a blank, so checking the
+    # first bytes first spares the gather of every byte of such lines.
+    if not (_IS_BLANK[text[heads]].all() and _IS_BLANK[text[_spans(heads, stops)]].all()):
         return None
-    ends = np.append(lfs, len(text))[np.searchsorted(lfs, commas[:, -1])]
+    rows = np.flatnonzero(row)
+    heads, ends = bounds[rows] + 1, bounds[rows + 1]
+    del bounds, row, others, rows  # the parse's peak memory is what it holds at once
+    commas = commas.reshape(-1, len(cells))
+    word = node_id.encode()
+    if not len(commas) or not ((commas[:, 0] == heads + len(word))
+                               & _word_at(text, heads, word)).all():
+        return None
+    del heads
     ends -= text[ends - 1] == ord("\r")
     stops = np.vstack((commas.T[1:], ends))
     lengths = stops - commas.T - 1
     columns = {}
     for name, stop, length in zip(cells, stops, lengths):
         if name == "source":
-            # The source names differ in their first byte. An empty cell reads
-            # the byte after it, or at the end of the text the comma before it.
-            codes = np.zeros(256, np.int64)
-            codes[[ord(source[0]) for source in _SOURCE_NAMES]] = range(len(_SOURCE_NAMES))
-            columns[name] = codes[text[np.minimum(stop - length, len(text) - 1)]]
-            continue
-        columns[name] = _uint_cells(text, stop, length)
+            columns[name] = _source_cells(text, stop, length)
+        elif length.max() <= 19 and (name == "t_mono_ns" or length.min() > 0):
+            columns[name] = _uint_cells(text, stop, length)
+        else:
+            return None
         if columns[name] is None:
             return None
     if "t_mono_ns" in columns:
         columns["t_mono_ns"][lengths[cells.index("t_mono_ns")] == 0] = -1
     return _fast_log(node, columns["seq"], columns["t_wall_ns"], columns.get("t_mono_ns"),
                      columns.get("source"), {})
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The positions from each of ``starts`` up to its stop, in order."""
+    lengths = stops - starts
+    return np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                                     lengths)
+
+
+def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The codes of the source cells of ``lengths[i]`` bytes that end at
+    ``stops[i]``, 0 (hall) when empty; None unless each is empty or a name."""
+    codes = np.zeros(len(stops), np.int64)
+    named = lengths == 0
+    starts = stops - lengths
+    for code, name in enumerate(_SOURCE_NAMES):
+        cell = np.flatnonzero(lengths == len(name))
+        cell = cell[_word_at(text, starts[cell], name.encode())]
+        codes[cell] = code
+        named[cell] = True
+    return codes if named.all() else None
 
 
 def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:

@@ -105,6 +105,38 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: io:")
 
+    def test_lenient_skips_follow_the_report(self, tmp_path, capsys):
+        op, veh = tmp_path / "op.csv", tmp_path / "veh.csv"
+        op_rows = [f"operator,{i},{5 * i + 1}000000000\n" for i in range(8)]
+        veh_rows = [f"vehicle,{i},{5 * i + 1}800000000\n" for i in range(8)]
+        op.write_text("node,seq,t_wall_ns\n" + op_rows[0] + "operator,xx,yy\n" + "".join(op_rows[1:]))
+        veh.write_text("".join(veh_rows[:2]) + "vehicle,9,100\n" + "".join(veh_rows[2:]))
+        argv = ["analyze", "--lenient", "--operator", str(op), "--vehicle", str(veh),
+                "--out", str(tmp_path / "rep")]
+        skips = {
+            "skipped_op": "1",
+            "first_error_op": "line 3: seq is not an integer: 'xx'",
+            "skipped_veh": "1",
+            "first_error_veh": "line 3: t_wall_ns 100 after 6800000000",
+        }
+        code, stdout, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = (tmp_path / "rep.report.txt").read_text()
+        assert stdout == report + "".join(f"\n{k}: {v}" for k, v in skips.items()) + "\n"
+        meta = (tmp_path / "rep.meta.txt").read_text()
+        assert meta.endswith("max_window_ns=2000000000\n" + "".join(
+            f"{k}={v}\n" for k, v in skips.items()))
+        assert run(capsys, *argv[:-2])[1] == stdout
+
+        # a log that skipped nothing adds no field; neither log: no skip line at all
+        op.write_text("node,seq,t_wall_ns\n" + "".join(op_rows))
+        code, stdout, _ = run(capsys, *argv)
+        assert "skipped_op" not in stdout and "skipped_veh: 1" in stdout
+        veh.write_text("".join(veh_rows))
+        code, stdout, _ = run(capsys, *argv)
+        assert stdout == (tmp_path / "rep.report.txt").read_text()
+        assert (tmp_path / "rep.meta.txt").read_text().endswith("max_window_ns=2000000000\n")
+
     def test_malformed_log_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("garbage,here\n")

@@ -71,6 +71,10 @@ def _cell(row, column):
     return "" if value is None else str(value)
 
 
+# Lines the line loop skips as blank: empty, ASCII blanks only, CR only.
+BLANK_LINES = ("", "\t", "\x1c", " \t\x1c", "\r")
+
+
 @st.composite
 def csv_texts(draw):
     header, extra = draw(st.sampled_from(LAYOUTS))
@@ -80,7 +84,11 @@ def csv_texts(draw):
     if not header and extra == ("source",):  # a source name in row 1 pins this layout
         seq, t, mono, source = rows[0]
         rows[0] = (seq, t, mono, source or "hall")
-    lines = [",".join([node, *(_cell(r, c) for c in columns)]) for r in rows]
+    lines = []
+    for r in rows:
+        lines.append(",".join([node, *(_cell(r, c) for c in columns)]))
+        if draw(st.integers(0, 3)) == 0:  # a blank line between rows
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
     if header:
         lines.insert(0, ",".join(("node", *columns)))
     return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
@@ -136,6 +144,7 @@ def test_kernel_ring_fast_path_matches_line_loop(raw):
 # -- explicit edge cases ------------------------------------------------------
 
 RING_HEAD = "m2m_irq: seq=0 ts=1000 src=hall\n"
+CSV_SOURCE_HEAD = "node,seq,t_wall_ns,source\noperator,0,1000,hall\n"
 
 EDGE_CASES = {
     "csv_seq_2**63": f"operator,0,1000\noperator,{TOP + 1},2000\noperator,9,3000\n",
@@ -143,6 +152,24 @@ EDGE_CASES = {
     "csv_t_mono_2**63": f"node,seq,t_wall_ns,t_mono_ns\noperator,0,1000,{TOP + 1}\noperator,1,2000,\n",
     "csv_19_nines": "operator,0,1000\noperator,1,9999999999999999999\n",
     "csv_int64_max": f"operator,{TOP - 1},1000,{TOP}\noperator,{TOP},{TOP},{TOP}\n",
+    "csv_20_digit_t_mono_ns": f"node,seq,t_wall_ns,t_mono_ns\noperator,0,1000,{10**20 - 1}\n",
+    "csv_20_digit_t_mono_ns_leading_zeros": f"node,seq,t_wall_ns,t_mono_ns\noperator,0,1000,{5:020d}\n",
+    "csv_empty_seq": "operator,,1000\noperator,1,2000\n",
+    "csv_empty_t_wall": "operator,0,\noperator,1,2000\n",
+    "csv_source_hal": CSV_SOURCE_HEAD + "operator,1,2000,hal\n",
+    "csv_source_hallo": CSV_SOURCE_HEAD + "operator,1,2000,hallo\n",
+    "csv_source_pulsx": CSV_SOURCE_HEAD + "operator,1,2000,pulsx\n",
+    "csv_source_synthetix": CSV_SOURCE_HEAD + "operator,1,2000,synthetix\n",
+    "csv_source_then_two_crs": CSV_SOURCE_HEAD + "operator,1,2000,hall\r\r\n",
+    "csv_source_then_a_blank": CSV_SOURCE_HEAD + "operator,1,2000,hall \n",
+    "csv_empty_source_then_two_crs": CSV_SOURCE_HEAD + "operator,1,2000,\r\r\n",
+    "csv_two_crs": "operator,0,1000\r\r\noperator,1,2000\n",
+    "csv_comma_on_a_blank_line": "operator,0,1000\n ,\noperator,1,2000\n",
+    "csv_node_id_cut_short": "node,seq,t_wall_ns\noperator,0,1000\noperato,1,2000\n",
+    "csv_line_without_commas": "operator,0,1000\njunk\noperator,1,2000\n",
+    "csv_other_node_id_of_the_same_length": "node,seq,t_wall_ns\noperator,0,1000\nOPERATOR,1,2000\n",
+    "csv_node_id_run_on": "node,seq,t_wall_ns\noperator,0,1000\noperators,1,2000\n",
+    "csv_node_id_in_another_cell": "node,seq,t_wall_ns\noperator,0,1000\n1,operator,2000\n",
     "ring_seq_2**63": RING_HEAD + f"m2m_irq: seq={TOP + 1} ts=2000 src=hall\n",
     "ring_ts_2**63": RING_HEAD + f"m2m_irq: seq=1 ts={TOP + 1} src=hall\n",
     "ring_int64_max": f"m2m_irq: seq={TOP - 1} ts=1 src=hall\nm2m_irq: seq={TOP} ts={TOP} src=pulse\n",
@@ -263,6 +290,42 @@ def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
     assert len(expected) == edges
     _forbid_the_line_loop(monkeypatch)
     assert parse_log(raw, RING, node=OPERATOR, lenient=True) == expected
+
+
+@pytest.mark.parametrize("header", [True, False], ids=["headered", "headerless"])
+def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header):
+    """The shape of a 4,000-trial field capture in CSV: 12,000 rows, with a
+    blank line (empty, ASCII blanks or CR only) after 15% of them."""
+    rng = np.random.default_rng(401)
+    edges = 4000 * 3
+    t = 1_700_000_000 * 10**9 + np.cumsum(rng.integers(1, 5 * 10**9, edges))
+    seq = 10**6 + np.cumsum(rng.integers(1, 3, edges))
+    lines = ["node,seq,t_wall_ns"] if header else []
+    for s, ts, blank in zip(seq.tolist(), t.tolist(), (rng.random(edges) < 0.15).tolist()):
+        lines.append(f"op-station,{s},{ts}")
+        if blank:
+            lines.append(BLANK_LINES[s % len(BLANK_LINES)])
+    raw = ("\n".join(lines) + "\n").encode()
+    assert_same(raw, CSV)
+    expected = {lenient: events._parse_lines(raw, CSV, None, lenient) for lenient in (False, True)}
+    assert len(expected[False]) == edges
+    _forbid_the_line_loop(monkeypatch)
+    for lenient in (False, True):
+        assert parse_log(raw, CSV, lenient=lenient) == expected[lenient]
+
+
+def test_a_csv_body_of_other_lines_is_handed_over_without_gathering_it(monkeypatch):
+    """Lines that are neither rows nor blank go to the line loop; the fast
+    path refuses them by their first bytes, without an index per byte."""
+    raw = b"node,seq,t_wall_ns\nop,0,1000\n" + b"[ 12.5] m2m_irq: seq=1 ts=2000 src=hall\n" * 40_000
+    monkeypatch.setattr(events, "_parse_lines", lambda *args: "loop")
+    tracemalloc.start()
+    try:
+        assert parse_log(raw) == "loop"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(raw)
 
 
 def test_a_blank_run_that_ends_before_it_starts_is_refused():
