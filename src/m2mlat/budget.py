@@ -55,13 +55,15 @@ def kernel_asymmetry(a_ns, b_ns) -> int:
     """Worst-case inter-node interrupt-handling asymmetry in ns.
 
     ``a_ns`` and ``b_ns`` are the two nodes' interrupt scheduling latency
-    samples (any iterable of integers, numpy arrays included). One node
-    sees its maximum scheduling delay while the other sees its minimum;
-    the measured latency absorbs the difference.
+    samples (any iterable of non-negative integers, numpy arrays
+    included). One node sees its maximum scheduling delay while the other
+    sees its minimum; the measured latency absorbs the difference.
     """
     a, b = [int(x) for x in a_ns], [int(x) for x in b_ns]
     if not a or not b:
         raise EmptyLog("scheduling stats require at least one sample")
+    if min(a) < 0 or min(b) < 0:
+        raise NegativeComponent(f"scheduling latency must be >= 0, got {min(a + b)} ns")
     return max(max(a) - min(b), max(b) - min(a))
 
 
@@ -71,14 +73,18 @@ class ErrorBudget:
     e_circuit_ns: int
     e_kernel_ns: int
     e_calib_ns: int
-    e_total_ns: int
 
     def __post_init__(self):
         parts = (self.e_sync_ns, self.e_circuit_ns, self.e_kernel_ns, self.e_calib_ns)
         if any(p < 0 for p in parts):
             raise NegativeComponent(f"components must be >= 0, got {parts}")
-        if self.e_total_ns != sum(parts):
-            raise ConfigInvalid("e_total_ns must equal the component sum")
+        if self.e_total_ns >= 2**63:  # budget files hold int64 cells
+            raise ConfigInvalid(f"total error does not fit in int64: {self.e_total_ns} ns")
+
+    @property
+    def e_total_ns(self) -> int:
+        """The sum of the four components."""
+        return self.e_sync_ns + self.e_circuit_ns + self.e_kernel_ns + self.e_calib_ns
 
     @property
     def in_precision_band(self) -> bool:
@@ -108,5 +114,4 @@ def total_error(
     e_sync_ns: int, e_circuit_ns: int, e_kernel_ns: int, e_calib_ns: int
 ) -> ErrorBudget:
     """Combine the four error contributions into a budget."""
-    parts = (e_sync_ns, e_circuit_ns, e_kernel_ns, e_calib_ns)
-    return ErrorBudget(*parts, e_total_ns=sum(parts))
+    return ErrorBudget(e_sync_ns, e_circuit_ns, e_kernel_ns, e_calib_ns)

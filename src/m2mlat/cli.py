@@ -238,9 +238,8 @@ def _cmd_analyze(args) -> int:
         raise EmptyLog("no event pairs inside the matching window")
     skips = []  # a lenient parse's skips, for each log that skipped lines
     for side, log in (("op", op_log), ("veh", veh_log)):
-        if "parse_skipped" in log.meta:
-            skips += [(f"skipped_{side}", log.meta["parse_skipped"]),
-                      (f"first_error_{side}", log.meta["parse_first_error"])]
+        if log.skipped:
+            skips += [(f"skipped_{side}", log.skipped), (f"first_error_{side}", log.first_error)]
     return _emit_report(
         args, pairing.m2m_values, report.input_digest(op_raw, veh_raw), pairing, skips
     )

@@ -55,11 +55,14 @@ ring parse with marker-less lines, a cell beyond int64, or rows that break
 the order rule or start at a ``t_wall_ns`` of 0. So the loop's line
 parsers write every error message.
 
-CSV does not serialize ``EventLog.meta`` or the node role. Parsing the
-output of ``write_log`` (which, like every CSV table of the toolkit, goes
-through ``tables.write_table``) reproduces the original log exactly for
-logs with empty meta and a canonical node id ("operator" or "vehicle");
-for any other node, pass the original ``node`` back into ``parse_log``.
+A lenient parse keeps the number of lines it skipped in
+``EventLog.skipped`` and the error of the first of them in
+``EventLog.first_error``. CSV serializes neither, nor the node role.
+Parsing the output of ``write_log`` (which, like every CSV table of the
+toolkit, goes through ``tables.write_table``) reproduces the original log
+exactly for logs that skipped nothing and a canonical node id
+("operator" or "vehicle"); for any other node, pass the original ``node``
+back into ``parse_log``.
 ``write_log`` refuses a node id that holds a comma, CR or LF, or that
 starts or ends with a blank (anything ``str.strip()`` removes): a row
 would then split into other cells, or read back as another id.
@@ -145,15 +148,19 @@ class EventLog:
     """An ordered, validated sequence of events from a single node.
 
     One int64 array per CSV column; ``t_mono_ns`` defaults to -1 (absent)
-    and ``source`` to 0 (``hall``). Treat instances as immutable value
+    and ``source`` to 0 (``hall``). ``skipped`` counts the lines a lenient
+    parse dropped, and ``first_error`` is the error of the first of them,
+    given exactly when ``skipped > 0``. Treat instances as immutable value
     data; they are safe to share read-only across threads.
     """
 
     def __init__(self, node: NodeId, seq, t_wall_ns, t_mono_ns=None, source=None,
-                 meta: dict[str, str] | None = None):
+                 skipped: int = 0, first_error: str | None = None):
+        if skipped < 0 or (first_error is None) != (skipped == 0):
+            raise ConfigInvalid(f"skipped={skipped} does not fit first_error={first_error!r}")
         n = len(seq)
         self.node = node
-        self.meta = {} if meta is None else meta
+        self.skipped, self.first_error = skipped, first_error
         self.seq, self.t_wall_ns, self.t_mono_ns, self.source = (
             np.ascontiguousarray(c, dtype=np.int64) for c in (
                 seq, t_wall_ns, np.full(n, -1) if t_mono_ns is None else t_mono_ns,
@@ -172,6 +179,15 @@ class EventLog:
             raise ConfigInvalid("source codes must index tuple(EventSource)")
 
     @property
+    def meta(self) -> dict[str, str]:
+        """``skipped`` and ``first_error`` as the text dict that
+        ``bench/field.py`` reads, ``{}`` when nothing was skipped. It goes
+        with the benchmark's next refresh."""
+        if not self.skipped:
+            return {}
+        return {"parse_skipped": str(self.skipped), "parse_first_error": self.first_error}
+
+    @property
     def columns(self) -> tuple[np.ndarray, ...]:
         """``(seq, t_wall_ns, t_mono_ns, source)``."""
         return self.seq, self.t_wall_ns, self.t_mono_ns, self.source
@@ -182,7 +198,8 @@ class EventLog:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EventLog)
-            and (self.node, self.meta) == (other.node, other.meta)
+            and (self.node, self.skipped, self.first_error)
+            == (other.node, other.skipped, other.first_error)
             and all(map(np.array_equal, self.columns, other.columns))
         )
 
@@ -191,7 +208,7 @@ def with_role(log: EventLog, role: Role) -> EventLog:
     """Return the log with the node role replaced; the columns are shared."""
     if log.node.role is role:
         return log
-    return EventLog(NodeId(log.node.id, role), *log.columns, dict(log.meta))
+    return EventLog(NodeId(log.node.id, role), *log.columns, log.skipped, log.first_error)
 
 
 def parse_log(
@@ -205,9 +222,9 @@ def parse_log(
 
     In strict mode (the default) any malformed line, line that is not
     UTF-8, cell beyond int64, or monotonicity violation raises. With
-    ``lenient=True`` offending lines are dropped and counted; the count
-    and first failure reason are reported in the returned log's ``meta``
-    under ``parse_skipped`` / ``parse_first_error``.
+    ``lenient=True`` offending lines are dropped: the returned log's
+    ``skipped`` counts them, and its ``first_error`` is the message of the
+    one with the lowest line number.
     """
     log = None
     if fmt is LogFormat.CSV:
@@ -244,34 +261,27 @@ def _parse_lines(
 ) -> EventLog:
     """``parse_log`` one line at a time: the reference parser, and the only
     one that rejects lines."""
-    state = _LenientState(lenient)
-    text = raw if isinstance(raw, str) else _decode(raw, state)
+    rejected: list[LineError] = []
+
+    def reject(err: LineError) -> None:
+        if not lenient:
+            raise err
+        rejected.append(err)
+
+    text = raw if isinstance(raw, str) else _decode(raw, reject)
     if fmt is LogFormat.CSV:
-        return _parse_csv(text, node, state)
-    if fmt is LogFormat.KERNEL_RING:
+        node, columns = _parse_csv(text, node, reject)
+    elif fmt is LogFormat.KERNEL_RING:
         if node is None:
             raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
-        return EventLog(node, *_collect(text.split("\n"), 1, _parse_kernel_line, state))
-    raise ConfigInvalid(f"unsupported log format: {fmt!r}")
+        columns = _collect(text.split("\n"), 1, _parse_kernel_line, reject)
+    else:
+        raise ConfigInvalid(f"unsupported log format: {fmt!r}")
+    first = min(rejected, key=lambda err: err.line_no, default=None)
+    return EventLog(node, *columns, len(rejected), None if first is None else str(first))
 
 
-class _LenientState:
-    """Skip counters for lenient parsing; strict parsing raises instead."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.skipped = 0
-        self.first: LineError | None = None
-
-    def reject(self, err: LineError) -> None:
-        if not self.enabled:
-            raise err
-        self.skipped += 1
-        if self.first is None or err.line_no < self.first.line_no:
-            self.first = err
-
-
-def _decode(raw: bytes, state: _LenientState) -> str:
+def _decode(raw: bytes, reject) -> str:
     """UTF-8 text of a log; each line that is not UTF-8 is rejected and blanked."""
     try:
         return raw.decode("utf-8")
@@ -281,7 +291,7 @@ def _decode(raw: bytes, state: _LenientState) -> str:
         try:
             lines[pos] = line.decode("utf-8")
         except UnicodeDecodeError:
-            state.reject(UnparseableLine(pos + 1, "not valid UTF-8"))
+            reject(UnparseableLine(pos + 1, "not valid UTF-8"))
             lines[pos] = ""
     return "\n".join(lines)
 
@@ -294,7 +304,7 @@ def _check_order(prev_seq: int, prev_t: int, seq: int, t_wall: int, line_no: int
         raise NonMonotonicTime(line_no, f"t_wall_ns {t_wall} after {prev_t}")
 
 
-def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog:
+def _parse_csv(text: str, node: NodeId | None, reject) -> tuple[NodeId, np.ndarray]:
     lines = text.split("\n")
     start = 0
     layout: tuple[str, ...] | None = None
@@ -320,18 +330,18 @@ def _parse_csv(text: str, node: NodeId | None, state: _LenientState) -> EventLog
         layout = row_layout
         return row
 
-    columns = _collect(lines[start:], start + 1, parse_line, state)
-    return EventLog(node or infer_node(node_id), *columns)
+    columns = _collect(lines[start:], start + 1, parse_line, reject)
+    return node or infer_node(node_id), columns
 
 
 def _collect(
-    lines: list[str], first_line_no: int, parse_line, state: _LenientState
-) -> tuple:
-    """The four columns of the non-blank lines, and the meta of their log.
+    lines: list[str], first_line_no: int, parse_line, reject
+) -> np.ndarray:
+    """The four columns of the non-blank lines.
 
     ``parse_line(line, line_no)`` gives one ``(seq, t_wall, t_mono,
     source)`` row. A line it rejects, or whose row breaks the order rule
-    against the last kept row, goes to ``state``.
+    against the last kept row, goes to ``reject``.
     """
     rows: list[tuple[int, int, int, int]] = []
     prev_seq, prev_t = -1, 0  # below every parsed seq and t_wall
@@ -342,17 +352,13 @@ def _collect(
             row = parse_line(line, line_no)
             _check_order(prev_seq, prev_t, row[0], row[1], line_no)
         except LineError as err:
-            state.reject(err)
+            reject(err)
             continue
         rows.append(row)
         prev_seq, prev_t = row[0], row[1]
     if not rows:
         raise EmptyLog("no event records found")
-    meta: dict[str, str] = {}
-    if state.skipped:
-        meta["parse_skipped"] = str(state.skipped)
-        meta["parse_first_error"] = str(state.first)
-    return (*np.array(rows, dtype=np.int64).T, meta)
+    return np.array(rows, dtype=np.int64).T
 
 
 def _header(line: str, line_no: int) -> tuple[str, ...] | None:
@@ -457,8 +463,6 @@ _BLANK = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 _IS_BLANK, _IS_SPACE = (np.frombuffer(bytes(byte in spaces for byte in range(256)), bool)
                         for spaces in (_BLANK, _BLANK + b"\n"))
 _LEADING_BLANK_LINES = re.compile(rb"(?:[%s]*\n)*" % _BLANK)
-# The bytes that one step of a scan for a byte value reads.
-_SCAN_BLOCK = 1 << 16
 
 
 def _ascii(raw) -> bytes | None:
@@ -485,15 +489,6 @@ def _utf8(raw) -> bytes | None:
 def _line_at(data: bytes, start: int) -> str:
     end = data.find(b"\n", start)
     return data[start:None if end < 0 else end].decode()
-
-
-def _where(text: np.ndarray, compare: np.ufunc, byte: int) -> np.ndarray:
-    """The positions of the bytes ``b`` of ``text`` for which
-    ``compare(b, byte)`` holds, found a block at a time: in a ring parse,
-    masks as long as the text, each freed at once, left the allocator's
-    heap larger for the rest of the process."""
-    return np.concatenate([np.flatnonzero(compare(text[start:start + _SCAN_BLOCK], byte)) + start
-                           for start in range(0, len(text), _SCAN_BLOCK)] or [np.zeros(0, np.intp)])
 
 
 def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog | None:
@@ -531,7 +526,6 @@ def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
     end in one CR; each cell runs from the comma before it to the next
     comma or, for the last one, the end of its row before that CR.
     """
-    # Whole-text masks: scanning blocks at a time (_where) left a higher peak RSS.
     commas = np.flatnonzero(text == ord(","))
     # Line k runs from bounds[k] + 1 up to bounds[k + 1]. A comma is no
     # blank, so the blank check refuses a line with the wrong number of
@@ -570,7 +564,7 @@ def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
     if "t_mono_ns" in columns:
         columns["t_mono_ns"][lengths[cells.index("t_mono_ns")] == 0] = -1
     return _fast_log(node, columns["seq"], columns["t_wall_ns"], columns.get("t_mono_ns"),
-                     columns.get("source"), {})
+                     columns.get("source"))
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -637,12 +631,12 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | Non
     marker, so the lines the loop skips are the others that are not blank.
     """
     text = np.frombuffer(data, np.uint8)
-    spaces = _where(text, np.less_equal, ord(" "))
+    spaces = np.flatnonzero(text <= ord(" "))
     byte = text.take(spaces)
     space = _IS_SPACE.take(byte)
     if not space.all():  # a control byte that is no space
         spaces, byte = spaces[space], byte[space]
-    colons = _where(text, np.equal, ord(":"))
+    colons = np.flatnonzero(text == ord(":"))
     colons = colons[colons >= 7]
     for back, marker_byte in enumerate(b"qri_m2m", 1):
         colons = colons[text[colons - back] == marker_byte]
@@ -655,14 +649,14 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | Non
     blank = np.diff(bounds) == np.diff(np.concatenate(([-1], at_lf, [len(spaces)])))
     del byte, space, at_lf  # the parse's peak memory is what it holds at once
     if not data.isascii():
-        for line in np.unique(np.searchsorted(bounds, _where(text, np.greater, 0x7f)) - 1).tolist():
+        for line in np.unique(np.searchsorted(bounds, np.flatnonzero(text > 0x7f)) - 1).tolist():
             blank[line] = not _line_at(data, int(bounds[line]) + 1).strip()
     lines = np.searchsorted(bounds, colons) - 1
     ends = bounds[lines + 1]
     markerless = ~blank
     markerless[lines] = False
     skipped = np.flatnonzero(markerless)
-    meta = {}
+    first_error = None
     if len(skipped):
         if not lenient:
             return None
@@ -670,10 +664,10 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | Non
         try:
             _parse_kernel_line(_line_at(data, int(bounds[first]) + 1), first + 1)
         except LineError as err:
-            meta = {"parse_skipped": str(len(skipped)), "parse_first_error": str(err)}
-    del bounds, blank, lines, markerless, skipped
+            first_error = str(err)
+    del bounds, blank, lines, markerless
     columns = _ring_tails(text, spaces, colons, ends)
-    return None if columns is None else _fast_log(node, *columns, meta)
+    return None if columns is None else _fast_log(node, *columns, len(skipped), first_error)
 
 
 def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
@@ -690,7 +684,7 @@ def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
     space that follows the run before it, so walking ``spaces`` from the
     first one after the marker checks it with two gathers.
     """
-    eqs = _where(text, np.equal, ord("="))
+    eqs = np.flatnonzero(text == ord("="))
     first = np.searchsorted(eqs, colons)
     if first[-1] + 3 > len(eqs) or not len(spaces):  # a tail holds three = and blanks
         return None
@@ -743,9 +737,9 @@ def _word_at(text: np.ndarray, starts: np.ndarray, word: bytes) -> np.ndarray:
     return found
 
 
-def _fast_log(node: NodeId, seq, t_wall, t_mono, source, meta: dict[str, str]) -> EventLog | None:
-    """The log of the read columns, or None if a row breaks the order rule."""
+def _fast_log(node: NodeId, *columns) -> EventLog | None:
+    """``EventLog(node, *columns)``, or None if a row breaks the order rule."""
     try:
-        return EventLog(node, seq, t_wall, t_mono, source, meta)
+        return EventLog(node, *columns)
     except (LineError, ConfigInvalid):
         return None

@@ -139,7 +139,7 @@ def debounce(log: EventLog, debounce_ns: int) -> EventLog:
                 i = next_kept[i]
         keep[walked] = True
     index = np.flatnonzero(keep)
-    return EventLog(log.node, *(c[index] for c in log.columns), dict(log.meta))
+    return EventLog(log.node, *(c[index] for c in log.columns), log.skipped, log.first_error)
 
 
 def compute_m2m(op_t_wall_ns, veh_t_wall_ns):

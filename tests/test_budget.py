@@ -11,6 +11,7 @@ from m2mlat.budget import (
     kernel_asymmetry,
     total_error,
 )
+from m2mlat.cli import run_cli
 from m2mlat.errors import ConfigInvalid, EmptyLog, NegativeComponent, ZeroRate
 
 from helpers import oracle_calib_ns
@@ -92,6 +93,13 @@ class TestTotalError:
         with pytest.raises(NegativeComponent):
             total_error(-1, 0, 0, 0)
 
+    def test_total_beyond_int64_rejected(self):
+        # budget.csv cells are int64, as tables.read_int_columns reads them
+        assert total_error(2**62, 2**62 - 1, 0, 0).e_total_ns == 2**63 - 1
+        for parts in ((2**62, 2**62, 0, 0), (0, 0, 0, 10**22)):
+            with pytest.raises(ConfigInvalid, match="does not fit in int64"):
+                total_error(*parts)
+
     def test_text_and_csv_exports(self):
         b = total_error(322_000, 2_000, 5_000, 10 * MS)
         text = b.to_text()
@@ -116,7 +124,13 @@ class TestKernelAsymmetry:
     def test_from_samples(self):
         a = np.array([5_000, 2_000, 9_000])
         assert kernel_asymmetry(a, [4_000, 3_000]) == 6_000
-        assert kernel_asymmetry([-(2**63)], [2**63 - 1]) == 2**64 - 1
+        assert kernel_asymmetry([0], [2**63 - 1]) == 2**63 - 1
+
+    def test_negative_sample_rejected(self):
+        with pytest.raises(NegativeComponent):
+            kernel_asymmetry([2_000], [-(2**63)])
+        with pytest.raises(NegativeComponent):
+            kernel_asymmetry(np.array([-1, 5_000]), [2_000])
 
     def test_invalid_stats(self):
         with pytest.raises(EmptyLog):
@@ -125,10 +139,10 @@ class TestKernelAsymmetry:
             kernel_asymmetry([1_000], np.array([], dtype=np.int64))
 
 
-INT64 = st.integers(-(2**63), 2**63 - 1)
+LATENCY = st.integers(0, 2**63 - 1)
 
 
-@given(st.lists(INT64, min_size=1, max_size=20), st.lists(INT64, min_size=1, max_size=20),
+@given(st.lists(LATENCY, min_size=1, max_size=20), st.lists(LATENCY, min_size=1, max_size=20),
        st.booleans(), st.booleans())
 def test_kernel_asymmetry_matches_numpy_oracle(a, b, a_array, b_array):
     # oracle: numpy's int64 extremes, differenced as Python ints
@@ -137,6 +151,22 @@ def test_kernel_asymmetry_matches_numpy_oracle(a, b, a_array, b_array):
     got = kernel_asymmetry(x if a_array else a, y if b_array else b)
     assert type(got) is int
     assert got == expected
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kernel-ms", "0", "--calib-angle-deg", "1e10", "--steer-rate-dps", "0.001"],
+    ["--sched-a", "{d}/a.csv", "--sched-b", "{d}/b.csv", "--calib-angle-deg", "1",
+     "--steer-rate-dps", "100"],
+], ids=["calib_beyond_int64", "negative_scheduling_latency"])
+def test_cli_refuses_a_budget_it_cannot_write(tmp_path, capsys, flags):
+    (tmp_path / "a.csv").write_text("latency_ns\n2000\n")
+    (tmp_path / "b.csv").write_text("latency_ns\n-9223372036854775808\n")
+    argv = ["budget", "--sync-ms", "0", *(f.format(d=tmp_path) for f in flags),
+            "--out", str(tmp_path / "b")]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "b.budget.csv").exists()
 
 
 def test_rounding_is_half_away_from_zero():

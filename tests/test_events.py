@@ -21,6 +21,7 @@ from m2mlat.events import (
     with_role,
     write_log,
 )
+from m2mlat.pairing import debounce
 
 from helpers import OPERATOR, VEHICLE, events_of, lax_integers, make_log, oracle_order_violation
 
@@ -34,7 +35,7 @@ class TestParseCsv:
         assert events_of(log) == [(0, 1000), (1, 2000)]
         assert log.t_mono_ns.tolist() == [-1, -1]
         assert [SOURCES[c] for c in log.source] == [EventSource.HALL_EDGE] * 2
-        assert log.meta == {}
+        assert (log.skipped, log.first_error) == (0, None)
 
     def test_header_full_layout(self):
         text = (
@@ -103,8 +104,8 @@ class TestParseCsv:
         text = "operator,0,1000\nbogus line\noperator,1,500\noperator,2,2000"
         log = parse_log(text, lenient=True)
         assert log.seq.tolist() == [0, 2]
-        assert log.meta["parse_skipped"] == "2"
-        assert "line 2" in log.meta["parse_first_error"]
+        assert log.skipped == 2
+        assert "line 2" in log.first_error
 
     def test_strict_is_default(self):
         with pytest.raises(UnparseableLine):
@@ -116,8 +117,8 @@ class TestParseCsv:
         log = parse_log(text, lenient=True)
         assert log.seq.tolist() == [0, 1]
         assert log.node.id == "op"
-        assert log.meta["parse_skipped"] == "1"
-        assert log.meta["parse_first_error"].startswith("line 1: ")
+        assert log.skipped == 1
+        assert log.first_error.startswith("line 1: ")
         with pytest.raises(UnparseableLine) as exc:
             parse_log(text)
         assert exc.value.line_no == 1
@@ -129,8 +130,8 @@ class TestParseCsv:
         assert exc.value.line_no == 2
         log = parse_log(raw, lenient=True)
         assert log.seq.tolist() == [0, 2]
-        assert log.meta["parse_skipped"] == "1"
-        assert log.meta["parse_first_error"] == "line 2: not valid UTF-8"
+        assert log.skipped == 1
+        assert log.first_error == "line 2: not valid UTF-8"
 
 
     @pytest.mark.parametrize("row", [
@@ -145,8 +146,8 @@ class TestParseCsv:
         assert exc.value.line_no == 3
         log = parse_log(text, lenient=True)
         assert log.seq.tolist() == [0, 2]
-        assert log.meta["parse_skipped"] == "1"
-        assert log.meta["parse_first_error"].startswith("line 3: ")
+        assert log.skipped == 1
+        assert log.first_error.startswith("line 3: ")
 
     def test_int64_max_is_accepted(self):
         top = 2**63 - 1
@@ -212,7 +213,7 @@ class TestParseKernelRing:
         )
         log = parse_log(text, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
         assert len(log) == 2
-        assert log.meta["parse_skipped"] == "2"
+        assert log.skipped == 2
 
 
     @pytest.mark.parametrize("line", [
@@ -226,17 +227,17 @@ class TestParseKernelRing:
         assert exc.value.line_no == 2
         log = parse_log(text, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
         assert log.seq.tolist() == [0, 2]
-        assert log.meta["parse_skipped"] == "1"
+        assert log.skipped == 1
 
     @pytest.mark.parametrize("text, columns, skipped", [
         ("m2m_irq: seq=0 ts=1000 src=hall\r\nnoise\r\nm2m_irq: seq=1 ts=2000 src=pulse\r\n",
-         ([0, 1], [1000, 2000], [0, 1]), "1"),
+         ([0, 1], [1000, 2000], [0, 1]), 1),
         ("[ 1.0]\tm2m_irq:\tseq=0\tts=1000\tsrc=hall\t\n"
-         "m2m_irq:seq=1 \t ts=2000\x0bsrc=pulse", ([0, 1], [1000, 2000], [0, 1]), None),
+         "m2m_irq:seq=1 \t ts=2000\x0bsrc=pulse", ([0, 1], [1000, 2000], [0, 1]), 0),
         ("m2m_irq: seq=0 ts=1000 src=hall\n\r\n\r\nm2m_irq: seq=1 ts=2000 src=hall\r",
-         ([0, 1], [1000, 2000], [0, 0]), None),
+         ([0, 1], [1000, 2000], [0, 0]), 0),
         ("[ 0.1] usb 1-1: Product: Caméra\nm2m_irq: seq=0 ts=1000 src=hall\n\u00a0\n"
-         "[ 0.2] Caméra m2m_irq: seq=1 ts=2000 src=pulse\n", ([0, 1], [1000, 2000], [0, 1]), "1"),
+         "[ 0.2] Caméra m2m_irq: seq=1 ts=2000 src=pulse\n", ([0, 1], [1000, 2000], [0, 1]), 1),
     ], ids=["crlf", "tab_separators", "cr_only_lines", "utf8_dmesg_and_nbsp_line"])
     def test_events_read_without_the_line_loop(self, monkeypatch, text, columns, skipped):
         from m2mlat import events
@@ -248,7 +249,7 @@ class TestParseKernelRing:
         for raw in (text, text.encode()):
             log = parse_log(raw, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
             assert (log.seq.tolist(), log.t_wall_ns.tolist(), log.source.tolist()) == columns
-            assert log.meta.get("parse_skipped") == skipped
+            assert log.skipped == skipped
 
 
 def _assert_lax_lines_rejected(lines: list[str], bad: int, **kwargs) -> None:
@@ -260,8 +261,8 @@ def _assert_lax_lines_rejected(lines: list[str], bad: int, **kwargs) -> None:
     assert exc.value.line_no == first
     log = parse_log("\n".join(lines), lenient=True, **kwargs)
     assert log.seq.tolist() == list(range(0, 2 * bad + 1, 2))
-    assert log.meta["parse_skipped"] == str(bad)
-    assert log.meta["parse_first_error"].startswith(f"line {first}: ")
+    assert log.skipped == bad
+    assert log.first_error.startswith(f"line {first}: ")
 
 
 @given(st.lists(st.tuples(st.sampled_from(("seq", "t_wall_ns", "t_mono_ns")), lax_integers()),
@@ -371,6 +372,32 @@ def test_with_role_swaps_role_everywhere():
     # the role lives on the log alone, so the columns are shared, not copied
     assert all(a is b for a, b in zip(swapped.columns, log.columns))
     assert swapped.t_wall_ns.tolist() == [1, 2]
+
+
+def test_with_role_and_debounce_keep_the_parse_accounting():
+    log = parse_log("operator,0,1000\nbogus\noperator,1,1500\noperator,2,9000", lenient=True)
+    assert (log.skipped, log.first_error) == (1, "line 2: expected 3 columns, got 1")
+    swapped, debounced = with_role(log, Role.VEHICLE), debounce(log, 1000)
+    assert (swapped.node.role, debounced.seq.tolist()) == (Role.VEHICLE, [0, 2])
+    for kept in (swapped, debounced):
+        assert (kept.skipped, kept.first_error) == (1, "line 2: expected 3 columns, got 1")
+
+
+@pytest.mark.parametrize("skipped, first_error", [(-1, None), (1, None), (0, "line 1: x")])
+def test_event_log_refuses_inconsistent_parse_accounting(skipped, first_error):
+    with pytest.raises(ConfigInvalid):
+        EventLog(OPERATOR, [0], [100], skipped=skipped, first_error=first_error)
+
+
+def test_meta_is_the_skip_count_as_the_benchmark_reads_it():
+    # bench/field.py sums int(log.meta.get("parse_skipped", 0)) over its logs
+    skipping = parse_log("operator,0,1000\nbogus\noperator,1,2000", lenient=True)
+    clean = parse_log("operator,0,1000\noperator,1,2000", lenient=True)
+    assert skipping.meta == {"parse_skipped": "1", "parse_first_error": skipping.first_error}
+    assert clean.meta == {}
+    assert [int(log.meta.get("parse_skipped", 0)) for log in (skipping, clean)] == [1, 0]
+    with pytest.raises(AttributeError):
+        clean.meta = {"parse_skipped": "1"}
 
 
 def test_event_log_validation():

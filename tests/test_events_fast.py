@@ -261,7 +261,9 @@ def _forbid_the_line_loop(monkeypatch):
     ("vehicle,0,1000,,pulse\nvehicle,2,2000,55,\nvehicle,3,2000,,synthetic\n", CSV, False),
     ("[ 0.1] booting\n[ 0.2] m2m_irq: seq=0 ts=1000 src=hall\n"
      "[ 0.3] usb 1-1: device descriptor\n\nm2m_irq: seq=1 ts=2000 src=pulse\n", RING, True),
-], ids=["csv_header", "csv_5_columns", "ring_dmesg"])
+    # taken only if the scan for spaces finds the CR that ends the text
+    (RING_HEAD + "m2m_irq: seq=1 ts=2000 src=pulse\r", RING, False),
+], ids=["csv_header", "csv_5_columns", "ring_dmesg", "ring_cr_ended_last_line"])
 def test_canonical_logs_skip_the_line_loop(monkeypatch, raw, fmt, lenient):
     node = OPERATOR if fmt is RING else None
     expected = events._parse_lines(raw, fmt, node, lenient)
@@ -333,19 +335,6 @@ def test_a_blank_run_that_ends_before_it_starts_is_refused():
     spaces = np.array([4, 5, 6])
     assert events._space_run(spaces, np.array([2]), np.array([6]), np.array([5])).tolist() == [False]
     assert events._space_run(spaces, np.array([0]), np.array([4]), np.array([7])).tolist() == [True]
-
-
-@pytest.mark.parametrize("block", [1, 7])
-def test_ring_scans_find_the_same_bytes_block_by_block(monkeypatch, block):
-    monkeypatch.setattr(events, "_SCAN_BLOCK", block)
-    for name, raw in EDGE_CASES.items():
-        if name.startswith("ring"):
-            assert_same(raw, RING, OPERATOR)
-    # the fast path takes this log only if it finds the blank that ends it
-    raw = RING_HEAD + "m2m_irq: seq=1 ts=2000 src=pulse\r"
-    expected = events._parse_lines(raw, RING, OPERATOR, False)
-    _forbid_the_line_loop(monkeypatch)
-    assert parse_log(raw, RING, node=OPERATOR) == expected
 
 
 def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
