@@ -35,25 +35,28 @@ legal: interrupt bursts can collide at nanosecond granularity);
 
 ``parse_log`` reads a log with no split into lines, and numpy reads the
 columns of either format from the bytes, with no Python object per event:
-the integer cells come from one Horner pass per column. CSV must be ASCII.
-Its layout comes from the header (or the first row), and one scan each
-finds the LFs and commas after the header. A line with one comma per cell
-after the node id must be a row: gathers check that it starts with the
-pinned node id and its first comma, that each integer cell holds 1-19
-digits (``t_mono_ns`` 0-19), and that each ``source`` cell is empty or one
-of the names, byte for byte, with at most one CR after the last cell. Every
-other line must hold only blank bytes. Ring text must be UTF-8. One scan
-each finds its spaces (the ASCII bytes ``str.strip()`` removes, LF among
-them), its ``m2m_irq:`` markers and its ``=`` signs, and gathers at those
-positions check that each marker starts a well-formed event, so there is
-one per line; the other lines that are not blank are the ones a lenient
-parse skips. This fast path only returns what the line loop
-(``_parse_lines``) returns for the same input, and it hands the input to
-that loop unchanged whenever it cannot show this: CSV that is not ASCII,
-ring text that is not UTF-8, a line that is none of the above, a strict
-ring parse with marker-less lines, a cell beyond int64, or rows that break
-the order rule or start at a ``t_wall_ns`` of 0. So the loop's line
-parsers write every error message.
+the integer cells come from one Horner pass per column. Both formats must
+be UTF-8, in which no byte of a multi-byte character is a comma, an LF, an
+ASCII digit or an ASCII blank, so the scans and gathers below see the same
+lines and cells as the loop. CSV's layout comes from the header (or the
+first row), and one scan each finds the LFs and commas after the header. A
+line with one comma per cell after the node id must be a row: gathers
+check that it starts with the pinned node id (its UTF-8 bytes) and its
+first comma, that each integer cell holds 1-19 digits (``t_mono_ns``
+0-19), and that each ``source`` cell is empty or one of the names, byte for
+byte, with at most one CR after the last cell. Every other line must hold
+only blank bytes. In ring text, one scan each finds the spaces (the ASCII
+bytes ``str.strip()`` removes, LF among them), the ``m2m_irq:`` markers and
+the ``=`` signs, and gathers at those positions check that each marker
+starts a well-formed event, so there is one per line; the other lines that
+are not blank are the ones a lenient parse skips. This fast path only
+returns what the line loop (``_parse_lines``) returns for the same input.
+Wherever it cannot show this it raises ``_Fallback``, and ``parse_log``,
+the one place that catches it, hands the input to that loop unchanged: input
+that is not UTF-8, a line that is none of the above, a strict ring parse
+with marker-less lines, a cell beyond int64, or, from ``_header`` and
+``EventLog``, a bad header or rows that break the order rule or start at a
+``t_wall_ns`` of 0. So the loop's line parsers write every error message.
 
 A lenient parse keeps the number of lines it skipped in
 ``EventLog.skipped`` and the error of the first of them in
@@ -226,14 +229,16 @@ def parse_log(
     ``skipped`` counts them, and its ``first_error`` is the message of the
     one with the lowest line number.
     """
-    log = None
-    if fmt is LogFormat.CSV:
-        data = _ascii(raw)
-        log = None if data is None else _parse_csv_fast(data, node)
-    elif fmt is LogFormat.KERNEL_RING and node is not None:
-        data = _utf8(raw)
-        log = None if data is None else _parse_ring_fast(data, node, lenient)
-    return _parse_lines(raw, fmt, node, lenient) if log is None else log
+    try:
+        if fmt is LogFormat.CSV:
+            return _parse_csv_fast(_utf8(raw), node)
+        if fmt is LogFormat.KERNEL_RING and node is not None:
+            return _parse_ring_fast(_utf8(raw), node, lenient)
+    except (_Fallback, LineError, ConfigInvalid):
+        # the fast path's own refusals, and the header or order errors of
+        # _header and EventLog: the loop writes every error message
+        pass
+    return _parse_lines(raw, fmt, node, lenient)
 
 
 def write_log(log: EventLog) -> str:
@@ -245,7 +250,7 @@ def write_log(log: EventLog) -> str:
     ConfigInvalid.
     """
     node_id = log.node.id
-    if node_id != node_id.strip() or any(char in node_id for char in ",\r\n"):
+    if not _csv_node_id(node_id):
         raise ConfigInvalid(f"node id {node_id!r} cannot be written to CSV: it holds a "
                             "comma, CR or LF, or starts or ends with a blank")
     cells = {"node": [node_id] * len(log), "seq": log.seq, "t_wall_ns": log.t_wall_ns}
@@ -254,6 +259,13 @@ def write_log(log: EventLog) -> str:
     if log.source.any():
         cells["source"] = np.array(_SOURCE_NAMES, object)[log.source]
     return write_table(tuple(cells), list(cells.values()))
+
+
+def _csv_node_id(node_id: str) -> bool:
+    """Whether a CSV row's node cell can hold ``node_id`` and read back as
+    it: the loop splits lines at LF and cells at commas, strips each cell,
+    and a CR may end a line."""
+    return node_id == node_id.strip() and not any(char in node_id for char in ",\r\n")
 
 
 def _parse_lines(
@@ -363,19 +375,16 @@ def _collect(
 
 def _header(line: str, line_no: int) -> tuple[str, ...] | None:
     """The layout a header line declares, or None if the line is no header."""
-    cells = [c.strip() for c in line.split(",")]
-    return _header_layout(cells, line_no) if cells[0] == "node" else None
-
-
-def _header_layout(cells: list[str], line_no: int) -> tuple[str, ...]:
+    cells = tuple(c.strip() for c in line.split(","))
+    if cells[0] != "node":
+        return None
     if (
-        len(cells) < 3
-        or tuple(cells[:3]) != _CSV_COLUMNS[:3]
+        cells[:3] != _CSV_COLUMNS[:3]
         or any(c not in _CSV_COLUMNS[3:] for c in cells[3:])
         or len(set(cells)) != len(cells)
     ):
         raise UnparseableLine(line_no, f"bad header: {','.join(cells)!r}")
-    return tuple(cells)
+    return cells
 
 
 def _parse_csv_row(
@@ -453,8 +462,9 @@ def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
 
 
 # The whole-text fast path of parse_log. It checks the bytes with numpy
-# scans and gathers, reads the columns with numpy, and gives up (returns
-# None) wherever it cannot show that _parse_lines would return the same log.
+# scans and gathers, reads the columns with numpy, and raises _Fallback
+# wherever it cannot show that _parse_lines would return the same log;
+# parse_log then hands the input to that loop.
 
 # The ASCII bytes str.strip() removes, less LF.
 _BLANK = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
@@ -465,15 +475,17 @@ _IS_BLANK, _IS_SPACE = (np.frombuffer(bytes(byte in spaces for byte in range(256
 _LEADING_BLANK_LINES = re.compile(rb"(?:[%s]*\n)*" % _BLANK)
 
 
-def _ascii(raw) -> bytes | None:
-    """The log as bytes if it is all ASCII, else None."""
-    if isinstance(raw, str):
-        return raw.encode() if raw.isascii() else None
-    return raw if isinstance(raw, bytes) and raw.isascii() else None
+class _Fallback(Exception):
+    """The fast path cannot vouch for the input; the line loop reads it."""
 
 
-def _utf8(raw) -> bytes | None:
-    """The log as bytes if it is valid UTF-8, else None."""
+def _require(ok) -> None:
+    if not ok:
+        raise _Fallback
+
+
+def _utf8(raw) -> bytes:
+    """The log as bytes; _Fallback unless it is a str that encodes or UTF-8 bytes."""
     try:
         if isinstance(raw, str):
             return raw.encode()
@@ -483,7 +495,7 @@ def _utf8(raw) -> bytes | None:
             return raw
     except UnicodeError:
         pass
-    return None
+    raise _Fallback
 
 
 def _line_at(data: bytes, start: int) -> str:
@@ -491,34 +503,26 @@ def _line_at(data: bytes, start: int) -> str:
     return data[start:None if end < 0 else end].decode()
 
 
-def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog | None:
+def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog:
     start = _LEADING_BLANK_LINES.match(data).end()
-    try:
-        layout = _header(_line_at(data, start), data.count(b"\n", 0, start) + 1)
-    except LineError:
-        return None
+    layout = _header(_line_at(data, start), data.count(b"\n", 0, start) + 1)
     if layout is not None:
         end = data.find(b"\n", start)
-        if end < 0:
-            return None
+        _require(end >= 0)
         start = _LEADING_BLANK_LINES.match(data, end + 1).end()
     first = _line_at(data, start).split(",")
     layout = layout or _sniff_layout([c.strip() for c in first])
-    # The loop strips each cell of a line split at commas, so the node cell
-    # only matches itself if stripping leaves it whole.
     node_id = first[0] if node is None else node.id
-    if (layout is None or not node_id or node_id != node_id.strip()
-            or "," in node_id or "\n" in node_id):
-        return None
+    _require(layout is not None and node_id and _csv_node_id(node_id))
     return _csv_columns(np.frombuffer(data, np.uint8, offset=start), node_id,
                         node or infer_node(node_id), layout[1:])
 
 
 def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
-                 cells: tuple[str, ...]) -> EventLog | None:
+                 cells: tuple[str, ...]) -> EventLog:
     """The log of the lines of ``text`` if each one is blank or a row of
-    ``node_id`` and ``cells``, else None; None too if no row is there, a
-    cell passes int64 or a row breaks the order rule.
+    ``node_id`` and ``cells``; _Fallback if not, if no row is there or if
+    a cell passes int64.
 
     Node ids and blank lines hold no comma, so a row is a line that holds
     ``len(cells)`` commas, and every other line must hold only ``_BLANK``
@@ -537,16 +541,14 @@ def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
     heads, stops = heads[heads < stops], stops[heads < stops]
     # A line that is not blank seldom starts with a blank, so checking the
     # first bytes first spares the gather of every byte of such lines.
-    if not (_IS_BLANK[text[heads]].all() and _IS_BLANK[text[_spans(heads, stops)]].all()):
-        return None
+    _require(_IS_BLANK[text[heads]].all() and _IS_BLANK[text[_spans(heads, stops)]].all())
     rows = np.flatnonzero(row)
     heads, ends = bounds[rows] + 1, bounds[rows + 1]
     del bounds, row, others, rows  # the parse's peak memory is what it holds at once
     commas = commas.reshape(-1, len(cells))
     word = node_id.encode()
-    if not len(commas) or not ((commas[:, 0] == heads + len(word))
-                               & _word_at(text, heads, word)).all():
-        return None
+    _require(len(commas) and ((commas[:, 0] == heads + len(word))
+                              & _word_at(text, heads, word)).all())
     del heads
     ends -= text[ends - 1] == ord("\r")
     stops = np.vstack((commas.T[1:], ends))
@@ -555,16 +557,13 @@ def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
     for name, stop, length in zip(cells, stops, lengths):
         if name == "source":
             columns[name] = _source_cells(text, stop, length)
-        elif length.max() <= 19 and (name == "t_mono_ns" or length.min() > 0):
-            columns[name] = _uint_cells(text, stop, length)
         else:
-            return None
-        if columns[name] is None:
-            return None
+            _require(length.max() <= 19 and (name == "t_mono_ns" or length.min() > 0))
+            columns[name] = _uint_cells(text, stop, length)
     if "t_mono_ns" in columns:
         columns["t_mono_ns"][lengths[cells.index("t_mono_ns")] == 0] = -1
-    return _fast_log(node, columns["seq"], columns["t_wall_ns"], columns.get("t_mono_ns"),
-                     columns.get("source"))
+    return EventLog(node, columns["seq"], columns["t_wall_ns"], columns.get("t_mono_ns"),
+                    columns.get("source"))
 
 
 def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -574,9 +573,10 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
                                                      lengths)
 
 
-def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The codes of the source cells of ``lengths[i]`` bytes that end at
-    ``stops[i]``, 0 (hall) when empty; None unless each is empty or a name."""
+    ``stops[i]``, 0 (hall) when empty; _Fallback unless each is empty or a
+    name."""
     codes = np.zeros(len(stops), np.int64)
     named = lengths == 0
     starts = stops - lengths
@@ -585,13 +585,14 @@ def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> n
         cell = cell[_word_at(text, starts[cell], name.encode())]
         codes[cell] = code
         named[cell] = True
-    return codes if named.all() else None
+    _require(named.all())
+    return codes
 
 
-def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The int64 values of the cells of ``lengths[i]`` (at most 19) bytes
-    that end at ``stops[i]``, 0 when empty; None if a cell holds a byte that
-    is no ASCII digit, or is 2**63 or more.
+    that end at ``stops[i]``, 0 when empty; _Fallback if a cell holds a byte
+    that is no ASCII digit, or is 2**63 or more.
 
     One Horner pass reads as many bytes as the longest cell has, up to where
     each cell ends, with the bytes before a cell read as 0. Nineteen digits
@@ -613,14 +614,11 @@ def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.
             column *= lengths >= width - place  # a byte before its cell reads as 0
         value *= np.uint64(10)
         value += column
-    if digits.max() > 9:
-        return None
-    if value.max() >= np.uint64(2**63):
-        return None
+    _require(digits.max() <= 9 and value.max() < np.uint64(2**63))
     return value.view(np.int64)
 
 
-def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | None:
+def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog:
     """The log of ring text that is UTF-8, read from the bytes as CSV is.
 
     One scan each finds the spaces (the ASCII bytes ``str.strip()`` removes,
@@ -640,8 +638,7 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | Non
     colons = colons[colons >= 7]
     for back, marker_byte in enumerate(b"qri_m2m", 1):
         colons = colons[text[colons - back] == marker_byte]
-    if not len(colons):
-        return None
+    _require(len(colons))
     # Line k runs from bounds[k] + 1 up to bounds[k + 1], and is blank if as
     # many spaces as bytes lie between those two LFs.
     at_lf = np.flatnonzero(byte == ord("\n"))
@@ -658,23 +655,21 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog | Non
     skipped = np.flatnonzero(markerless)
     first_error = None
     if len(skipped):
-        if not lenient:
-            return None
+        _require(lenient)
         first = int(skipped[0])
         try:
             _parse_kernel_line(_line_at(data, int(bounds[first]) + 1), first + 1)
         except LineError as err:
             first_error = str(err)
     del bounds, blank, lines, markerless
-    columns = _ring_tails(text, spaces, colons, ends)
-    return None if columns is None else _fast_log(node, *columns, len(skipped), first_error)
+    return EventLog(node, *_ring_tails(text, spaces, colons, ends), len(skipped), first_error)
 
 
 def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
-                ends: np.ndarray) -> tuple | None:
+                ends: np.ndarray) -> tuple:
     """The ``seq``, ``t_wall_ns``, ``t_mono_ns`` and ``source`` columns of
-    the tails that run from the markers ending at ``colons`` up to ``ends``,
-    or None unless every tail is well formed.
+    the tails that run from the markers ending at ``colons`` up to ``ends``;
+    _Fallback unless every tail is well formed.
 
     A tail is blanks, ``seq=`` and 1-19 digits, blanks, ``ts=`` and 1-19
     digits, blanks, ``src=`` and a source name, then blanks. A blank is a
@@ -686,31 +681,24 @@ def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
     """
     eqs = np.flatnonzero(text == ord("="))
     first = np.searchsorted(eqs, colons)
-    if first[-1] + 3 > len(eqs) or not len(spaces):  # a tail holds three = and blanks
-        return None
+    _require(first[-1] + 3 <= len(eqs) and len(spaces))  # a tail holds three = and blanks
     seq_eq, ts_eq, src_eq = eqs[first], eqs[first + 1], eqs[first + 2]
     del eqs, first
     pulse = _word_at(text, src_eq + 1, b"pulse")
-    if not ((_word_at(text, src_eq + 1, b"hall") | pulse) & _word_at(text, seq_eq - 3, b"seq")
-            & _word_at(text, ts_eq - 2, b"ts") & _word_at(text, src_eq - 3, b"src")).all():
-        return None
+    _require(((_word_at(text, src_eq + 1, b"hall") | pulse) & _word_at(text, seq_eq - 3, b"seq")
+              & _word_at(text, ts_eq - 2, b"ts") & _word_at(text, src_eq - 3, b"src")).all())
     at = np.searchsorted(spaces, colons)
-    if not _space_run(spaces, at, colons + 1, seq_eq - 3).all():
-        return None
+    _require(_space_run(spaces, at, colons + 1, seq_eq - 3).all())
     at += seq_eq - 4 - colons
     cells = []
     for eq, word in ((seq_eq, ts_eq - 2), (ts_eq, src_eq - 3)):
         stops = spaces.take(at, mode="clip")
         lengths = stops - eq - 1
-        if not ((lengths > 0) & (lengths < 20) & (stops < word)
-                & _space_run(spaces, at, stops, word)).all():
-            return None
+        _require(((lengths > 0) & (lengths < 20) & (stops < word)
+                  & _space_run(spaces, at, stops, word)).all())
         at += word - stops
         cells.append(_uint_cells(text, stops, lengths))
-        if cells[-1] is None:
-            return None
-    if not _space_run(spaces, at, src_eq + 5 + pulse, ends).all():
-        return None
+    _require(_space_run(spaces, at, src_eq + 5 + pulse, ends).all())
     seq, t_wall = cells
     # source codes index tuple(EventSource): hall is 0 and pulse 1
     return seq, t_wall, None, pulse.astype(np.int64)
@@ -735,11 +723,3 @@ def _word_at(text: np.ndarray, starts: np.ndarray, word: bytes) -> np.ndarray:
     for offset, byte in enumerate(word):
         found &= text.take(starts + offset, mode="clip") == byte
     return found
-
-
-def _fast_log(node: NodeId, *columns) -> EventLog | None:
-    """``EventLog(node, *columns)``, or None if a row breaks the order rule."""
-    try:
-        return EventLog(node, *columns)
-    except (LineError, ConfigInvalid):
-        return None

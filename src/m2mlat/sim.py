@@ -385,9 +385,16 @@ def _parse_dist(section, name: str) -> DelayDist:
 
 
 def _parse_clock(section) -> ClockModel:
-    """ClockModel of a [clock_*] section; each field converts to the type of its default."""
-    fields = vars(ClockModel()).items()
-    return ClockModel(**{f: type(v)(section.getfloat(f)) for f, v in fields if f in section})
+    """ClockModel of a [clock_*] section; each field converts to the type of
+    its default, and an int field refuses a value that is not whole."""
+    values = {}
+    for f, default in vars(ClockModel()).items():
+        if f in section:
+            value = section.getfloat(f)
+            values[f] = type(default)(value)
+            if isinstance(default, int) and values[f] != value:  # int() took off a fraction
+                raise ConfigInvalid(f"[{section.name}] {f} must be a whole number, got {value}")
+    return ClockModel(**values)
 
 
 def config_hash(cfg: ScenarioConfig) -> str:

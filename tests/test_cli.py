@@ -340,6 +340,7 @@ _OVERFLOWING = [
      _draw_beyond_int64, _totals_beyond_int64,
      _clock_op_value("correction_interval_s", "nan", "correction_interval_s must be finite"),
      _clock_op_value("correction_interval_s", "1e300", "correction_interval_s must be below"),
+     _clock_op_value("initial_offset_ns", "0.9", "[clock_op] initial_offset_ns must be a whole number"),
      _probe_port_beyond_range("--peer", 70000), _probe_port_beyond_range("--peer", -1),
      _probe_port_beyond_range("--listen", 70000), *_OVERFLOWING],
 )

@@ -78,7 +78,7 @@ BLANK_LINES = ("", "\t", "\x1c", " \t\x1c", "\r")
 @st.composite
 def csv_texts(draw):
     header, extra = draw(st.sampled_from(LAYOUTS))
-    node = draw(st.sampled_from(("operator", "vehicle", "op-station", "bench rig")))
+    node = draw(st.sampled_from(("operator", "vehicle", "op-station", "bench rig", "béta")))
     columns = ("seq", "t_wall_ns", *extra)
     rows = draw(events_rows())
     if not header and extra == ("source",):  # a source name in row 1 pins this layout
@@ -201,6 +201,7 @@ EDGE_CASES = {
     "csv_not_utf8": b"operator,0,1000\noperator,1,\xff2000\noperator,2,3000\n",
     "ring_not_utf8": b"m2m_irq: seq=0 ts=1000 src=hall\n\xff\nm2m_irq: seq=1 ts=2000 src=hall\n",
     "csv_non_ascii_node": "béta,0,1000\nbéta,1,2000\n",
+    "csv_lone_surrogate": "operator,0,1000\n\udc80\noperator,1,2000\n",
     "csv_arabic_digit": "operator,0,1000\noperator,١,2000\n",
     "csv_bad_first_row": "junk,a,b,c\nop,0,1000\nop,1,2000",
     "csv_bad_header": "node,seq\noperator,0,1000\n",
@@ -259,11 +260,14 @@ def _forbid_the_line_loop(monkeypatch):
 @pytest.mark.parametrize("raw, fmt, lenient", [
     ("node,seq,t_wall_ns\noperator,0,1000\noperator,1,2000\n", CSV, False),
     ("vehicle,0,1000,,pulse\nvehicle,2,2000,55,\nvehicle,3,2000,,synthetic\n", CSV, False),
+    ("node,seq,t_wall_ns,source\nbéta,0,1000,pulse\n\r\nbéta,1,2000,\n", CSV, False),
+    ("opérateur,0,1000\r\nopérateur,1,2000\r\n", CSV, False),
     ("[ 0.1] booting\n[ 0.2] m2m_irq: seq=0 ts=1000 src=hall\n"
      "[ 0.3] usb 1-1: device descriptor\n\nm2m_irq: seq=1 ts=2000 src=pulse\n", RING, True),
     # taken only if the scan for spaces finds the CR that ends the text
     (RING_HEAD + "m2m_irq: seq=1 ts=2000 src=pulse\r", RING, False),
-], ids=["csv_header", "csv_5_columns", "ring_dmesg", "ring_cr_ended_last_line"])
+], ids=["csv_header", "csv_5_columns", "csv_non_ascii_node_header",
+        "csv_non_ascii_node_headerless", "ring_dmesg", "ring_cr_ended_last_line"])
 def test_canonical_logs_skip_the_line_loop(monkeypatch, raw, fmt, lenient):
     node = OPERATOR if fmt is RING else None
     expected = events._parse_lines(raw, fmt, node, lenient)
@@ -294,8 +298,10 @@ def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
     assert parse_log(raw, RING, node=OPERATOR, lenient=True) == expected
 
 
-@pytest.mark.parametrize("header", [True, False], ids=["headered", "headerless"])
-def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header):
+@pytest.mark.parametrize("header, node_id", [
+    (True, "op-station"), (False, "op-station"), (True, "béta"), (False, "béta"),
+], ids=["headered", "headerless", "headered_non_ascii_node", "headerless_non_ascii_node"])
+def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header, node_id):
     """The shape of a 4,000-trial field capture in CSV: 12,000 rows, with a
     blank line (empty, ASCII blanks or CR only) after 15% of them."""
     rng = np.random.default_rng(401)
@@ -304,7 +310,7 @@ def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header):
     seq = 10**6 + np.cumsum(rng.integers(1, 3, edges))
     lines = ["node,seq,t_wall_ns"] if header else []
     for s, ts, blank in zip(seq.tolist(), t.tolist(), (rng.random(edges) < 0.15).tolist()):
-        lines.append(f"op-station,{s},{ts}")
+        lines.append(f"{node_id},{s},{ts}")
         if blank:
             lines.append(BLANK_LINES[s % len(BLANK_LINES)])
     raw = ("\n".join(lines) + "\n").encode()
