@@ -31,32 +31,20 @@ id on every line) plus one int64 array per CSV column: ``seq``,
 into ``tuple(EventSource)``). Within one log, ``seq`` is strictly
 increasing and ``t_wall_ns`` is non-decreasing (equal timestamps are
 legal: interrupt bursts can collide at nanosecond granularity);
-``_check_order`` is the one place that rule is written.
+``_check_order`` writes that rule for one event and ``_out_of_order`` for
+all of them.
 
-``parse_log`` reads a log with no split into lines, and numpy reads the
-columns of either format from the bytes, with no Python object per event:
-the integer cells come from one Horner pass per column. Both formats must
-be UTF-8, in which no byte of a multi-byte character is a comma, an LF, an
-ASCII digit or an ASCII blank, so the scans and gathers below see the same
-lines and cells as the loop. CSV's layout comes from the header (or the
-first row), and one scan each finds the LFs and commas after the header. A
-line with one comma per cell after the node id must be a row: gathers
-check that it starts with the pinned node id (its UTF-8 bytes) and its
-first comma, that each integer cell holds 1-19 digits (``t_mono_ns``
-0-19), and that each ``source`` cell is empty or one of the names, byte for
-byte, with at most one CR after the last cell. Every other line must hold
-only blank bytes. In ring text, one scan each finds the spaces (the ASCII
-bytes ``str.strip()`` removes, LF among them), the ``m2m_irq:`` markers and
-the ``=`` signs, and gathers at those positions check that each marker
-starts a well-formed event, so there is one per line; the other lines that
-are not blank are the ones a lenient parse skips. This fast path only
-returns what the line loop (``_parse_lines``) returns for the same input.
-Wherever it cannot show this it raises ``_Fallback``, and ``parse_log``,
-the one place that catches it, hands the input to that loop unchanged: input
-that is not UTF-8, a line that is none of the above, a strict ring parse
-with marker-less lines, a cell beyond int64, or, from ``_header`` and
-``EventLog``, a bad header or rows that break the order rule or start at a
-``t_wall_ns`` of 0. So the loop's line parsers write every error message.
+``parse_log`` has one path: numpy reads the columns of either format from
+the bytes, with no Python object per event and one Horner pass per integer
+column. No byte of a multi-byte UTF-8 character is a comma, an LF, an ASCII
+digit or an ASCII blank, so these scans see the lines and cells that the
+line parsers see. A CSV row is a line that starts with the node id the
+first row pins, then one comma per cell, 1-19 digits in each integer cell
+(``t_mono_ns`` 0-19), a name or nothing in each ``source`` cell and at most
+one CR at its end; any other line must be blank. In ring text the spaces,
+``m2m_irq:`` markers and ``=`` signs show each event's fields. The line
+parsers read only the lines these checks refuse, and the first CSV row,
+and write every error message; a line of bytes that is not UTF-8 is blanked.
 
 A lenient parse keeps the number of lines it skipped in
 ``EventLog.skipped`` and the error of the first of them in
@@ -171,7 +159,7 @@ class EventLog:
         if any(c.shape != (n,) for c in self.columns):
             raise ConfigInvalid("event log columns must be 1-D and of equal length")
         seq, t = self.seq, self.t_wall_ns
-        bad = (seq[1:] <= seq[:-1]) | (t[1:] < t[:-1])
+        bad = _out_of_order(seq, t)
         if bad.any():
             i = int(bad.argmax()) + 1
             _check_order(int(seq[i - 1]), int(t[i - 1]), int(seq[i]), int(t[i]), i + 1)
@@ -229,16 +217,16 @@ def parse_log(
     ``skipped`` counts them, and its ``first_error`` is the message of the
     one with the lowest line number.
     """
-    try:
-        if fmt is LogFormat.CSV:
-            return _parse_csv_fast(_utf8(raw), node)
-        if fmt is LogFormat.KERNEL_RING and node is not None:
-            return _parse_ring_fast(_utf8(raw), node, lenient)
-    except (_Fallback, LineError, ConfigInvalid):
-        # the fast path's own refusals, and the header or order errors of
-        # _header and EventLog: the loop writes every error message
-        pass
-    return _parse_lines(raw, fmt, node, lenient)
+    data, ascii, errors = _utf8(raw, lenient)
+    if fmt is LogFormat.CSV:
+        node, parse, *body = _read_csv(data, node, lenient, errors)
+    elif fmt is LogFormat.KERNEL_RING:
+        if node is None:
+            raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
+        parse, body = _parse_kernel_line, _read_ring(data, ascii)
+    else:
+        raise ConfigInvalid(f"unsupported log format: {fmt!r}")
+    return _finish(node, parse, lenient, errors, *body)
 
 
 def write_log(log: EventLog) -> str:
@@ -263,49 +251,15 @@ def write_log(log: EventLog) -> str:
 
 def _csv_node_id(node_id: str) -> bool:
     """Whether a CSV row's node cell can hold ``node_id`` and read back as
-    it: the loop splits lines at LF and cells at commas, strips each cell,
-    and a CR may end a line."""
+    it: the row parser splits lines at LF and cells at commas, strips each
+    cell, and a CR may end a line."""
     return node_id == node_id.strip() and not any(char in node_id for char in ",\r\n")
 
 
-def _parse_lines(
-    raw: str | bytes, fmt: LogFormat, node: NodeId | None, lenient: bool
-) -> EventLog:
-    """``parse_log`` one line at a time: the reference parser, and the only
-    one that rejects lines."""
-    rejected: list[LineError] = []
-
-    def reject(err: LineError) -> None:
-        if not lenient:
-            raise err
-        rejected.append(err)
-
-    text = raw if isinstance(raw, str) else _decode(raw, reject)
-    if fmt is LogFormat.CSV:
-        node, columns = _parse_csv(text, node, reject)
-    elif fmt is LogFormat.KERNEL_RING:
-        if node is None:
-            raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
-        columns = _collect(text.split("\n"), 1, _parse_kernel_line, reject)
-    else:
-        raise ConfigInvalid(f"unsupported log format: {fmt!r}")
-    first = min(rejected, key=lambda err: err.line_no, default=None)
-    return EventLog(node, *columns, len(rejected), None if first is None else str(first))
-
-
-def _decode(raw: bytes, reject) -> str:
-    """UTF-8 text of a log; each line that is not UTF-8 is rejected and blanked."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        lines = raw.split(b"\n")  # no byte of a multi-byte UTF-8 character is LF
-    for pos, line in enumerate(lines):
-        try:
-            lines[pos] = line.decode("utf-8")
-        except UnicodeDecodeError:
-            reject(UnparseableLine(pos + 1, "not valid UTF-8"))
-            lines[pos] = ""
-    return "\n".join(lines)
+def _out_of_order(seq: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Whether each event after the first breaks the order rule against the
+    one before it."""
+    return (seq[1:] <= seq[:-1]) | (t[1:] < t[:-1])
 
 
 def _check_order(prev_seq: int, prev_t: int, seq: int, t_wall: int, line_no: int) -> None:
@@ -314,63 +268,6 @@ def _check_order(prev_seq: int, prev_t: int, seq: int, t_wall: int, line_no: int
         raise NonMonotonicSeq(line_no, f"seq {seq} after {prev_seq}")
     if t_wall < prev_t:
         raise NonMonotonicTime(line_no, f"t_wall_ns {t_wall} after {prev_t}")
-
-
-def _parse_csv(text: str, node: NodeId | None, reject) -> tuple[NodeId, np.ndarray]:
-    lines = text.split("\n")
-    start = 0
-    layout: tuple[str, ...] | None = None
-
-    # Skip leading blank lines, then detect an optional header.
-    while start < len(lines) and not lines[start].strip():
-        start += 1
-    if start < len(lines):
-        layout = _header(lines[start], start + 1)
-        if layout is not None:
-            start += 1
-
-    # Without a header the first row that parses pins the layout, and
-    # without a node it pins the node id, for the rest of the file.
-    node_id = node.id if node is not None else None
-
-    def parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
-        nonlocal layout, node_id
-        row_layout = layout or _sniff_layout([c.strip() for c in line.split(",")])
-        if row_layout is None:
-            raise UnparseableLine(line_no, "expected 3 to 5 columns")
-        node_id, row = _parse_csv_row(line, line_no, row_layout, node_id)
-        layout = row_layout
-        return row
-
-    columns = _collect(lines[start:], start + 1, parse_line, reject)
-    return node or infer_node(node_id), columns
-
-
-def _collect(
-    lines: list[str], first_line_no: int, parse_line, reject
-) -> np.ndarray:
-    """The four columns of the non-blank lines.
-
-    ``parse_line(line, line_no)`` gives one ``(seq, t_wall, t_mono,
-    source)`` row. A line it rejects, or whose row breaks the order rule
-    against the last kept row, goes to ``reject``.
-    """
-    rows: list[tuple[int, int, int, int]] = []
-    prev_seq, prev_t = -1, 0  # below every parsed seq and t_wall
-    for line_no, line in enumerate(lines, start=first_line_no):
-        if not line.strip():
-            continue
-        try:
-            row = parse_line(line, line_no)
-            _check_order(prev_seq, prev_t, row[0], row[1], line_no)
-        except LineError as err:
-            reject(err)
-            continue
-        rows.append(row)
-        prev_seq, prev_t = row[0], row[1]
-    if not rows:
-        raise EmptyLog("no event records found")
-    return np.array(rows, dtype=np.int64).T
 
 
 def _header(line: str, line_no: int) -> tuple[str, ...] | None:
@@ -461,10 +358,8 @@ def _parse_kernel_line(line: str, line_no: int) -> tuple[int, int, int, int]:
     return seq, t_wall, -1, _SOURCE_BY_NAME[m.group(3)]
 
 
-# The whole-text fast path of parse_log. It checks the bytes with numpy
-# scans and gathers, reads the columns with numpy, and raises _Fallback
-# wherever it cannot show that _parse_lines would return the same log;
-# parse_log then hands the input to that loop.
+# The one parse path: numpy scans and gathers read the rows they vouch for,
+# and the line parsers above read only the lines the scans refuse.
 
 # The ASCII bytes str.strip() removes, less LF.
 _BLANK = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
@@ -472,57 +367,137 @@ _BLANK = b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f "
 # _BLANK or LF.
 _IS_BLANK, _IS_SPACE = (np.frombuffer(bytes(byte in spaces for byte in range(256)), bool)
                         for spaces in (_BLANK, _BLANK + b"\n"))
-_LEADING_BLANK_LINES = re.compile(rb"(?:[%s]*\n)*" % _BLANK)
+_LINE = re.compile(rb"(?m)^.*$")
 
 
-class _Fallback(Exception):
-    """The fast path cannot vouch for the input; the line loop reads it."""
-
-
-def _require(ok) -> None:
-    if not ok:
-        raise _Fallback
-
-
-def _utf8(raw) -> bytes:
-    """The log as bytes; _Fallback unless it is a str that encodes or UTF-8 bytes."""
-    try:
-        if isinstance(raw, str):
-            return raw.encode()
-        if isinstance(raw, bytes):
-            if not raw.isascii():
-                raw.decode()
-            return raw
-    except UnicodeError:
-        pass
-    raise _Fallback
+def _utf8(raw: str | bytes, lenient: bool) -> tuple[bytes, bool, list[LineError]]:
+    """The log as bytes, whether they are ASCII, and the error of each line
+    that is not UTF-8, blanked to its LF (strict, the first raises). A str
+    is encoded with its surrogates, which hold no ASCII byte."""
+    if isinstance(raw, str):
+        return raw.encode(errors="surrogatepass"), raw.isascii(), []
+    ascii, errors, parts, pos, k = raw.isascii(), [], [], 0, 0
+    while not ascii:
+        try:
+            raw[pos:].decode()
+            break
+        except UnicodeDecodeError as err:
+            bad = pos + err.start
+        start, end = raw.rfind(b"\n", pos, bad) + 1, raw.find(b"\n", bad)
+        k += raw.count(b"\n", pos, start)
+        errors.append(UnparseableLine(k + 1, "not valid UTF-8"))
+        if not lenient:
+            raise errors[0]
+        parts.append(raw[pos:start])
+        pos = len(raw) if end < 0 else end
+    data = b"".join(parts) + raw[pos:] if errors else raw
+    return data, data.isascii() if errors else ascii, errors
 
 
 def _line_at(data: bytes, start: int) -> str:
-    end = data.find(b"\n", start)
-    return data[start:None if end < 0 else end].decode()
+    return _LINE.match(data, start)[0].decode(errors="surrogatepass")
 
 
-def _parse_csv_fast(data: bytes, node: NodeId | None) -> EventLog:
-    start = _LEADING_BLANK_LINES.match(data).end()
-    layout = _header(_line_at(data, start), data.count(b"\n", 0, start) + 1)
-    if layout is not None:
-        end = data.find(b"\n", start)
-        _require(end >= 0)
-        start = _LEADING_BLANK_LINES.match(data, end + 1).end()
-    first = _line_at(data, start).split(",")
-    layout = layout or _sniff_layout([c.strip() for c in first])
-    node_id = first[0] if node is None else node.id
-    _require(layout is not None and node_id and _csv_node_id(node_id))
-    return _csv_columns(np.frombuffer(data, np.uint8, offset=start), node_id,
-                        node or infer_node(node_id), layout[1:])
+def _refused_lines(data: bytes, refused: np.ndarray, starts: np.ndarray):
+    """``(line_no, text)`` of each line refused, read as it is asked for."""
+    return ((line + 1, _line_at(data, at)) for line, at in zip(map(int, refused), map(int, starts)))
 
 
-def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
-                 cells: tuple[str, ...]) -> EventLog:
-    """The log of the lines of ``text`` if each one is blank or a row of
-    ``node_id`` and ``cells``; _Fallback if not, if no row is there or if
-    a cell passes int64.
+def _line_starts(text: np.ndarray) -> np.ndarray:
+    return np.append(0, np.flatnonzero(text == ord("\n")) + 1)
+
+
+def _finish(node: NodeId, parse, lenient: bool, errors: list[LineError], row: np.ndarray,
+            columns, refused, counted: int = 0) -> EventLog:
+    """The log of the rows the scans vouch for, on the lines where ``row``
+    is true, and of the ``(line_no, text)`` ``refused`` yields in order for
+    ``parse``; ``errors`` and ``counted`` more lines were rejected before.
+    The rows merge in line order. From the first one out of order with the
+    one before it, each row out of order with the last row kept is rejected.
+    Strict, the error of the lowest line rejected raises.
+    """
+    first = min(errors, key=lambda err: err.line_no, default=None)
+    skipped, more, lines = len(errors) + counted, [], None
+    for line_no, line in refused:
+        try:
+            if line.strip():
+                more.append((line_no, *parse(line, line_no)))
+        except LineError as err:
+            skipped, first = skipped + 1, _lower(first, err)
+            if not lenient:  # it is the lowest line refused
+                break
+    if more:
+        more, lines = np.array(more, np.int64).T, np.flatnonzero(row) + 1
+        lines, *columns = np.insert(np.vstack((lines, *columns)), np.searchsorted(lines, more[0]),
+                                    more, axis=1)
+    seq, t = columns[0], columns[1]
+    breaks = (np.flatnonzero(_out_of_order(seq, t)) + 1).tolist()
+    if breaks:  # each row out of order with the one before; the rows between are not
+        lines = np.flatnonzero(row) + 1 if lines is None else lines
+        keep, last = np.ones(len(seq), bool), breaks[0] - 1
+        for start, stop in zip(breaks, breaks[1:] + [len(seq)]):
+            for at in range(start, stop):  # a row kept keeps the rest up to the next break
+                try:
+                    _check_order(int(seq[last]), int(t[last]), int(seq[at]), int(t[at]),
+                                 int(lines[at]))
+                except LineError as err:
+                    if not lenient:
+                        raise _lower(first, err)
+                    skipped, first, keep[at] = skipped + 1, _lower(first, err), False
+                else:
+                    last = stop - 1
+                    break
+        columns = [column[keep] for column in columns]
+    if first is not None and not lenient:
+        raise first
+    if not len(columns[0]):
+        raise EmptyLog("no event records found")
+    return EventLog(node, *columns, skipped, None if first is None else str(first))
+
+
+def _lower(first: LineError | None, err: LineError) -> LineError:
+    """Whichever of two line errors has the lower line number; None is none."""
+    return err if first is None or err.line_no < first.line_no else first
+
+
+def _read_csv(data: bytes, node: NodeId | None, lenient: bool, errors: list[LineError]):
+    """The node of a CSV log, its row parser, and what ``_finish`` takes of
+    its body. The header, if any, is the first line that is not blank. The
+    row parser reads the lines after it until one parses, which pins the
+    layout and, without ``node``, the node id; the scan reads from there.
+    """
+    lines = ((k, line.start(), line[0].decode(errors="surrogatepass"))
+             for k, line in enumerate(_LINE.finditer(data)))
+    lines = (line for line in lines if line[2].strip())
+    layout, node_id = None, node and node.id
+    for n, (k, start, line) in enumerate(lines):
+        if not n and (layout := _header(line, k + 1)):
+            continue
+        try:
+            pin = layout or _sniff_layout([c.strip() for c in line.split(",")])
+            if pin is None:
+                raise UnparseableLine(k + 1, "expected 3 to 5 columns")
+            node_id = _parse_csv_row(line, k + 1, pin, node_id)[0]
+            break
+        except LineError as err:
+            if not lenient:
+                raise
+            errors.append(err)
+    else:
+        raise EmptyLog("no event records found")
+    text = np.frombuffer(data, np.uint8, offset=start)
+    row, columns, refused = _csv_columns(text, node_id, pin[1:])
+    starts = _line_starts(text)[refused] + start if len(refused) else refused
+    return (node or infer_node(node_id),
+            lambda line, line_no: _parse_csv_row(line, line_no, pin, node_id)[1],
+            np.concatenate((np.zeros(k, bool), row)), columns,
+            _refused_lines(data, refused + k, starts))
+
+
+def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tuple:
+    """Which lines of ``text`` are rows of ``node_id`` and ``cells``, their
+    four columns, and the indices of the refused lines: those that are
+    neither such a row nor blank.
 
     Node ids and blank lines hold no comma, so a row is a line that holds
     ``len(cells)`` commas, and every other line must hold only ``_BLANK``
@@ -538,45 +513,55 @@ def _csv_columns(text: np.ndarray, node_id: str, node: NodeId,
     row = np.diff(np.searchsorted(commas, bounds)) == len(cells)
     others = np.flatnonzero(~row)
     heads, stops = bounds[others] + 1, bounds[others + 1]
-    heads, stops = heads[heads < stops], stops[heads < stops]
+    filled = heads < stops
+    others, heads, stops = others[filled], heads[filled], stops[filled]
     # A line that is not blank seldom starts with a blank, so checking the
     # first bytes first spares the gather of every byte of such lines.
-    _require(_IS_BLANK[text[heads]].all() and _IS_BLANK[text[_spans(heads, stops)]].all())
+    blank = _IS_BLANK[text[heads]]
+    heads, lengths = heads[blank], (stops - heads)[blank]
+    offsets = np.cumsum(lengths) - lengths  # of each line's bytes among all of them
+    is_blank = _IS_BLANK[text[np.arange(int(lengths.sum())) + np.repeat(heads - offsets, lengths)]]
+    if not is_blank.all():  # a line that holds a byte that is no blank
+        blank[blank] = np.logical_and.reduceat(is_blank, offsets)
+    refused = others[~blank]
+    if len(refused):  # their commas are no row's
+        commas = commas[row[np.searchsorted(bounds, commas) - 1]]
     rows = np.flatnonzero(row)
     heads, ends = bounds[rows] + 1, bounds[rows + 1]
-    del bounds, row, others, rows  # the parse's peak memory is what it holds at once
+    del bounds, rows, others, stops, is_blank  # the parse's peak memory is what it holds at once
     commas = commas.reshape(-1, len(cells))
-    word = node_id.encode()
-    _require(len(commas) and ((commas[:, 0] == heads + len(word))
-                              & _word_at(text, heads, word)).all())
+    # node_id is a cell that the row parser read: no comma or LF in it and no
+    # blank at either end. A str log's lone surrogates are encoded as its text.
+    word = node_id.encode(errors="surrogatepass")
+    ok = (commas[:, 0] == heads + len(word)) & _word_at(text, heads, word)
     del heads
     ends -= text[ends - 1] == ord("\r")
     stops = np.vstack((commas.T[1:], ends))
-    lengths = stops - commas.T - 1
     columns = {}
-    for name, stop, length in zip(cells, stops, lengths):
+    for name, stop, length in zip(cells, stops, stops - commas.T - 1):
         if name == "source":
-            columns[name] = _source_cells(text, stop, length)
+            columns[name], good = _source_cells(text, stop, length)
         else:
-            _require(length.max() <= 19 and (name == "t_mono_ns" or length.min() > 0))
-            columns[name] = _uint_cells(text, stop, length)
-    if "t_mono_ns" in columns:
-        columns["t_mono_ns"][lengths[cells.index("t_mono_ns")] == 0] = -1
-    return EventLog(node, columns["seq"], columns["t_wall_ns"], columns.get("t_mono_ns"),
-                    columns.get("source"))
+            columns[name], good = _uint_cells(text, stop, length, name == "t_mono_ns")
+            if name == "t_mono_ns":
+                columns[name][length == 0] = -1
+        ok &= good
+    absent = {"t_mono_ns": -1, "source": 0}  # filled once the cells' gathers are freed
+    columns = tuple(columns[name] if name in columns else np.full(len(ends), absent[name])
+                    for name in _CSV_COLUMNS[1:])
+    if not columns[1].all():  # a t_wall_ns of 0
+        ok &= columns[1] > 0
+    if not ok.all():
+        bad = np.flatnonzero(row)[~ok]
+        row[bad] = False
+        refused = np.sort(np.append(refused, bad))
+        columns = tuple(column[ok] for column in columns)
+    return row, columns, refused
 
 
-def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The positions from each of ``starts`` up to its stop, in order."""
-    lengths = stops - starts
-    return np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
-                                                     lengths)
-
-
-def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> tuple:
     """The codes of the source cells of ``lengths[i]`` bytes that end at
-    ``stops[i]``, 0 (hall) when empty; _Fallback unless each is empty or a
-    name."""
+    ``stops[i]``, 0 (hall) when empty, and which cells are empty or a name."""
     codes = np.zeros(len(stops), np.int64)
     named = lengths == 0
     starts = stops - lengths
@@ -585,22 +570,25 @@ def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> n
         cell = cell[_word_at(text, starts[cell], name.encode())]
         codes[cell] = code
         named[cell] = True
-    _require(named.all())
-    return codes
+    return codes, named
 
 
-def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The int64 values of the cells of ``lengths[i]`` (at most 19) bytes
-    that end at ``stops[i]``, 0 when empty; _Fallback if a cell holds a byte
-    that is no ASCII digit, or is 2**63 or more.
+def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray,
+                empty: bool = False) -> tuple:
+    """The int64 values of the cells of ``lengths[i]`` bytes that end at
+    ``stops[i]``, 0 when empty, and which cells hold 1-19 ASCII digits (0-19
+    if ``empty``) below 2**63. That mask is built by cell only when some
+    cell fails, since it takes a reduction along each row of digits.
 
-    One Horner pass reads as many bytes as the longest cell has, up to where
-    each cell ends, with the bytes before a cell read as 0. Nineteen digits
-    stay below 2**64, so no sum wraps. ``stops`` ascend, so the cells that
-    end within the first ``width`` bytes come first; each is read from the
-    start of the text and moved to the end of its window.
+    One Horner pass reads as many bytes as the longest cell has (at most
+    19), up to where each cell ends, with the bytes before a cell read as
+    0. Nineteen digits stay below 2**64, so no sum wraps. The stops of
+    cells that can be well formed ascend, so those that end within the
+    first ``width`` bytes come first; each is read from the start of the
+    text and moved to the end of its window.
     """
-    width = max(int(lengths.max()), 1)
+    longest = int(lengths.max(initial=1))
+    width = min(longest, 19)
     digits = sliding_window_view(text, width)[np.maximum(stops - width, 0)]
     for row, stop in enumerate(stops[:width].tolist()):
         if stop >= width:
@@ -608,25 +596,31 @@ def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.
         digits[row, width - stop:] = text[:stop]
     digits -= np.uint8(ord("0"))
     value = np.zeros(len(stops), np.uint64)
-    every = width - int(lengths.min())  # the first place that every cell holds
+    shortest = int(lengths.min(initial=width))
+    every = width - shortest  # the first place that every cell holds
     for place, column in enumerate(digits.T):
         if place < every:
             column *= lengths >= width - place  # a byte before its cell reads as 0
         value *= np.uint64(10)
         value += column
-    _require(digits.max() <= 9 and value.max() < np.uint64(2**63))
-    return value.view(np.int64)
+    top = np.uint64(2**63)
+    if (longest <= 19 and (empty or shortest > 0) and digits.max(initial=0) <= 9
+            and value.max(initial=0) < top):
+        return value.view(np.int64), np.ones(len(stops), bool)
+    return value.view(np.int64), ((lengths <= 19) & ((lengths > 0) | empty)
+                                  & (digits.max(axis=1, initial=0) <= 9) & (value < top))
 
 
-def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog:
-    """The log of ring text that is UTF-8, read from the bytes as CSV is.
+def _read_ring(data: bytes, ascii: bool) -> tuple:
+    """What ``_finish`` takes of ring text.
 
     One scan each finds the spaces (the ASCII bytes ``str.strip()`` removes,
     LF among them), the ``m2m_irq:`` markers and, in ``_ring_tails``, the
     ``=`` signs. A line of ASCII is blank if the spaces hold all its bytes,
-    which their positions show; a line of other text is decoded. Each marker
-    must start a tail that ``_ring_tails`` reads. No tail holds a second
-    marker, so the lines the loop skips are the others that are not blank.
+    which their positions show; a line of other text is decoded. A line
+    with a marker whose tail ``_ring_tails`` refuses is refused. No tail it
+    reads holds a second marker, so the other lines that are not blank have
+    no marker: the first is refused, for its message, the rest counted.
     """
     text = np.frombuffer(data, np.uint8)
     spaces = np.flatnonzero(text <= ord(" "))
@@ -638,70 +632,73 @@ def _parse_ring_fast(data: bytes, node: NodeId, lenient: bool) -> EventLog:
     colons = colons[colons >= 7]
     for back, marker_byte in enumerate(b"qri_m2m", 1):
         colons = colons[text[colons - back] == marker_byte]
-    _require(len(colons))
     # Line k runs from bounds[k] + 1 up to bounds[k + 1], and is blank if as
     # many spaces as bytes lie between those two LFs.
     at_lf = np.flatnonzero(byte == ord("\n"))
     bounds = np.concatenate(([-1], spaces[at_lf], [len(text)]))
     blank = np.diff(bounds) == np.diff(np.concatenate(([-1], at_lf, [len(spaces)])))
     del byte, space, at_lf  # the parse's peak memory is what it holds at once
-    if not data.isascii():
+    if not ascii:
         for line in np.unique(np.searchsorted(bounds, np.flatnonzero(text > 0x7f)) - 1).tolist():
             blank[line] = not _line_at(data, int(bounds[line]) + 1).strip()
     lines = np.searchsorted(bounds, colons) - 1
     ends = bounds[lines + 1]
-    markerless = ~blank
-    markerless[lines] = False
-    skipped = np.flatnonzero(markerless)
-    first_error = None
-    if len(skipped):
-        _require(lenient)
-        first = int(skipped[0])
-        try:
-            _parse_kernel_line(_line_at(data, int(bounds[first]) + 1), first + 1)
-        except LineError as err:
-            first_error = str(err)
-    del bounds, blank, lines, markerless
-    return EventLog(node, *_ring_tails(text, spaces, colons, ends), len(skipped), first_error)
+    row = np.zeros(len(blank), bool)
+    row[lines] = True
+    markerless = np.flatnonzero(~(blank | row))
+    refused, starts = markerless[:1], bounds[markerless[:1]] + 1
+    del bounds, blank, lines
+    ok, *columns = _ring_tails(text, spaces, colons, ends)
+    if not ok.all():  # the lines of refused tails, and any other marker on them
+        starts = _line_starts(text)
+        lines = np.searchsorted(starts, colons, "right") - 1
+        bad = np.zeros(len(row), bool)
+        bad[lines[~ok]] = True
+        row &= ~bad
+        columns = [column[row[lines]] for column in columns]
+        refused = np.sort(np.append(refused, np.flatnonzero(bad)))
+        starts = starts[refused]
+    return row, columns, _refused_lines(data, refused, starts), max(len(markerless) - 1, 0)
 
 
 def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
                 ends: np.ndarray) -> tuple:
-    """The ``seq``, ``t_wall_ns``, ``t_mono_ns`` and ``source`` columns of
-    the tails that run from the markers ending at ``colons`` up to ``ends``;
-    _Fallback unless every tail is well formed.
+    """Which of the tails that run from the markers ending at ``colons`` up
+    to ``ends`` are well formed, and their four columns.
 
     A tail is blanks, ``seq=`` and 1-19 digits, blanks, ``ts=`` and 1-19
-    digits, blanks, ``src=`` and a source name, then blanks. A blank is a
-    space other than LF: what the loop's ``\\s`` takes there in ASCII. The
-    three ``=`` of a tail are the first three after its marker, and each
-    digit cell ends at the next space. Each blank run then starts at the
-    space that follows the run before it, so walking ``spaces`` from the
-    first one after the marker checks it with two gathers.
+    digits (above 0, below 2**63), blanks, ``src=`` and a source name, then
+    blanks. A blank is a space other than LF: what the line parser's ``\\s``
+    takes there in ASCII. The three ``=`` of a tail are the first three
+    after its marker, and each digit cell ends at the next space. Each blank
+    run then starts at the space that follows the run before it, so walking
+    ``spaces`` from the first one after the marker checks it with two
+    gathers.
     """
     eqs = np.flatnonzero(text == ord("="))
+    if not (len(eqs) and len(spaces)):  # no tail is well formed
+        return np.zeros(len(colons), bool), *np.zeros((4, len(colons)), np.int64)
     first = np.searchsorted(eqs, colons)
-    _require(first[-1] + 3 <= len(eqs) and len(spaces))  # a tail holds three = and blanks
-    seq_eq, ts_eq, src_eq = eqs[first], eqs[first + 1], eqs[first + 2]
+    ok = first + 3 <= len(eqs)
+    seq_eq, ts_eq, src_eq = (eqs.take(first + k, mode="clip") for k in range(3))
     del eqs, first
     pulse = _word_at(text, src_eq + 1, b"pulse")
-    _require(((_word_at(text, src_eq + 1, b"hall") | pulse) & _word_at(text, seq_eq - 3, b"seq")
-              & _word_at(text, ts_eq - 2, b"ts") & _word_at(text, src_eq - 3, b"src")).all())
+    ok &= ((_word_at(text, src_eq + 1, b"hall") | pulse) & _word_at(text, seq_eq - 3, b"seq")
+           & _word_at(text, ts_eq - 2, b"ts") & _word_at(text, src_eq - 3, b"src"))
     at = np.searchsorted(spaces, colons)
-    _require(_space_run(spaces, at, colons + 1, seq_eq - 3).all())
+    ok &= _space_run(spaces, at, colons + 1, seq_eq - 3)
     at += seq_eq - 4 - colons
     cells = []
     for eq, word in ((seq_eq, ts_eq - 2), (ts_eq, src_eq - 3)):
         stops = spaces.take(at, mode="clip")
-        lengths = stops - eq - 1
-        _require(((lengths > 0) & (lengths < 20) & (stops < word)
-                  & _space_run(spaces, at, stops, word)).all())
+        value, good = _uint_cells(text, stops, stops - eq - 1)
+        ok &= good & (stops < word) & _space_run(spaces, at, stops, word)
         at += word - stops
-        cells.append(_uint_cells(text, stops, lengths))
-    _require(_space_run(spaces, at, src_eq + 5 + pulse, ends).all())
+        cells.append(value)
     seq, t_wall = cells
+    ok &= _space_run(spaces, at, src_eq + 5 + pulse, ends) & (t_wall > 0)
     # source codes index tuple(EventSource): hall is 0 and pulse 1
-    return seq, t_wall, None, pulse.astype(np.int64)
+    return ok, seq, t_wall, np.full(len(seq), -1), pulse.astype(np.int64)
 
 
 def _space_run(spaces: np.ndarray, at: np.ndarray, starts: np.ndarray,

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,21 @@ import numpy as np
 from hypothesis import strategies as st
 
 import m2mlat
-from m2mlat.events import EventLog, EventSource, NodeId, Role
+from m2mlat import events
+from m2mlat.errors import ConfigInvalid, EmptyLog, LineError, UnparseableLine
+from m2mlat.events import (
+    EventLog,
+    EventSource,
+    LogFormat,
+    NodeId,
+    Role,
+    _check_order,
+    _header,
+    _parse_csv_row,
+    _parse_kernel_line,
+    _sniff_layout,
+    infer_node,
+)
 from m2mlat.pairing import PairingConfig
 
 OPERATOR = NodeId("operator", Role.OPERATOR)
@@ -142,6 +157,117 @@ def oracle_write_table(columns, rows) -> str:
     lines = [",".join(columns)]
     lines.extend(pattern % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def oracle_parse_log(
+    raw: str | bytes, fmt: LogFormat, node: NodeId | None, lenient: bool
+) -> EventLog:
+    """``parse_log`` one line at a time, with the library's line parsers:
+    every line goes through them, and a lenient parse collects each line
+    they reject, or whose row breaks the order rule, in a list."""
+    rejected: list[LineError] = []
+
+    def reject(err: LineError) -> None:
+        if not lenient:
+            raise err
+        rejected.append(err)
+
+    text = raw if isinstance(raw, str) else _decode(raw, reject)
+    if fmt is LogFormat.CSV:
+        node, columns = _parse_csv(text, node, reject)
+    elif fmt is LogFormat.KERNEL_RING:
+        if node is None:
+            raise ConfigInvalid("kernel ring logs carry no node id; pass node= explicitly")
+        columns = _collect(text.split("\n"), 1, _parse_kernel_line, reject)
+    else:
+        raise ConfigInvalid(f"unsupported log format: {fmt!r}")
+    first = min(rejected, key=lambda err: err.line_no, default=None)
+    return EventLog(node, *columns, len(rejected), None if first is None else str(first))
+
+
+def _decode(raw: bytes, reject) -> str:
+    """UTF-8 text of a log; each line that is not UTF-8 is rejected and blanked."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        lines = raw.split(b"\n")  # no byte of a multi-byte UTF-8 character is LF
+    for pos, line in enumerate(lines):
+        try:
+            lines[pos] = line.decode("utf-8")
+        except UnicodeDecodeError:
+            reject(UnparseableLine(pos + 1, "not valid UTF-8"))
+            lines[pos] = ""
+    return "\n".join(lines)
+
+
+def _parse_csv(text: str, node: NodeId | None, reject) -> tuple[NodeId, np.ndarray]:
+    lines = text.split("\n")
+    start = 0
+    layout: tuple[str, ...] | None = None
+
+    # Skip leading blank lines, then detect an optional header.
+    while start < len(lines) and not lines[start].strip():
+        start += 1
+    if start < len(lines):
+        layout = _header(lines[start], start + 1)
+        if layout is not None:
+            start += 1
+
+    # Without a header the first row that parses pins the layout, and
+    # without a node it pins the node id, for the rest of the file.
+    node_id = node.id if node is not None else None
+
+    def parse_line(line: str, line_no: int) -> tuple[int, int, int, int]:
+        nonlocal layout, node_id
+        row_layout = layout or _sniff_layout([c.strip() for c in line.split(",")])
+        if row_layout is None:
+            raise UnparseableLine(line_no, "expected 3 to 5 columns")
+        node_id, row = _parse_csv_row(line, line_no, row_layout, node_id)
+        layout = row_layout
+        return row
+
+    columns = _collect(lines[start:], start + 1, parse_line, reject)
+    return node or infer_node(node_id), columns
+
+
+def _collect(
+    lines: list[str], first_line_no: int, parse_line, reject
+) -> np.ndarray:
+    """The four columns of the non-blank lines.
+
+    ``parse_line(line, line_no)`` gives one ``(seq, t_wall, t_mono,
+    source)`` row. A line it rejects, or whose row breaks the order rule
+    against the last kept row, goes to ``reject``.
+    """
+    rows: list[tuple[int, int, int, int]] = []
+    prev_seq, prev_t = -1, 0  # below every parsed seq and t_wall
+    for line_no, line in enumerate(lines, start=first_line_no):
+        if not line.strip():
+            continue
+        try:
+            row = parse_line(line, line_no)
+            _check_order(prev_seq, prev_t, row[0], row[1], line_no)
+        except LineError as err:
+            reject(err)
+            continue
+        rows.append(row)
+        prev_seq, prev_t = row[0], row[1]
+    if not rows:
+        raise EmptyLog("no event records found")
+    return np.array(rows, dtype=np.int64).T
+
+
+def count_line_parser_calls(monkeypatch) -> Counter:
+    """Counts, by name, the calls ``parse_log`` makes from here on to the
+    line parsers ``events._parse_csv_row`` and ``events._parse_kernel_line``."""
+    calls: Counter = Counter()
+    for name in ("_parse_csv_row", "_parse_kernel_line"):
+        def counted(*args, real=getattr(events, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(events, name, counted)
+    return calls
 
 
 WATCHED_MODULES = (

@@ -23,7 +23,15 @@ from m2mlat.events import (
 )
 from m2mlat.pairing import debounce
 
-from helpers import OPERATOR, VEHICLE, events_of, lax_integers, make_log, oracle_order_violation
+from helpers import (
+    OPERATOR,
+    VEHICLE,
+    count_line_parser_calls,
+    events_of,
+    lax_integers,
+    make_log,
+    oracle_order_violation,
+)
 
 SOURCES = tuple(EventSource)
 
@@ -163,14 +171,10 @@ class TestParseCsv:
         ("op,1,2,,synthetic\r\nop,3,4,5,hall", ([1, 3], [2, 4], [-1, 5], [2, 0])),
     ], ids=["short_first_row", "crlf", "crlf_then_no_lf_at_the_end"])
     def test_columns_read_without_the_line_loop(self, monkeypatch, text, columns):
-        from m2mlat import events
-
-        def no_loop(*args):
-            raise AssertionError("line loop ran")
-
-        monkeypatch.setattr(events, "_collect", no_loop)
+        calls = count_line_parser_calls(monkeypatch)
         log = parse_log(text)
         assert tuple(c.tolist() for c in log.columns) == columns
+        assert sum(calls.values()) == 1  # the first row, which pins the layout
 
 
 class TestParseKernelRing:
@@ -240,16 +244,13 @@ class TestParseKernelRing:
          "[ 0.2] Caméra m2m_irq: seq=1 ts=2000 src=pulse\n", ([0, 1], [1000, 2000], [0, 1]), 1),
     ], ids=["crlf", "tab_separators", "cr_only_lines", "utf8_dmesg_and_nbsp_line"])
     def test_events_read_without_the_line_loop(self, monkeypatch, text, columns, skipped):
-        from m2mlat import events
-
-        def no_loop(*args):
-            raise AssertionError("line loop ran")
-
-        monkeypatch.setattr(events, "_collect", no_loop)
+        """Only the first skipped line is parsed, for its message."""
+        calls = count_line_parser_calls(monkeypatch)
         for raw in (text, text.encode()):
             log = parse_log(raw, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
             assert (log.seq.tolist(), log.t_wall_ns.tolist(), log.source.tolist()) == columns
             assert log.skipped == skipped
+        assert sum(calls.values()) == 2 * min(skipped, 1)
 
 
 def _assert_lax_lines_rejected(lines: list[str], bad: int, **kwargs) -> None:

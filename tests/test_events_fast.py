@@ -1,8 +1,9 @@
-"""The whole-text fast path of ``parse_log`` against the line loop.
+"""``parse_log`` against the line loop.
 
-``events._parse_lines`` is the reference: for every input, ``parse_log``
-must return an equal ``EventLog`` or raise the same exception class with
-the same message, strict and lenient.
+``helpers.oracle_parse_log`` is the reference, a parse that runs every
+line through the line parsers: for every input, ``parse_log`` must return
+an equal ``EventLog`` or raise the same exception class with the same
+message and line number, strict and lenient.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from m2mlat import events
+from m2mlat.errors import UnparseableLine
 from m2mlat.events import LogFormat, NodeId, Role, parse_log
-from helpers import OPERATOR
+from helpers import OPERATOR, count_line_parser_calls, oracle_parse_log
 
 CSV, RING = LogFormat.CSV, LogFormat.KERNEL_RING
 TOP = 2**63 - 1
@@ -37,7 +39,7 @@ def assert_same(raw, fmt=CSV, node=None):
     """parse_log and the line loop agree, strict and lenient."""
     for lenient in (False, True):
         fast = _outcome(lambda: parse_log(raw, fmt, node=node, lenient=lenient))
-        loop = _outcome(lambda: events._parse_lines(raw, fmt, node, lenient))
+        loop = _outcome(lambda: oracle_parse_log(raw, fmt, node, lenient))
         assert fast == loop, (raw, lenient)
 
 
@@ -228,6 +230,50 @@ EDGE_CASES = {
     "ring_ascii_blanks_between_fields": "m2m_irq:\x1fseq=0\x0bts=1000\x0c\x1csrc=hall\x1e\n",
     "ring_no_blank_at_all": "m2m_irq:seq=0ts=1000src=hall",
     "ring_control_byte_line": RING_HEAD + "\x00\n\x1b\nm2m_irq: seq=1 ts=2000 src=hall\n",
+    # a capture whose recorder stopped mid-write
+    "csv_last_line_cut_in_a_cell": CSV_SOURCE_HEAD + "operator,1,2000,pu",
+    "csv_last_line_cut_in_a_cell_then_lf": CSV_SOURCE_HEAD + "operator,1,2000,pu\n",
+    "csv_last_line_cut_in_t_wall": "operator,0,1000\noperator,1,2000\noperator,2,30",
+    "csv_last_line_cut_in_t_wall_then_lf": "operator,0,1000\noperator,1,2000\noperator,2,30\n",
+    "ring_last_line_cut_in_a_cell": RING_HEAD + "m2m_irq: seq=1 ts=20",
+    "ring_last_line_cut_in_a_cell_then_lf": RING_HEAD + "m2m_irq: seq=1 ts=20\n",
+    "ring_last_line_cut_in_seq": RING_HEAD + "[ 2.0] m2m_irq: seq=",
+    # rows after an out-of-order one that follow the row before it are
+    # rejected against the last row kept
+    "csv_rows_after_an_out_of_order_row": "operator,0,1000\noperator,5,5000\noperator,2,2000\n"
+                                          "operator,3,3000\noperator,6,6000\noperator,4,7000\n"
+                                          "operator,7,8000\n",
+    "ring_rows_after_an_out_of_order_row": RING_HEAD + "m2m_irq: seq=5 ts=5000 src=hall\n"
+                                           "m2m_irq: seq=2 ts=2000 src=hall\n"
+                                           "m2m_irq: seq=3 ts=3000 src=pulse\n"
+                                           "m2m_irq: seq=6 ts=6000 src=hall\n",
+    "csv_order_broken_by_a_refused_row": "operator,0,1000\n operator,5,5000\noperator,3,3000\n"
+                                         "operator,6,6000\n",
+    "ring_order_broken_by_a_refused_row": RING_HEAD + "m2m_irq: seq=5\u00a0ts=5000 src=hall\n"
+                                          "m2m_irq: seq=3 ts=3000 src=hall\n",
+    # the order error's line comes before the parse error's line
+    "csv_order_error_before_a_parse_error": "operator,0,1000\noperator,5,500\noperator,x,3000\n"
+                                            "operator,6,6000\n",
+    "ring_order_error_before_a_parse_error": RING_HEAD + "m2m_irq: seq=0 ts=2000 src=hall\n"
+                                             "m2m_irq: seq=1 ts=3000 src=hal\n",
+    "csv_parse_error_before_an_order_error": "operator,0,1000\noperator,x,2000\noperator,0,3000\n",
+    "csv_two_not_utf8_lines": b"operator,0,1000\n\xff\noperator,1,2000\n\xfe\xfe,2\noperator,2,3000\n",
+    "ring_two_not_utf8_lines": RING_HEAD.encode() + b"m2m_irq: seq=1 ts=\xff2000 src=hall\n"
+                               b"\xc3\nm2m_irq: seq=2 ts=3000 src=hall",
+    "csv_not_utf8_before_the_header": b"\xff\nnode,seq,t_wall_ns\noperator,0,1000\n",
+    "csv_not_utf8_after_a_parse_error": b"operator,0,1000\noperator,x,2000\n\xff\n",
+    "csv_first_two_lines_junk": "junk\nfoo,a,b\noperator,0,1000\noperator,1,2000\n",
+    "csv_first_two_rows_junk_after_a_header": "node,seq,t_wall_ns\njunk,a,1\n,1,2\n"
+                                              "operator,0,1000\noperator,1,2000\n",
+    "csv_blanks_around_the_cells_of_one_row": "operator,0,1000\n operator , 1 , 2000 \r\n"
+                                              "operator,2,3000\n",
+    "csv_t_wall_zero_after_the_first_row": "operator,0,1000\noperator,1,0\noperator,2,3000\n",
+    "ring_ts_zero_after_the_first_row": RING_HEAD + "m2m_irq: seq=1 ts=0 src=hall\n"
+                                        "m2m_irq: seq=2 ts=3000 src=hall\n",
+    "csv_lone_surrogate_in_the_header": "node,seq,t_wall_ns\udc80\noperator,0,1000\n",
+    "csv_lone_surrogate_in_the_node_id": "op\udc80,0,1000\nop\udc80,1,2000\nop,2,3000\n",
+    "ring_lone_surrogate": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=hall\udc80\n"
+                           "[ 1.0] \udc80\nm2m_irq: seq=2 ts=3000 src=hall\n",
 }
 
 
@@ -236,7 +282,7 @@ def test_edge_cases_match_line_loop(name, raw):
     if name.startswith("ring"):
         assert_same(raw, RING, OPERATOR)
         if isinstance(raw, str):
-            assert_same(raw.encode(), RING, OPERATOR)
+            assert_same(raw.encode(errors="surrogatepass"), RING, OPERATOR)
     else:
         assert_same(raw, CSV)
         assert_same(raw, CSV, OPERATOR)
@@ -248,14 +294,7 @@ def test_node_id_the_loop_cannot_match():
         assert_same(f"node,seq,t_wall_ns\n{node_id},0,1000\n", CSV, NodeId(node_id, Role.OPERATOR))
 
 
-# -- the fast path is taken ---------------------------------------------------
-
-def _forbid_the_line_loop(monkeypatch):
-    def no_loop(*args):
-        raise AssertionError("line loop ran")
-
-    monkeypatch.setattr(events, "_collect", no_loop)
-
+# -- the line parsers read only the refused lines ------------------------------
 
 @pytest.mark.parametrize("raw, fmt, lenient", [
     ("node,seq,t_wall_ns\noperator,0,1000\noperator,1,2000\n", CSV, False),
@@ -264,22 +303,25 @@ def _forbid_the_line_loop(monkeypatch):
     ("opérateur,0,1000\r\nopérateur,1,2000\r\n", CSV, False),
     ("[ 0.1] booting\n[ 0.2] m2m_irq: seq=0 ts=1000 src=hall\n"
      "[ 0.3] usb 1-1: device descriptor\n\nm2m_irq: seq=1 ts=2000 src=pulse\n", RING, True),
-    # taken only if the scan for spaces finds the CR that ends the text
+    # read as a row only if the scan for spaces finds the CR that ends the text
     (RING_HEAD + "m2m_irq: seq=1 ts=2000 src=pulse\r", RING, False),
 ], ids=["csv_header", "csv_5_columns", "csv_non_ascii_node_header",
         "csv_non_ascii_node_headerless", "ring_dmesg", "ring_cr_ended_last_line"])
 def test_canonical_logs_skip_the_line_loop(monkeypatch, raw, fmt, lenient):
+    """Clean CSV calls the row parser once, on the first row, which pins
+    the layout; ring text calls the line parser only with dmesg lines, on
+    the first of them, for ``first_error``."""
     node = OPERATOR if fmt is RING else None
-    expected = events._parse_lines(raw, fmt, node, lenient)
-    _forbid_the_line_loop(monkeypatch)
+    expected = oracle_parse_log(raw, fmt, node, lenient)
+    calls = count_line_parser_calls(monkeypatch)
     assert parse_log(raw.encode(), fmt, node=node, lenient=lenient) == expected
     assert parse_log(raw, fmt, node=node, lenient=lenient) == expected
+    assert sum(calls.values()) == (2 if fmt is CSV or expected.skipped else 0)
 
 
-def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
+def field_ring_capture(rng: np.random.Generator) -> bytes:
     """The shape of a 4,000-trial field capture: 12,000 events with
     bracketed uptimes, and a dmesg line after 15% of them."""
-    rng = np.random.default_rng(401)
     edges = 4000 * 3
     t = 1_700_000_000 * 10**9 + np.cumsum(rng.integers(1, 5 * 10**9, edges))
     seq = 10**6 + np.cumsum(rng.integers(1, 3, edges))
@@ -290,21 +332,12 @@ def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
         lines.append(f"[{up:12.6f}] m2m_irq: seq={s} ts={ts} src=hall")
         if noise:
             lines.append(f"[{up + 0.000731:12.6f}] {DMESG[s % len(DMESG)]}")
-    raw = ("\n".join(lines) + "\n").encode()
-    assert_same(raw, RING, OPERATOR)
-    expected = events._parse_lines(raw, RING, OPERATOR, True)
-    assert len(expected) == edges
-    _forbid_the_line_loop(monkeypatch)
-    assert parse_log(raw, RING, node=OPERATOR, lenient=True) == expected
+    return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("header, node_id", [
-    (True, "op-station"), (False, "op-station"), (True, "béta"), (False, "béta"),
-], ids=["headered", "headerless", "headered_non_ascii_node", "headerless_non_ascii_node"])
-def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header, node_id):
+def field_csv_capture(rng: np.random.Generator, header: bool, node_id: str) -> bytes:
     """The shape of a 4,000-trial field capture in CSV: 12,000 rows, with a
     blank line (empty, ASCII blanks or CR only) after 15% of them."""
-    rng = np.random.default_rng(401)
     edges = 4000 * 3
     t = 1_700_000_000 * 10**9 + np.cumsum(rng.integers(1, 5 * 10**9, edges))
     seq = 10**6 + np.cumsum(rng.integers(1, 3, edges))
@@ -313,26 +346,102 @@ def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header, node_id)
         lines.append(f"{node_id},{s},{ts}")
         if blank:
             lines.append(BLANK_LINES[s % len(BLANK_LINES)])
-    raw = ("\n".join(lines) + "\n").encode()
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
+    raw = field_ring_capture(np.random.default_rng(401))
+    assert_same(raw, RING, OPERATOR)
+    expected = oracle_parse_log(raw, RING, OPERATOR, True)
+    assert len(expected) == 4000 * 3
+    calls = count_line_parser_calls(monkeypatch)
+    assert parse_log(raw, RING, node=OPERATOR, lenient=True) == expected
+    assert sum(calls.values()) == 1
+
+
+@pytest.mark.parametrize("header, node_id", [
+    (True, "op-station"), (False, "op-station"), (True, "béta"), (False, "béta"),
+], ids=["headered", "headerless", "headered_non_ascii_node", "headerless_non_ascii_node"])
+def test_field_sized_csv_capture_matches_line_loop(monkeypatch, header, node_id):
+    raw = field_csv_capture(np.random.default_rng(401), header, node_id)
     assert_same(raw, CSV)
-    expected = {lenient: events._parse_lines(raw, CSV, None, lenient) for lenient in (False, True)}
-    assert len(expected[False]) == edges
-    _forbid_the_line_loop(monkeypatch)
+    expected = {lenient: oracle_parse_log(raw, CSV, None, lenient) for lenient in (False, True)}
+    assert len(expected[False]) == 4000 * 3
+    calls = count_line_parser_calls(monkeypatch)
     for lenient in (False, True):
         assert parse_log(raw, CSV, lenient=lenient) == expected[lenient]
+    assert sum(calls.values()) == 2  # the first row of each parse
 
 
-def test_a_csv_body_of_other_lines_is_handed_over_without_gathering_it(monkeypatch):
-    """Lines that are neither rows nor blank go to the line loop; the fast
-    path refuses them by their first bytes, without an index per byte."""
+def _spoil(raw: bytes, at: int, old: bytes, new: bytes) -> bytes:
+    """``raw`` with the first ``old`` from byte ``at`` on made ``new``."""
+    at = raw.index(old, at)
+    return raw[:at] + new + raw[at + len(old):]
+
+
+def _out_of_order(raw: bytes, at: int, row: bytes) -> bytes:
+    """``raw`` with the first line from byte ``at`` on that holds ``row``
+    moved below the next such line."""
+    first = raw.rindex(b"\n", 0, raw.index(row, at)) + 1
+    second = raw.rindex(b"\n", 0, raw.index(row, raw.index(b"\n", first))) + 1
+    end = raw.index(b"\n", second) + 1
+    return raw[:first] + raw[second:end] + raw[first:second] + raw[end:]
+
+
+# Each refused-line kind, once in a field-sized capture: (format, how the
+# copy is made from the clean capture, how many lines are refused). Cut 9
+# bytes short, the last CSV row keeps 11 digits of its t_wall_ns and is a
+# row out of order.
+DIRTY_COPIES = {
+    "csv_cut_last_line": (CSV, lambda raw: raw[:-9], 0),
+    "csv_bad_cell": (CSV, lambda raw: _spoil(raw, len(raw) // 2, b",", b",x"), 1),
+    "csv_not_utf8": (CSV, lambda raw: _spoil(raw, len(raw) // 3, b"\n", b"\n\xff"), 0),
+    "csv_out_of_order": (CSV, lambda raw: _out_of_order(raw, len(raw) // 2, b"op-station,"), 0),
+    "ring_cut_last_line": (RING, lambda raw: raw[:raw.rindex(b"src=")] + b"src=ha", 1),
+    "ring_src_hal": (RING, lambda raw: _spoil(raw, len(raw) // 2, b"src=hall", b"src=hal"), 1),
+    "ring_not_utf8": (RING, lambda raw: _spoil(raw, len(raw) // 3, b"\n", b"\n\xff"), 0),
+    "ring_out_of_order": (RING, lambda raw: _out_of_order(raw, len(raw) // 2, b"m2m_irq:"), 0),
+}
+
+
+def dirty_copy(name: str) -> tuple[LogFormat, bytes, int]:
+    fmt, spoil, refused = DIRTY_COPIES[name]
+    rng = np.random.default_rng(401)
+    raw = field_ring_capture(rng) if fmt is RING else field_csv_capture(rng, True, "op-station")
+    return fmt, spoil(raw), refused
+
+
+@pytest.mark.parametrize("name", DIRTY_COPIES)
+def test_field_sized_dirty_capture_matches_line_loop(monkeypatch, name):
+    """One refused line, or one row out of order, in a field-sized capture:
+    the same log as the line loop's, with the line parsers run on at most
+    the refused lines and one more: the CSV row that pins the layout, or
+    the first dmesg line."""
+    fmt, raw, refused = dirty_copy(name)
+    node = OPERATOR if fmt is RING else None
+    expected = {lenient: _outcome(lambda: oracle_parse_log(raw, fmt, node, lenient))
+                for lenient in (False, True)}
+    assert expected[True].skipped >= 1
+    calls = count_line_parser_calls(monkeypatch)
+    for lenient in (False, True):
+        calls.clear()
+        assert _outcome(lambda: parse_log(raw, fmt, node=node, lenient=lenient)) == expected[lenient]
+        assert sum(calls.values()) <= refused + 1
+
+
+def test_a_csv_body_of_other_lines_is_refused_without_gathering_it():
+    """Lines that are neither rows nor blank are refused by their first
+    bytes, without an index per byte; a strict parse raises the first."""
     raw = b"node,seq,t_wall_ns\nop,0,1000\n" + b"[ 12.5] m2m_irq: seq=1 ts=2000 src=hall\n" * 40_000
-    monkeypatch.setattr(events, "_parse_lines", lambda *args: "loop")
     tracemalloc.start()
     try:
-        assert parse_log(raw) == "loop"
+        with pytest.raises(UnparseableLine) as exc:
+            parse_log(raw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert exc.value.line_no == 3
+    assert str(exc.value) == str(_outcome(lambda: oracle_parse_log(raw, CSV, None, False))[1])
     assert peak < 2 * len(raw)
 
 
@@ -350,9 +459,10 @@ def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
     t = 1_700_000_000 * 10**9 + 5 * 10**9 * seq
     body = "".join(f"op,{s},{ts}\n" for s, ts in zip(seq.tolist(), t.tolist())).encode()
     headed = b"node,seq,t_wall_ns\n" + body
-    assert parse_log(body) == parse_log(headed) == events._parse_lines(body, CSV, None, False)
+    assert parse_log(body) == parse_log(headed) == oracle_parse_log(body, CSV, None, False)
 
     def peak(raw):
+        parse_log(raw)  # so numpy's cache of small blocks is as warm for either text
         tracemalloc.start()
         try:
             parse_log(raw)
@@ -360,5 +470,6 @@ def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    _forbid_the_line_loop(monkeypatch)
+    calls = count_line_parser_calls(monkeypatch)
     assert peak(body) <= peak(headed)
+    assert sum(calls.values()) == 4  # the first row of each parse
