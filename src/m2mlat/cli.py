@@ -41,10 +41,11 @@ import argparse
 import gc
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigInvalid, EmptyLog, M2MLatError
+from .errors import ConfigInvalid, EmptyLog, M2MLatError, OverlappingTrials
 
 MS_NS = 1_000_000
 
@@ -193,7 +194,11 @@ def _cmd_simulate(args) -> int:
             raise ConfigInvalid(f"{args.config}: not valid UTF-8 at byte {err.start}")
         cfg = sim.parse_config(text)
     cfg = sim.with_overrides(cfg, trials=args.trials, seed=args.seed)
-    op_log, veh_log, truth = sim.simulate(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OverlappingTrials)  # printed below, not raised
+        op_log, veh_log, truth = sim.simulate(cfg)
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "operator.csv").write_text(write_log(op_log), encoding="utf-8")

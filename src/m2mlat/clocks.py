@@ -12,7 +12,8 @@ Sign conventions, used consistently everywhere:
   measurement.
 * ``precision_analysis`` reports the *a minus b* offset per shared pulse
   (``t_a - t_b``), matching a shared-stimulus comparison where node a is
-  listed first.
+  listed first. It pairs pulses by time, through ``pairing._match``,
+  within half the median pulse spacing, and ignores their numbering.
 """
 
 from __future__ import annotations
@@ -314,29 +315,25 @@ class OffsetSeries:
 def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     """Per-pulse offset series from two logs of one shared stimulus.
 
-    Events are paired by sequence number when the two logs share one
-    numbering (at least ``1 - MAX_UNMATCHED`` of the larger log matches);
-    otherwise by order after truncating to the common length. More than
-    ``MAX_UNMATCHED`` unmatched either way raises LengthMismatch.
+    Pulses pair by time, whatever their numbering: each a-event takes the
+    first b-event not yet taken within half the median gap of both logs
+    (offsets must stay under it; a swap only negates them). More than
+    ``MAX_UNMATCHED`` of the larger log unpaired raises LengthMismatch.
     """
+    from .pairing import _match  # here, not at the top: sim and probe import clocks
+
     if not len(log_a) or not len(log_b):
         raise EmptyLog("both logs must contain events to compare")
-    larger = max(len(log_a), len(log_b))
-
-    _, ia, ib = np.intersect1d(log_a.seq, log_b.seq, assume_unique=True, return_indices=True)
-    if len(ia) < (1.0 - MAX_UNMATCHED) * larger:
-        # Unrelated numbering; fall back to order alignment.
-        common = min(len(log_a), len(log_b))
-        if larger - common > MAX_UNMATCHED * larger:
-            raise LengthMismatch(
-                f"{larger - common} of {larger} events unmatched "
-                f"(tolerance {MAX_UNMATCHED:.0%})"
-            )
-        ia = ib = slice(common)
-
-    t_a = log_a.t_wall_ns[ia]
-    offsets = t_a - log_b.t_wall_ns[ib]
-    samples = np.column_stack((t_a, offsets)).view(OFFSET_DTYPE)[:, 0]  # one row per pulse
+    t_a, t_b = log_a.t_wall_ns, log_b.t_wall_ns
+    gaps = np.concatenate((np.diff(t_a), np.diff(t_b)))
+    half = int(np.median(gaps)) // 2 if len(gaps) else 2**63 - 1  # one pulse each: pair them
+    ia, ib = _match(t_a, t_b, -half, half)
+    larger = max(len(t_a), len(t_b))
+    if larger - len(ia) > MAX_UNMATCHED * larger:
+        raise LengthMismatch(f"{larger - len(ia)} of {larger} events unmatched "
+                             f"(tolerance {MAX_UNMATCHED:.0%})")
+    offsets = t_a[ia] - t_b[ib]
+    samples = np.column_stack((t_a[ia], offsets)).view(OFFSET_DTYPE)[:, 0]  # one row per pulse
     return OffsetSeries(samples, summarize(offsets), summarize(np.abs(offsets)))
 
 

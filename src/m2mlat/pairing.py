@@ -170,12 +170,7 @@ def pair_events(
 
     ops = debounce(op_log, cfg.debounce_ns)
     vehs = debounce(veh_log, cfg.debounce_ns)
-
-    # Operator event i's window holds vehicle events first[i] to last[i]
-    # (searched as veh_t minus a duration, which cannot overflow).
-    first = np.searchsorted(vehs.t_wall_ns - cfg.min_latency_ns, ops.t_wall_ns)
-    last = np.searchsorted(vehs.t_wall_ns - cfg.max_window_ns, ops.t_wall_ns, side="right") - 1
-    op_idx, veh_idx = _match(first, last)
+    op_idx, veh_idx = _match(ops.t_wall_ns, vehs.t_wall_ns, cfg.min_latency_ns, cfg.max_window_ns)
 
     op_t, veh_t = ops.t_wall_ns[op_idx], vehs.t_wall_ns[veh_idx]
     table = (ops.seq[op_idx], vehs.seq[veh_idx], op_t, veh_t, compute_m2m(op_t, veh_t))
@@ -190,14 +185,15 @@ def pair_events(
     )
 
 
-def _match(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matched operator and vehicle event indices of the FIFO rule, for
-    operator windows that hold vehicle events ``first[i]`` to ``last[i]``.
+def _match(t_a, t_b, lo_ns: int, hi_ns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matched indices of two ordered timestamp columns, FIFO: a-event i takes
+    the first b-event not yet taken in ``[t_a[i] + lo_ns, t_a[i] + hi_ns]``.
+    ``pair_events`` and ``precision_analysis`` pair events only through it.
 
-    Operator event i tries vehicle event ``s_i = max(first_i, s_(i-1) +
-    hit_(i-1))`` and hits when ``s_i <= last_i``: windows only move right
-    and a match consumes the vehicle event it takes, so every vehicle event
-    before ``s`` is out of reach.
+    a-event i's window holds b-events ``first[i]`` to ``last[i]``. It tries
+    b-event ``s_i = max(first_i, s_(i-1) + hit_(i-1))`` and hits when ``s_i
+    <= last_i``: windows only move right and a match consumes the b-event
+    it takes, so every b-event before ``s`` is out of reach.
 
     One round takes each window's hit as if no window competed (``first_i
     <= last_i``), solves for every ``s`` at once with a cumsum and a
@@ -208,8 +204,11 @@ def _match(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     read the same twice is solved. ``_walk`` runs on the other stretches
     only, each of which it starts at its first event's ``first``.
     """
+    # Timestamps are positive and hi_ns >= 0, so each search shifts a side that cannot wrap.
+    first = np.searchsorted(t_b - max(lo_ns, 0), t_a + min(lo_ns, 0))
+    last = np.searchsorted(t_b - hi_ns, t_a, side="right") - 1
     hit = first <= last
-    taken = np.cumsum(hit) - hit  # hits before each operator event
+    taken = np.cumsum(hit) - hit  # hits before each a-event
     start = taken + np.maximum.accumulate(first - taken)
     wrong = (start <= last) != hit
     if wrong.any():
@@ -224,9 +223,8 @@ def _match(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _walk(first: list[int], last: list[int]) -> tuple[list[int], list[bool]]:
-    """The FIFO rule one operator event at a time, the reference for
-    ``_match``: the vehicle event each operator event tries, and whether it
-    hits."""
+    """The FIFO rule one a-event at a time, the reference for ``_match``:
+    the b-event each a-event tries, and whether it hits."""
     start, starts, hits = 0, [], []
     for lo, hi in zip(first, last):
         if start < lo:

@@ -200,9 +200,8 @@ def simulate_shared_pulse_run(
     """Two-node logs of one shared electrical pulse train.
 
     A scenario whose delay components are all zero, one trial per pulse:
-    every offset between the two logs is clock error. The period must
-    exceed the worst clock excursion, or the renumbered logs no longer
-    share one sequence number per pulse.
+    every offset between the two logs is clock error. Half the period
+    must exceed the worst clock excursion.
     """
     zero = ConstantDelay(0)
     cfg = ScenarioConfig(zero, zero, zero, zero, zero, stationary=False, sync_mode=mode,

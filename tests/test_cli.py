@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from m2mlat import probe
 from m2mlat.cli import build_parser, run_cli
+from m2mlat.dists import ConstantDelay
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import LogFormat, parse_log
 from m2mlat.report import input_digest
-from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config
+from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config, preset, render_config
 
 from helpers import fresh_result, loaded_modules, run_python
 
@@ -53,6 +55,18 @@ class TestSimulate:
                          "--out", str(run2))
         assert code == 0
         assert (run1 / "vehicle.csv").read_text() == (run2 / "vehicle.csv").read_text()
+
+    @pytest.mark.filterwarnings("error")  # as python -W error runs it
+    def test_overlapping_trials_warn_on_one_line(self, tmp_path, capsys):
+        cfg = replace(preset("dyn_coref"), trial_interval_s=0.5, l_follow=ConstantDelay(700 * MS))
+        (tmp_path / "overlap.ini").write_text(render_config(cfg))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "simulate", "--config", str(tmp_path / "overlap.ini"),
+                                "--trials", "5", "--out", str(out))
+        assert code == 0
+        assert stdout.startswith("simulated 5 trials (label=dyn_coref") and stdout.count("\n") == 1
+        assert re.fullmatch(r"warning: OverlappingTrials: largest trial delay \d+ ns reaches "
+                            r"the 500000000 ns trial interval; trials overlap\n", err)
 
     def test_preset_and_config_are_exclusive(self, tmp_path, capsys):
         code, _, err = run(
@@ -552,7 +566,7 @@ SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2m
     (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"],
      ["m2mlat.stats", "numpy"]),
     (["precision", "--node-a", "{d}/operator.csv", "--node-b", "{d}/vehicle.csv"],
-     ["m2mlat.clocks", "m2mlat.events", "m2mlat.stats", "numpy"]),
+     ["m2mlat.clocks", "m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]),
     (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv", *BUDGET], []),
     (["budget", "--kernel-ms", "0.005", *BUDGET], []),
     (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"], SIMULATE),

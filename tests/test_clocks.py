@@ -19,7 +19,7 @@ from m2mlat.clocks import (
     sample_clock_error,
 )
 from m2mlat.errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
-from m2mlat.events import EventSource
+from m2mlat.events import EventLog, EventSource
 from m2mlat.sim import simulate_shared_pulse_run
 
 from helpers import OPERATOR, VEHICLE, make_log
@@ -278,7 +278,7 @@ class TestPrecisionAnalysis:
         ba = precision_analysis(log_b, log_a)
         assert [off for _, off in ba.samples] == [-off for _, off in ab.samples]
 
-    def test_pairs_by_seq_when_one_log_has_gaps(self):
+    def test_pairs_by_time_when_one_log_has_gaps(self):
         times = [i * S for i in range(1, 401)]
         log_a = make_log(OPERATOR, times)
         # node b missed pulses 10 and 20 (0.5% unmatched, inside tolerance)
@@ -288,13 +288,33 @@ class TestPrecisionAnalysis:
         assert len(series.samples) == 398
         assert {off for _, off in series.samples} == {-7 * MS}
 
-    def test_falls_back_to_order_for_unrelated_numbering(self):
+    def test_pairs_by_time_whatever_the_numbering(self):
         times = [i * S for i in range(1, 11)]
         log_a = make_log(OPERATOR, times, seqs=range(10))
         log_b = make_log(VEHICLE, [t + MS for t in times], seqs=range(1000, 1010))
         series = precision_analysis(log_a, log_b)
         assert len(series.samples) == 10
         assert {off for _, off in series.samples} == {-MS}
+
+    @pytest.mark.parametrize("side", [1, 0], ids=["node-b-drops", "node-a-drops"])
+    def test_dropped_pulse_with_own_numbering(self, side):
+        # C12, precision half: each kernel module numbers its own edges, so
+        # a node that misses pulse 500 numbers every later pulse one lower;
+        # pairing by number or by order put those a whole period off
+        clean = simulate_shared_pulse_run(SyncMode.CO_REFERENCED, 1000, 500 * MS, seed=9)
+        logs = list(clean)
+        log, keep = logs[side], np.arange(1000) != 500
+        logs[side] = EventLog(log.node, np.arange(999), *(c[keep] for c in log.columns[1:]))
+        series, expected = precision_analysis(*logs), precision_analysis(*clean)
+        assert series.stats_abs.n == 999
+        assert series.samples.tolist() == np.delete(expected.samples, 500).tolist()
+        assert series.stats_abs.max_ns == expected.stats_abs.max_ns == 4.5 * MS
+
+    def test_one_pulse_each_pairs(self):
+        log_a = make_log(OPERATOR, [1 * S])
+        log_b = make_log(VEHICLE, [2**63 - 1], seqs=[7])
+        series = precision_analysis(log_a, log_b)
+        assert series.samples.tolist() == [(1 * S, 1 * S - (2**63 - 1))]
 
     def test_length_mismatch_beyond_tolerance(self):
         log_a = make_log(OPERATOR, [i * S for i in range(1, 101)])

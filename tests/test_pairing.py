@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,21 +228,27 @@ def test_collision_chain_of_50000_events():
     assert (got.unmatched_op, got.unmatched_veh) == (n // 2, n // 2)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(st.data())
 def test_match_equals_the_walk(data):
-    # dense windows over few vehicle events, so collisions chain
-    n_op, n_veh = data.draw(st.integers(1, 80)), data.draw(st.integers(1, 80))
-    op_t = np.sort(data.draw(st.lists(st.integers(1, 500), min_size=n_op, max_size=n_op)))
-    veh_t = np.sort(data.draw(st.lists(st.integers(1, 500), min_size=n_veh, max_size=n_veh)))
-    lo = data.draw(st.integers(0, 40))
-    hi = lo + data.draw(st.integers(1, 200))
-    first = np.searchsorted(veh_t - lo, op_t)
-    last = np.searchsorted(veh_t - hi, op_t, side="right") - 1
-    starts, hits = _walk(first.tolist(), last.tolist())
-    op_idx, veh_idx = _match(first, last)
-    assert op_idx.tolist() == [i for i, hit in enumerate(hits) if hit]
-    assert veh_idx.tolist() == [s for s, hit in zip(starts, hits) if hit]
+    # dense windows over few b-events, so collisions chain; lo may be
+    # negative, as precision_analysis's window is. Near 2**63 - 1, and with
+    # lo down to -2**63, a search of t_a + hi or t_b - lo would wrap: the
+    # oracle's windows come from bisect on Python ints, which cannot.
+    base = data.draw(st.sampled_from([0, 2**63 - 501]))
+    times = st.lists(st.integers(1, 500), min_size=1, max_size=80)
+    t_a = base + np.sort(data.draw(times))
+    t_b = base + np.sort(data.draw(times))
+    lo = data.draw(st.integers(-40, 40) | st.sampled_from([-(2**63), -(2**62)]))
+    widest = 2**63 - 1 - max(lo, 0)
+    hi = max(lo, 0) + data.draw(st.integers(0, 200) | st.sampled_from([2**62, widest]))
+    a, b = t_a.tolist(), t_b.tolist()
+    first = [bisect_left(b, t + lo) for t in a]
+    last = [bisect_right(b, t + hi) - 1 for t in a]
+    starts, hits = _walk(first, last)
+    a_idx, b_idx = _match(t_a, t_b, lo, hi)
+    assert a_idx.tolist() == [i for i, hit in enumerate(hits) if hit]
+    assert b_idx.tolist() == [s for s, hit in zip(starts, hits) if hit]
 
 
 def test_matching_is_monotone():
