@@ -2,11 +2,20 @@
 toolkit emits, and ``read_int_columns`` reads each integer table it takes
 in (sample files, scheduling files, ground truth) without numpy.
 
-``write_table`` takes one sequence per column and formats blocks of
-``_ROWS_PER_FORMAT`` (1,024) rows, one ``%`` each: a column whose int or
-str cells are all equal within the block is written into the block's row
-pattern, and the cells of the other columns fill its ``%s`` fields, so no
-tuple or line string is made per row.
+``write_table`` takes one sequence per column and has two paths, which
+write the same text:
+
+- A table of ``_KERNEL_ROWS`` (768) rows or more whose columns are int
+  numpy arrays, save any that hold one int or one ASCII str with no NUL
+  throughout, goes to the numpy digit kernel in ``digits``: 4,096 rows at
+  a time, it looks every cell's digits up four at a time in a word table.
+  Below that crossover ``%`` is the faster of the two. ``digits`` and so
+  numpy are imported only when a table takes this path.
+- Every other table is formatted in blocks of ``_ROWS_PER_FORMAT``
+  (1,024) rows, one ``%`` each: a column whose int or str cells are all
+  equal within the block is written into the block's row pattern, and the
+  cells of the other columns fill its ``%s`` fields, so no tuple or line
+  string is made per row.
 """
 
 from __future__ import annotations
@@ -17,6 +26,10 @@ from .errors import ConfigInvalid
 
 # The most rows that one % call formats.
 _ROWS_PER_FORMAT = 1024
+# The fewest rows at which the digit kernel was no slower than % on any
+# table the toolkit writes (ground truth, event log, pairs, offsets); at
+# 300 rows it took 1.2 to 1.5 times as long (see CHANGES.md).
+_KERNEL_ROWS = 768
 
 
 def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
@@ -31,6 +44,9 @@ def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
     rows = len(cells[0]) if cells else 0
     if len(cells) != len(columns) or any(len(column) != rows for column in cells):
         raise ValueError(f"write_table needs {len(columns)} columns of one length")
+    if rows >= _KERNEL_ROWS and (literals := _kernel_literals(cells)):
+        from .digits import int_table
+        return int_table(",".join(columns), cells, literals)
     out = [",".join(columns) + "\n"]
     for start in range(0, rows, _ROWS_PER_FORMAT):
         fields, varying = [], []
@@ -44,7 +60,7 @@ def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
                 fields.append("%s")
                 varying.append(block)
             else:
-                fields.append(text)
+                fields.append(text.replace("%", "%%"))
         k = min(rows - start, _ROWS_PER_FORMAT)
         flat = [None] * (k * len(varying))
         for j, block in enumerate(varying):
@@ -53,10 +69,26 @@ def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
     return "".join(out)
 
 
+def _kernel_literals(cells: Sequence[Sequence]) -> list[str | None] | None:
+    """Per column, None for an int numpy array and the text of a column of
+    one int or one ASCII str with no NUL: the columns the digit kernel
+    takes. None if some column is neither, or none is an int array."""
+    literals = []
+    for column in cells:
+        kind = column.dtype.kind if hasattr(column, "dtype") else None
+        if kind in ("i", "u"):
+            literals.append(None)
+            continue
+        text = _constant_text(column.tolist() if kind else column, kind not in (None, "O"))
+        if text is None or not text.isascii() or "\0" in text:
+            return None
+        literals.append(text)
+    return literals if None in literals else None
+
+
 def _constant_text(block: list, typed: bool) -> str | None:
-    """The text of every cell of ``block``, escaped for a ``%`` pattern, if
-    the cells are equal ints or equal strs; else None. ``typed``: every
-    cell has one type.
+    """The text of every cell of ``block`` if the cells are equal ints or
+    equal strs; else None. ``typed``: every cell has one type.
 
     Equal cells of other types may print differently (``0.0 == -0.0``, and
     ``True == 1``), so only an int or str column folds, and a list whose
@@ -68,7 +100,7 @@ def _constant_text(block: list, typed: bool) -> str | None:
         return None
     if not typed and type(first) is int and set(map(type, block)) != {int}:
         return None
-    return str(first).replace("%", "%%")
+    return str(first)
 
 
 def table_lines(raw: bytes | str) -> list[tuple[int, str]]:

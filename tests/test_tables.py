@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from m2mlat.clocks import precision_analysis
+from m2mlat.digits import _ROWS_PER_CHUNK
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import write_log
+from m2mlat.pairing import pair_events
 from m2mlat.sim import GroundTruth, preset, simulate
-from m2mlat.tables import _ROWS_PER_FORMAT, read_int_columns, write_table
+from m2mlat.tables import _KERNEL_ROWS, _ROWS_PER_FORMAT, read_int_columns, write_table
 
 from helpers import lax_integers, oracle_write_table
 
@@ -72,37 +76,75 @@ def test_a_headerless_table_of_several_columns_is_refused():
 # -- write_table against the row-at-a-time oracle ---------------------------
 
 LO, HI = -(2**63), 2**63 - 1
+
+
+def int64_field(cells):
+    """``cells`` as an int64 field of a structured array: a strided view, as
+    ``PairingReport.to_csv`` passes its columns (here unaligned, too)."""
+    table = np.zeros(len(cells), [("a", np.int64), ("v", np.int64), ("b", np.int32)])
+    table["v"] = cells
+    return table["v"]
+
+
 # (values the column draws from, equal cells a block may mix, which print
-# differently for floats and for bool with int, and the numpy dtype the
-# column is passed as, or None for a list)
+# differently for floats and for bool with int, and how the column is
+# passed: None for a list, else a function of the list)
 COLUMN_KINDS = {
-    "int64": ([LO, HI, 0, -1, 7], [7], np.int64),
+    "int64": ([LO, HI, 0, -1, 7], [7], partial(np.array, dtype=np.int64)),
+    "int32": ([-(2**31), 2**31 - 1, 0, -1, 7], [7], partial(np.array, dtype=np.int32)),
+    "uint64": ([0, 1, 2**63, 2**64 - 1, 10**19], [1], partial(np.array, dtype=np.uint64)),
+    # a negative of more digits than any positive, and 2**32, which no
+    # uint32 holds
+    "int64_field": ([-(2**32), -9999, 0, 99], [0], int64_field),
     "int_list": ([LO, HI, 0, 1, 10**30], [1], None),
+    "int_object": ([LO, HI, 0, 1, 10**30], [1, True], partial(np.array, dtype=object)),
     "bool_int_list": ([0, 1, True, False], [1, True], None),
+    "bool": ([True, False], [True], partial(np.array, dtype=bool)),
     "str_list": (["%", "%%", "%s", "op%s", "a b", ""], ["%s"], None),
-    "float64": ([0.0, -0.0, 1.5, 1e300, -2.5e-7], [0.0, -0.0], np.float64),
+    "str_object": (["%s", "x", ""], ["x"], partial(np.array, dtype=object)),
+    # NUL and non-ASCII text, which the digit kernel must leave to %
+    "odd_str_list": (["a\0b", "\0", "é", "µs%s"], ["\0"], None),
+    "float64": ([0.0, -0.0, 1.5, 1e300, -2.5e-7], [0.0, -0.0], partial(np.array, dtype=np.float64)),
     "float_list": ([0.0, -0.0, 0.1, 3.0], [0.0, -0.0], None),
 }
+# The kinds passed as int arrays; beside them, a column of one int or one
+# ASCII str takes the digit kernel, and one of one bool or of NUL or
+# non-ASCII text keeps the table on %.
+INT_ARRAYS = ("int64", "int32", "uint64", "int64_field")
+KERNEL_KINDS = (*INT_ARRAYS, "int_list", "int_object", "str_list", "str_object", "bool",
+                "odd_str_list")
 
 
 @st.composite
 def tables(draw):
     """(column names, one list or array per column), each block of
     ``_ROWS_PER_FORMAT`` rows of a column constant, mixed from equal cells,
-    or mixed from all its values."""
+    or mixed from all its values. Half the tables hold an int array, and
+    every other column of theirs is one value throughout, as the digit
+    kernel takes them; row counts lie on both sides of its crossover and
+    of its chunk size."""
     assert _ROWS_PER_FORMAT == 1024
-    rows = draw(st.sampled_from((0, 1, 2, 1023, 1024, 1025, 2049)))
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+    assert _KERNEL_ROWS < 1023 < 1025 < _ROWS_PER_CHUNK
+    rows = draw(st.sampled_from((0, 1, 2, 1023, 1024, 1025, 2049, _KERNEL_ROWS - 1, _KERNEL_ROWS,
+                                 _ROWS_PER_CHUNK - 1, _ROWS_PER_CHUNK + 1, 2 * _ROWS_PER_CHUNK + 3)))
+    constant = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(KERNEL_KINDS if constant else sorted(COLUMN_KINDS)),
+                          min_size=1, max_size=5))
+    if constant:
+        kinds.insert(draw(st.integers(0, len(kinds))), draw(st.sampled_from(INT_ARRAYS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in kinds:
-        values, twins, dtype = COLUMN_KINDS[kind]
-        cells = []
-        for start in range(0, rows, 1024):
-            k = min(rows - start, 1024)
-            pool = draw(st.sampled_from(([values[rng.integers(len(values))]], twins, values)))
-            cells.extend(pool[i] for i in rng.integers(len(pool), size=k).tolist())
-        columns.append(cells if dtype is None else np.array(cells, dtype))
+        values, twins, make = COLUMN_KINDS[kind]
+        if constant and kind not in INT_ARRAYS:
+            cells = [values[rng.integers(len(values))]] * rows
+        else:
+            cells = []
+            for start in range(0, rows, 1024):
+                k = min(rows - start, 1024)
+                pool = draw(st.sampled_from(([values[rng.integers(len(values))]], twins, values)))
+                cells.extend(pool[i] for i in rng.integers(len(pool), size=k).tolist())
+        columns.append(cells if make is None else make(cells))
     return [f"c{i}" for i in range(len(columns))], columns
 
 
@@ -119,6 +161,18 @@ def assert_writes_as_oracle(names, columns):
 @given(tables())
 @example((["n", "s", "f"], [np.array([5] * 1024 + list(range(1025))), ["%s"] * 1024 + ["x%"] * 1025,
                             [0.0, -0.0] * 1024 + [1.5]]))
+@example((["n", "u", "i", "v", "w", "s", "k"], [
+    np.array([LO, HI, 0, -1] * (_ROWS_PER_CHUNK // 4) + [-7], np.int64),
+    np.array([2**64 - 1, 2**63, 0, 10**4] * (_ROWS_PER_CHUNK // 4) + [9999], np.uint64),
+    np.array([-(2**31), 2**31 - 1, 10**8, -(10**8)] * (_ROWS_PER_CHUNK // 4) + [-10**4], np.int32),
+    int64_field([-9999, 10**12] * (_ROWS_PER_CHUNK // 2) + [0]),
+    np.array([2**32, 0, 2**32 - 1, 1] * (_ROWS_PER_CHUNK // 4) + [5], np.int64),
+    ["op%s"] * (_ROWS_PER_CHUNK + 1),
+    np.array([-5] * (_ROWS_PER_CHUNK + 1), object),
+]))
+@example((["n", "s"], [np.arange(_KERNEL_ROWS), ["é"] * _KERNEL_ROWS]))
+@example((["n", "s"], [np.arange(_KERNEL_ROWS), ["a\0"] * _KERNEL_ROWS]))
+@example((["n", "b"], [np.arange(_KERNEL_ROWS), np.array([1, True] * (_KERNEL_ROWS // 2), object)]))
 @settings(max_examples=150, deadline=None)
 def test_write_table_matches_the_row_oracle(table):
     assert_writes_as_oracle(*table)
@@ -141,7 +195,10 @@ def test_columns_of_unequal_length_are_refused():
 
 def test_writers_peak_below_3_5_times_their_output():
     op, veh, truth = simulate(replace(preset("dyn_coref"), trials=20_000))
-    for write in (truth.to_csv, lambda: write_log(op), lambda: write_log(veh)):
+    pairs, offsets = pair_events(op, veh), precision_analysis(op, veh)
+    assert len(pairs.samples) == len(offsets.samples) == 20_000
+    for write in (truth.to_csv, lambda: write_log(op), lambda: write_log(veh),
+                  pairs.to_csv, offsets.to_csv):
         tracemalloc.start()
         try:
             text = write()
