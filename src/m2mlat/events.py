@@ -41,10 +41,13 @@ digit or an ASCII blank, so these scans see the lines and cells that the
 line parsers see. A CSV row is a line that starts with the node id the
 first row pins, then one comma per cell, 1-19 digits in each integer cell
 (``t_mono_ns`` 0-19), a name or nothing in each ``source`` cell and at most
-one CR at its end; any other line must be blank. In ring text the spaces,
-``m2m_irq:`` markers and ``=`` signs show each event's fields. The line
-parsers read only the lines these checks refuse, and the first CSV row,
-and write every error message; a line of bytes that is not UTF-8 is blanked.
+one CR at its end; any other line must be blank. In ring text the spaces
+and the ``m2m_irq:`` markers show each event's line, and a walk from each
+marker over the runs of spaces finds its fields. Cells and words are read
+with one gather each from a view of the text as overlapping fixed-width
+windows. The line parsers read only the lines these checks refuse, and the
+first CSV row, and write every error message; a line of bytes that is not
+UTF-8 is blanked.
 
 A lenient parse keeps the number of lines it skipped in
 ``EventLog.skipped`` and the error of the first of them in
@@ -66,7 +69,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigInvalid,
@@ -321,7 +323,7 @@ def _parse_csv_row(
 def _sniff_layout(cells: list[str]) -> tuple[str, ...] | None:
     """Column layout for headerless rows; 4 columns need disambiguation."""
     if len(cells) == 3:
-        return _CSV_COLUMNS[:3]
+        return ("node", "seq", "t_wall_ns")
     if len(cells) == 5:
         return _CSV_COLUMNS
     if len(cells) == 4:
@@ -510,7 +512,7 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
     # blank, so the blank check refuses a line with the wrong number of
     # commas too.
     bounds = np.concatenate(([-1], np.flatnonzero(text == ord("\n")), [len(text)]))
-    row = np.diff(np.searchsorted(commas, bounds)) == len(cells)
+    row = _rows_of(commas, bounds, len(cells))
     others = np.flatnonzero(~row)
     heads, stops = bounds[others] + 1, bounds[others + 1]
     filled = heads < stops
@@ -518,17 +520,20 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
     # A line that is not blank seldom starts with a blank, so checking the
     # first bytes first spares the gather of every byte of such lines.
     blank = _IS_BLANK[text[heads]]
-    heads, lengths = heads[blank], (stops - heads)[blank]
-    offsets = np.cumsum(lengths) - lengths  # of each line's bytes among all of them
-    is_blank = _IS_BLANK[text[np.arange(int(lengths.sum())) + np.repeat(heads - offsets, lengths)]]
-    if not is_blank.all():  # a line that holds a byte that is no blank
-        blank[blank] = np.logical_and.reduceat(is_blank, offsets)
+    if blank.any():
+        heads, lengths = heads[blank], (stops - heads)[blank]
+        offsets = np.cumsum(lengths) - lengths  # of each line's bytes among all of them
+        is_blank = _IS_BLANK[text[np.arange(int(lengths.sum()))
+                                  + np.repeat(heads - offsets, lengths)]]
+        if not is_blank.all():  # a line that holds a byte that is no blank
+            blank[blank] = np.logical_and.reduceat(is_blank, offsets)
+        del is_blank
     refused = others[~blank]
     if len(refused):  # their commas are no row's
         commas = commas[row[np.searchsorted(bounds, commas) - 1]]
     rows = np.flatnonzero(row)
     heads, ends = bounds[rows] + 1, bounds[rows + 1]
-    del bounds, rows, others, stops, is_blank  # the parse's peak memory is what it holds at once
+    del bounds, rows, others, stops  # the parse's peak memory is what it holds at once
     commas = commas.reshape(-1, len(cells))
     # node_id is a cell that the row parser read: no comma or LF in it and no
     # blank at either end. A str log's lone surrogates are encoded as its text.
@@ -536,9 +541,10 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
     ok = (commas[:, 0] == heads + len(word)) & _word_at(text, heads, word)
     del heads
     ends -= text[ends - 1] == ord("\r")
-    stops = np.vstack((commas.T[1:], ends))
     columns = {}
-    for name, stop, length in zip(cells, stops, stops - commas.T - 1):
+    for k, name in enumerate(cells):
+        stop = commas[:, k + 1] if k + 1 < len(cells) else ends
+        length = stop - commas[:, k] - 1
         if name == "source":
             columns[name], good = _source_cells(text, stop, length)
         else:
@@ -557,6 +563,19 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
         refused = np.sort(np.append(refused, bad))
         columns = tuple(column[ok] for column in columns)
     return row, columns, refused
+
+
+def _rows_of(commas: np.ndarray, bounds: np.ndarray, cells: int) -> np.ndarray:
+    """Which of the lines between ``bounds`` hold ``cells`` of the
+    ``commas``. In a log without blank lines the first lines hold ``cells``
+    commas each, and if each such group lies in its line no search is
+    needed."""
+    rows = len(commas) // cells
+    if len(commas) == rows * cells and rows < len(bounds):
+        groups = commas.reshape(rows, cells)
+        if (groups[:, 0] > bounds[:rows]).all() and (groups[:, -1] < bounds[1:rows + 1]).all():
+            return np.arange(len(bounds) - 1) < rows
+    return np.diff(np.searchsorted(commas, bounds)) == cells
 
 
 def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> tuple:
@@ -580,16 +599,18 @@ def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray,
     if ``empty``) below 2**63. That mask is built by cell only when some
     cell fails, since it takes a reduction along each row of digits.
 
-    One Horner pass reads as many bytes as the longest cell has (at most
-    19), up to where each cell ends, with the bytes before a cell read as
-    0. Nineteen digits stay below 2**64, so no sum wraps. The stops of
-    cells that can be well formed ascend, so those that end within the
-    first ``width`` bytes come first; each is read from the start of the
-    text and moved to the end of its window.
+    One gather reads the ``width`` bytes before each stop, as many as the
+    longest cell has (at most 19), and one Horner pass reads them up to
+    where each cell ends, with the bytes before a cell read as 0. Nineteen
+    digits stay below 2**64, so no sum wraps. The stops of cells that can
+    be well formed ascend, so those that end within the first ``width``
+    bytes come first; each is read from the start of the text and moved to
+    the end of its window.
     """
     longest = int(lengths.max(initial=1))
     width = min(longest, 19)
-    digits = sliding_window_view(text, width)[np.maximum(stops - width, 0)]
+    digits = _windows(text, width)[np.maximum(stops - width, 0)].view(np.uint8)
+    digits = digits.reshape(len(stops), width)
     for row, stop in enumerate(stops[:width].tolist()):
         if stop >= width:
             break
@@ -614,13 +635,14 @@ def _uint_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray,
 def _read_ring(data: bytes, ascii: bool) -> tuple:
     """What ``_finish`` takes of ring text.
 
-    One scan each finds the spaces (the ASCII bytes ``str.strip()`` removes,
-    LF among them), the ``m2m_irq:`` markers and, in ``_ring_tails``, the
-    ``=`` signs. A line of ASCII is blank if the spaces hold all its bytes,
-    which their positions show; a line of other text is decoded. A line
-    with a marker whose tail ``_ring_tails`` refuses is refused. No tail it
-    reads holds a second marker, so the other lines that are not blank have
-    no marker: the first is refused, for its message, the rest counted.
+    One scan finds the spaces (the ASCII bytes ``str.strip()`` removes, LF
+    among them) and one the colons; a gather of the 8 bytes up to each
+    colon keeps those that end an ``m2m_irq:`` marker. A line of ASCII is
+    blank if the spaces hold all its bytes, which their positions show; a
+    line of other text is decoded. A line with a marker whose tail
+    ``_ring_tails`` refuses is refused. No tail it reads holds a second
+    marker, so the other lines that are not blank have no marker: the
+    first is refused, for its message, the rest counted.
     """
     text = np.frombuffer(data, np.uint8)
     spaces = np.flatnonzero(text <= ord(" "))
@@ -629,26 +651,24 @@ def _read_ring(data: bytes, ascii: bool) -> tuple:
     if not space.all():  # a control byte that is no space
         spaces, byte = spaces[space], byte[space]
     colons = np.flatnonzero(text == ord(":"))
-    colons = colons[colons >= 7]
-    for back, marker_byte in enumerate(b"qri_m2m", 1):
-        colons = colons[text[colons - back] == marker_byte]
+    colons = colons[_word_at(text, colons - 7, b"m2m_irq:")]
     # Line k runs from bounds[k] + 1 up to bounds[k + 1], and is blank if as
     # many spaces as bytes lie between those two LFs.
     at_lf = np.flatnonzero(byte == ord("\n"))
     bounds = np.concatenate(([-1], spaces[at_lf], [len(text)]))
     blank = np.diff(bounds) == np.diff(np.concatenate(([-1], at_lf, [len(spaces)])))
-    del byte, space, at_lf  # the parse's peak memory is what it holds at once
+    del byte, space  # the parse's peak memory is what it holds at once
     if not ascii:
         for line in np.unique(np.searchsorted(bounds, np.flatnonzero(text > 0x7f)) - 1).tolist():
             blank[line] = not _line_at(data, int(bounds[line]) + 1).strip()
     lines = np.searchsorted(bounds, colons) - 1
-    ends = bounds[lines + 1]
+    lfs = np.append(at_lf, len(spaces))[lines]
     row = np.zeros(len(blank), bool)
     row[lines] = True
     markerless = np.flatnonzero(~(blank | row))
     refused, starts = markerless[:1], bounds[markerless[:1]] + 1
-    del bounds, blank, lines
-    ok, *columns = _ring_tails(text, spaces, colons, ends)
+    del at_lf, bounds, blank, lines
+    ok, *columns = _ring_tails(text, spaces, colons, lfs)
     if not ok.all():  # the lines of refused tails, and any other marker on them
         starts = _line_starts(text)
         lines = np.searchsorted(starts, colons, "right") - 1
@@ -662,61 +682,130 @@ def _read_ring(data: bytes, ascii: bool) -> tuple:
 
 
 def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
-                ends: np.ndarray) -> tuple:
+                lfs: np.ndarray) -> tuple:
     """Which of the tails that run from the markers ending at ``colons`` up
-    to ``ends`` are well formed, and their four columns.
+    to the spaces ``spaces[lfs]``, the LFs that end their lines (the end of
+    the text past the last one), are well formed, and their four columns.
 
     A tail is blanks, ``seq=`` and 1-19 digits, blanks, ``ts=`` and 1-19
     digits (above 0, below 2**63), blanks, ``src=`` and a source name, then
     blanks. A blank is a space other than LF: what the line parser's ``\\s``
-    takes there in ASCII. The three ``=`` of a tail are the first three
-    after its marker, and each digit cell ends at the next space. Each blank
-    run then starts at the space that follows the run before it, so walking
-    ``spaces`` from the first one after the marker checks it with two
-    gathers.
+    takes there in ASCII. The walk goes from token to token through
+    ``spaces``: a token runs up to the next space, and the next one starts
+    past the run of spaces there. A run that holds the LF at the line's end
+    takes the tokens after it off the line, so the source name must end by
+    that LF.
+
+    A tail of single blanks holds three spaces, so the first space after
+    its marker is the third before its LF; it is searched for only in the
+    other tails.
     """
-    eqs = np.flatnonzero(text == ord("="))
-    if not (len(eqs) and len(spaces)):  # no tail is well formed
+    if not len(spaces):  # no tail is well formed: its fields need blanks between them
         return np.zeros(len(colons), bool), *np.zeros((4, len(colons)), np.int64)
-    first = np.searchsorted(eqs, colons)
-    ok = first + 3 <= len(eqs)
-    seq_eq, ts_eq, src_eq = (eqs.take(first + k, mode="clip") for k in range(3))
-    del eqs, first
-    pulse = _word_at(text, src_eq + 1, b"pulse")
-    ok &= ((_word_at(text, src_eq + 1, b"hall") | pulse) & _word_at(text, seq_eq - 3, b"seq")
-           & _word_at(text, ts_eq - 2, b"ts") & _word_at(text, src_eq - 3, b"src"))
-    at = np.searchsorted(spaces, colons)
-    ok &= _space_run(spaces, at, colons + 1, seq_eq - 3)
-    at += seq_eq - 4 - colons
-    cells = []
-    for eq, word in ((seq_eq, ts_eq - 2), (ts_eq, src_eq - 3)):
-        stops = spaces.take(at, mode="clip")
-        value, good = _uint_cells(text, stops, stops - eq - 1)
-        ok &= good & (stops < word) & _space_run(spaces, at, stops, word)
-        at += word - stops
+    ends = _space_at(spaces, lfs, len(text))
+    at = lfs - 3
+    miss = np.flatnonzero((at < 1) | (spaces.take(at, mode="clip") <= colons)
+                          | (spaces.take(at - 1, mode="clip") > colons))
+    at[miss] = np.searchsorted(spaces, colons[miss] + 1)
+    start, at = _past_run(spaces, at, colons + 1)
+    ok, cells = np.ones(len(colons), bool), []
+    for word in (b"seq=", b"ts="):
+        stop = _space_at(spaces, at, len(text))
+        value, good = _uint_cells(text, stop, stop - start - len(word))
+        ok &= good & _word_at(text, start, word)
+        start, at = _past_run(spaces, at, stop)
         cells.append(value)
+    stop = _space_at(spaces, at, len(text))
+    named = (stop == start + 8) & _word_at(text, start, b"src=hall")
+    pulse = np.flatnonzero(stop == start + 9)
+    pulse = pulse[_word_at(text, start[pulse], b"src=pulse")]
+    named[pulse] = True
+    ok &= named & (stop <= ends)
+    # after the source name, no blank or a run of them up to the line's end
+    trail = np.flatnonzero(ok & (stop < ends))
+    ok[trail] = spaces[_run_ends(spaces, at[trail])] >= ends[trail] - 1
     seq, t_wall = cells
-    ok &= _space_run(spaces, at, src_eq + 5 + pulse, ends) & (t_wall > 0)
+    ok &= t_wall > 0
     # source codes index tuple(EventSource): hall is 0 and pulse 1
-    return ok, seq, t_wall, np.full(len(seq), -1), pulse.astype(np.int64)
+    source = np.zeros(len(seq), np.int64)
+    source[pulse] = 1
+    return ok, seq, t_wall, np.full(len(seq), -1), source
 
 
-def _space_run(spaces: np.ndarray, at: np.ndarray, starts: np.ndarray,
-               stops: np.ndarray) -> np.ndarray:
-    """Whether the bytes from ``starts`` up to ``stops`` are spaces, the
-    first of them ``spaces[at]``: true of an empty run and false of one that
-    would end before it starts. ``spaces`` rises, so it holds every byte of
-    the run if it holds its first and last this far apart."""
-    last = at + (stops - starts) - 1
-    return (stops == starts) | (
-        (stops > starts) & (last < len(spaces)) & (spaces.take(at, mode="clip") == starts)
-        & (spaces.take(last, mode="clip") == stops - 1))
+def _space_at(spaces: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """``spaces[at]``, and ``size`` where ``at`` is past the last space."""
+    found = spaces.take(at, mode="clip")
+    found[at >= len(spaces)] = size
+    return found
+
+
+def _past_run(spaces: np.ndarray, at: np.ndarray, starts: np.ndarray) -> tuple:
+    """Where the token after the run of spaces from each of ``starts``
+    begins (``starts`` itself where no space is there), and the index of
+    the first space after that; ``spaces[at]`` is the first space at or
+    after ``starts``. Most runs are one blank, and only the longer ones
+    are walked to their ends."""
+    first = spaces.take(at, mode="clip")
+    run = first == starts
+    longer = np.flatnonzero(run & (spaces.take(at + 1, mode="clip") == first + 1))
+    last = _run_ends(spaces, at[longer])
+    starts, at = np.where(run, first + 1, starts), at + run
+    starts[longer], at[longer] = spaces[last] + 1, last + 1
+    return starts, at
+
+
+def _run_ends(spaces: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The index of the last space of the run of consecutive bytes that
+    starts at each ``spaces[at]``.
+
+    ``spaces`` rises, so ``spaces[k] - k`` never falls, and it holds one
+    value along a run. A gallop and then a bisection find where that value
+    last holds, in as many steps as the longest run's length has bits.
+    """
+    if not len(at):
+        return at
+    key = spaces[at] - at
+
+    def inside(k, which):
+        return (k < len(spaces)) & (spaces.take(k, mode="clip") - k == key[which])
+
+    lo, hi, live, step = at.copy(), at + 1, np.arange(len(at)), 1
+    while len(live):  # lo is in the run, and hi is probed: hi = lo + step
+        live = live[inside(hi[live], live)]
+        lo[live], step = hi[live], step * 2
+        hi[live] = lo[live] + step
+    live = np.flatnonzero(hi - lo > 1)
+    while len(live):  # lo is in the run and hi is not
+        mid = (lo[live] + hi[live]) // 2
+        inner = inside(mid, live)
+        lo[live[inner]], hi[live[~inner]] = mid[inner], mid[~inner]
+        live = live[hi[live] - lo[live] > 1]
+    return lo
+
+
+def _windows(text: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes from each byte of ``text`` on, one item each: a
+    view, from which a fancy index gathers the windows it picks at once."""
+    return np.ndarray((len(text) - width + 1,), np.dtype((np.void, width)), buffer=text,
+                      strides=(1,))
 
 
 def _word_at(text: np.ndarray, starts: np.ndarray, word: bytes) -> np.ndarray:
-    """Whether ``word`` starts at each of ``starts``; a byte past the end of
-    the text reads as its last one."""
+    """Whether ``word`` starts at each of ``starts``; a word that would run
+    past either end of the text is no match. Each 8 bytes of the word take
+    one gather, compared as a little-endian uint64; the bytes after the
+    last such 8 are compared one by one."""
+    size = len(word)
+    if size > len(text):
+        return np.zeros(len(starts), bool)
     found = np.ones(len(starts), bool)
-    for offset, byte in enumerate(word):
-        found &= text.take(starts + offset, mode="clip") == byte
+    if len(starts) and (starts.min() < 0 or starts.max() > len(text) - size):
+        found = (starts >= 0) & (starts <= len(text) - size)
+        starts = np.where(found, starts, 0)
+    whole = size - size % 8
+    for at in range(0, whole, 8):
+        cells = _windows(text, 8)[starts + at].view("<u8")
+        found &= cells == np.uint64(int.from_bytes(word[at:at + 8], "little"))
+    for at in range(whole, size):
+        found &= text.take(starts + at) == word[at]
     return found

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from m2mlat import events
 from m2mlat.errors import UnparseableLine
-from m2mlat.events import LogFormat, NodeId, Role, parse_log
+from m2mlat.events import EventLog, LogFormat, NodeId, Role, parse_log
 from helpers import OPERATOR, count_line_parser_calls, oracle_parse_log
 
 CSV, RING = LogFormat.CSV, LogFormat.KERNEL_RING
@@ -96,12 +96,22 @@ def csv_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
 
 
+# The blanks of a ring line: after the marker (none at all among them),
+# between two fields, and after the source name.
+AFTER_MARKER = ("", " ", "\t", "  ", " \t\x0b")
+BETWEEN_FIELDS = (" ", "\t", "   ", "\x0c \t", " " * 40)
+AFTER_SOURCE = ("", " ", "\t\t", "\r", " " * 17)
+
+
 @st.composite
 def ring_texts(draw):
     lines = []
     for seq, t, _, source in draw(events_rows(max_size=10)):
         prefix = draw(st.sampled_from(("", "[   12.500000] ", "kernel: ")))
-        lines.append(f"{prefix}m2m_irq: seq={seq} ts={t} src={'pulse' if source == 'pulse' else 'hall'}")
+        a, b, c, d = (draw(st.sampled_from(blanks))
+                      for blanks in (AFTER_MARKER, BETWEEN_FIELDS, BETWEEN_FIELDS, AFTER_SOURCE))
+        src = "pulse" if source == "pulse" else "hall"
+        lines.append(f"{prefix}m2m_irq:{a}seq={seq}{b}ts={t}{c}src={src}{d}")
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(DMESG + ("",))))
     return "\n".join(lines) + "\n"
@@ -229,6 +239,15 @@ EDGE_CASES = {
     "ring_nbsp_between_fields": "m2m_irq: seq=0\u00a0ts=1000 src=hall\n",
     "ring_ascii_blanks_between_fields": "m2m_irq:\x1fseq=0\x0bts=1000\x0c\x1csrc=hall\x1e\n",
     "ring_no_blank_at_all": "m2m_irq:seq=0ts=1000src=hall",
+    "ring_long_blank_runs": "m2m_irq:" + " " * 33 + "seq=0" + "\t" * 64 + "ts=1000" + " " * 100
+                            + "src=pulse" + " \x0b" * 9 + "\n",
+    "ring_blank_run_up_to_the_end_of_the_text": RING_HEAD + "m2m_irq: seq=1 ts=2000 src=hall" + " " * 40,
+    "ring_blank_run_across_an_lf": RING_HEAD + "m2m_irq: seq=1 \n ts=2000 src=hall\n",
+    "ring_blank_run_across_an_lf_after_the_marker": RING_HEAD + "m2m_irq:  \n  seq=1 ts=2000 src=hall\n",
+    "ring_blank_run_across_an_lf_before_the_source": RING_HEAD + "m2m_irq: seq=1 ts=2000 \n src=hall\n",
+    "ring_lf_right_after_a_cell": RING_HEAD + "m2m_irq: seq=1\nts=2000 src=hall\n",
+    "ring_marker_then_lf": RING_HEAD + "m2m_irq:\nseq=1 ts=2000 src=hall\n",
+    "ring_marker_at_the_start_of_the_text_cut": "rq: seq=0 ts=1000 src=hall\n" + RING_HEAD,
     "ring_control_byte_line": RING_HEAD + "\x00\n\x1b\nm2m_irq: seq=1 ts=2000 src=hall\n",
     # a capture whose recorder stopped mid-write
     "csv_last_line_cut_in_a_cell": CSV_SOURCE_HEAD + "operator,1,2000,pu",
@@ -319,17 +338,25 @@ def test_canonical_logs_skip_the_line_loop(monkeypatch, raw, fmt, lenient):
     assert sum(calls.values()) == (2 if fmt is CSV or expected.skipped else 0)
 
 
-def field_ring_capture(rng: np.random.Generator) -> bytes:
+def field_ring_capture(rng: np.random.Generator, mixed_blanks: bool = False) -> bytes:
     """The shape of a 4,000-trial field capture: 12,000 events with
-    bracketed uptimes, and a dmesg line after 15% of them."""
+    bracketed uptimes, and a dmesg line after 15% of them. With
+    ``mixed_blanks`` each event's blanks are drawn from ``AFTER_MARKER``,
+    ``BETWEEN_FIELDS`` and ``AFTER_SOURCE``, and a tenth of its sources are
+    ``pulse``."""
     edges = 4000 * 3
     t = 1_700_000_000 * 10**9 + np.cumsum(rng.integers(1, 5 * 10**9, edges))
     seq = 10**6 + np.cumsum(rng.integers(1, 3, edges))
     uptime = (t - t[0]) / 1e9 + 12.5
+    blanks = [(" ", " ", " ", "", "hall")] * edges
+    if mixed_blanks:
+        blanks = zip(*(np.array(choices)[rng.integers(0, len(choices), edges)].tolist()
+                       for choices in (AFTER_MARKER, BETWEEN_FIELDS, BETWEEN_FIELDS, AFTER_SOURCE)),
+                     np.where(rng.random(edges) < 0.1, "pulse", "hall").tolist())
     lines = []
-    for s, ts, up, noise in zip(seq.tolist(), t.tolist(), uptime.tolist(),
-                                (rng.random(edges) < 0.15).tolist()):
-        lines.append(f"[{up:12.6f}] m2m_irq: seq={s} ts={ts} src=hall")
+    for s, ts, up, noise, (a, b, c, d, src) in zip(seq.tolist(), t.tolist(), uptime.tolist(),
+                                                   (rng.random(edges) < 0.15).tolist(), blanks):
+        lines.append(f"[{up:12.6f}] m2m_irq:{a}seq={s}{b}ts={ts}{c}src={src}{d}")
         if noise:
             lines.append(f"[{up + 0.000731:12.6f}] {DMESG[s % len(DMESG)]}")
     return ("\n".join(lines) + "\n").encode()
@@ -349,14 +376,32 @@ def field_csv_capture(rng: np.random.Generator, header: bool, node_id: str) -> b
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
-    raw = field_ring_capture(np.random.default_rng(401))
+def assert_ring_capture_read_by_the_scans(monkeypatch, raw: bytes) -> EventLog:
+    """A lenient parse of ``raw`` calls the line parser once, on its first
+    dmesg line, and equals the line loop's; returns that log."""
     assert_same(raw, RING, OPERATOR)
     expected = oracle_parse_log(raw, RING, OPERATOR, True)
     assert len(expected) == 4000 * 3
     calls = count_line_parser_calls(monkeypatch)
     assert parse_log(raw, RING, node=OPERATOR, lenient=True) == expected
     assert sum(calls.values()) == 1
+    return expected
+
+
+def test_field_sized_ring_capture_matches_line_loop(monkeypatch):
+    assert_ring_capture_read_by_the_scans(monkeypatch, field_ring_capture(np.random.default_rng(401)))
+
+
+def test_field_sized_ring_capture_with_mixed_blanks_matches_line_loop(monkeypatch):
+    """Tabs, runs of up to 40 blanks and no blank after the marker are
+    read by the scans too, each run to its last consecutive space."""
+    raw = field_ring_capture(np.random.default_rng(401), mixed_blanks=True)
+    assert assert_ring_capture_read_by_the_scans(monkeypatch, raw).source.any()
+    # runs of 3, 1, 2 and 40 spaces, the last one up to the end of the array
+    spaces = np.concatenate(([4, 5, 6, 9, 11, 12], np.arange(20, 60)))
+    at = np.array([0, 1, 2, 3, 4, 5, 6, 7, 26, 45])
+    assert events._run_ends(spaces, at).tolist() == [2, 2, 2, 3, 5, 5, 45, 45, 45, 45]
+    assert events._run_ends(spaces, at[:0]).tolist() == []
 
 
 @pytest.mark.parametrize("header, node_id", [
@@ -445,11 +490,61 @@ def test_a_csv_body_of_other_lines_is_refused_without_gathering_it():
     assert peak < 2 * len(raw)
 
 
-def test_a_blank_run_that_ends_before_it_starts_is_refused():
-    # spaces[0] and spaces[2] are as far apart as the ends of a run from 6 to 5
-    spaces = np.array([4, 5, 6])
-    assert events._space_run(spaces, np.array([2]), np.array([6]), np.array([5])).tolist() == [False]
-    assert events._space_run(spaces, np.array([0]), np.array([4]), np.array([7])).tolist() == [True]
+@settings(max_examples=300)
+@given(st.binary(max_size=40), st.data())
+def test_a_word_is_found_only_whole_and_inside_the_text(raw, data):
+    """Starts before the text, past it, and words that would run past its
+    end or are longer than it are no match; words of 8 bytes and more are
+    read 8 bytes at a time."""
+    i, j = sorted(data.draw(st.lists(st.integers(0, len(raw)), min_size=2, max_size=2)))
+    word = data.draw(st.one_of(st.just(raw[i:j]), st.binary(max_size=20))) or b"\x00"
+    starts = data.draw(st.lists(st.integers(-10, len(raw) + 10), max_size=12))
+    found = events._word_at(np.frombuffer(raw, np.uint8), np.array(starts, np.int64), word)
+    assert found.tolist() == [at >= 0 and raw[at:at + len(word)] == word for at in starts]
+
+
+@pytest.mark.parametrize("raw, starts, word, found", [
+    # a word cut by the end of the text, whose last byte would complete it
+    (b"m2m_irq: seq=1 ts=2 src=hal", [23], b"hall", [False]),
+    (b"src=hal", [0, 4], b"src=hall", [False, False]),
+    (b"hal", [0], b"hall", [False]),
+    (b"aaaa", [-1, 0, 3], b"aa", [False, True, False]),
+    (b"op-station,1,2", [0, -1, 1, 5], b"op-station", [True, False, False, False]),
+    (b"x m2m_irq:", [2, 3], b"m2m_irq:", [True, False]),
+], ids=["source_cut_by_the_end", "eight_bytes_cut_by_the_end", "text_shorter_than_the_word",
+        "before_and_after_the_text", "ten_bytes", "eight_bytes_up_to_the_end"])
+def test_word_at_the_ends_of_the_text(raw, starts, word, found):
+    assert events._word_at(np.frombuffer(raw, np.uint8), np.array(starts), word).tolist() == found
+
+
+def test_digit_cells_at_the_start_of_the_text_are_read():
+    """Cells that end within the first ``width`` bytes, one of them at byte
+    0, are read from the start of the text."""
+    text = np.frombuffer(b"7,42,1234567,00\n", np.uint8)
+    stops, lengths = np.array([1, 4, 12, 15]), np.array([1, 2, 7, 2])
+    values, good = events._uint_cells(text, stops, lengths)
+    assert values.tolist() == [7, 42, 1234567, 0] and good.all()
+    # a headerless log whose node id is digits, and whose first seq ends at byte 3
+    raw = "7,1,1000\n7,2,2000\n7,3,2500000\n"
+    assert_same(raw, CSV)
+    assert parse_log(raw).t_wall_ns.tolist() == [1000, 2000, 2500000]
+
+
+@pytest.mark.parametrize("fmt", [RING, CSV], ids=["ring", "csv"])
+def test_a_field_sized_parse_peaks_below_2_5_times_its_input(fmt):
+    """What a lenient parse holds at once: about 2.0 times its input for
+    either format."""
+    rng = np.random.default_rng(401)
+    raw = field_ring_capture(rng) if fmt is RING else field_csv_capture(rng, True, "op-station")
+    node = OPERATOR if fmt is RING else None
+    parse_log(raw, fmt, node=node, lenient=True)  # so numpy's cache of small blocks is warm
+    tracemalloc.start()
+    try:
+        parse_log(raw, fmt, node=node, lenient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(raw)
 
 
 def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
