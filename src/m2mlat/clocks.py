@@ -316,9 +316,16 @@ def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     """Per-pulse offset series from two logs of one shared stimulus.
 
     Pulses pair by time, whatever their numbering: each a-event takes the
-    first b-event not yet taken within half the median gap of both logs
-    (offsets must stay under it; a swap only negates them). More than
-    ``MAX_UNMATCHED`` of the larger log unpaired raises LengthMismatch.
+    first b-event not yet taken within half the pulse period (offsets must
+    stay under it; a swap only negates them). More than ``MAX_UNMATCHED``
+    of the larger log unpaired raises LengthMismatch.
+
+    The period is the median of the gaps between bursts in both logs: the
+    gaps at least half the 90th-percentile gap. A pulse whose edge bounces
+    adds short gaps within its burst; while those are under nine tenths of
+    all gaps, the 90th-percentile gap is one between bursts. A clean
+    train's gaps, all within a factor of two of it, are all kept, so its
+    period is the median of every gap.
     """
     from .pairing import _match  # here, not at the top: sim and probe import clocks
 
@@ -326,7 +333,12 @@ def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
         raise EmptyLog("both logs must contain events to compare")
     t_a, t_b = log_a.t_wall_ns, log_b.t_wall_ns
     gaps = np.concatenate((np.diff(t_a), np.diff(t_b)))
-    half = int(np.median(gaps)) // 2 if len(gaps) else 2**63 - 1  # one pulse each: pair them
+    if len(gaps):
+        at = 9 * (len(gaps) - 1) // 10
+        top = int(np.partition(gaps, at)[at])  # the 90th-percentile gap
+        half = int(np.median(gaps[gaps >= top - top // 2])) // 2
+    else:
+        half = 2**63 - 1  # one pulse each: pair them
     ia, ib = _match(t_a, t_b, -half, half)
     larger = max(len(t_a), len(t_b))
     if larger - len(ia) > MAX_UNMATCHED * larger:

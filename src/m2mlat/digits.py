@@ -7,8 +7,10 @@ split into groups of four and each group is looked up in a word table,
 with NUL bytes in front of the number's leading group. The two NUL bytes
 each cell keeps in front hold its separator (LF before the first column,
 a comma before the others) and its ``-``. A constant column is the same
-literal words on every row. Deleting the NULs from the matrix leaves the
-chunk's lines, each begun by its LF.
+literal words on every row. The first chunk's matrix begins with the
+header's words and the last one's ends with the closing LF, so deleting
+the NULs from the matrix leaves the chunk's text, each line begun by its
+LF, and a table of one chunk is written with no joining copy.
 
 ``tables`` imports this module only when a table takes this path, so a
 command that writes only small tables (``budget``) loads no numpy. The
@@ -58,13 +60,16 @@ def _words(text: str) -> np.ndarray:
 
 
 _MINUS = _words("\0-")[0]
+# The word of each cell separator: LF before a row's first cell, a comma
+# before each other cell.
+_SEPARATORS = {"\n": _words("\n")[0], ",": _words(",")[0]}
 
 
 def _cell_words(block: np.ndarray, sep: str) -> np.ndarray:
     """One row of words per cell of an int array, two NUL bytes wider than
     its longest number: ``sep`` in the first byte and any ``-`` in the
     second. If every cell is equal, their one row of literal words."""
-    lo, hi = int(block.min()), int(block.max())
+    lo, hi = int(np.minimum.reduce(block)), int(np.maximum.reduce(block))
     if lo == hi:
         return _words(sep + str(lo))
     top = max(hi, -lo)
@@ -91,36 +96,49 @@ def _cell_words(block: np.ndarray, sep: str) -> np.ndarray:
         np.subtract(magnitude, index, out=index)
         (_UPPER if k else _LAST).take(index.view(signed), out=words[width - 1 - k], mode="wrap")
         magnitude = rest
-    words[0] |= _words(sep)[0]
+    words[0] |= _SEPARATORS[sep]
     if lo < 0:
         words[0] |= (block < 0) * _MINUS
     return words.T
 
 
-def int_table(head: str, cells: Sequence, literals: Sequence[str | None]) -> str:
-    """The CSV text of ``head`` and the rows of ``cells``: an int numpy
-    array per column where ``literals`` holds None, else any sequence whose
-    every cell prints as that literal."""
-    rows = len(cells[0])
-    out = [head]
+def int_table(head: str, cells: Sequence, literals: Sequence[str | None], rows: int) -> str:
+    """The CSV text of ``head`` and ``rows`` rows of ``cells``: an int
+    numpy array per column where ``literals`` holds None, else a column
+    whose every cell prints as that literal (a list, or the one value).
+    ``head`` is ASCII with no NUL."""
+    literal_words = [None if text is None else _words(("," if j else "\n") + text)
+                     for j, text in enumerate(literals)]
+    out = []
     for start in range(0, rows, _ROWS_PER_CHUNK):
         # no name holds a chunk's matrix or its bytes, so each is freed as
         # soon as the next form of the chunk is made
-        out.append(_matrix(cells, literals, start, min(rows - start, _ROWS_PER_CHUNK))
+        n = min(rows - start, _ROWS_PER_CHUNK)
+        out.append(_matrix(cells, literal_words, start, n, "" if start else head, start + n == rows)
                    .translate(None, b"\0").decode("ascii"))
-    out.append("\n")
-    return "".join(out)
+    return out[0] if len(out) == 1 else "".join(out)
 
 
-def _matrix(cells: Sequence, literals: Sequence[str | None], start: int, n: int) -> bytearray:
-    """The words of rows ``start`` to ``start + n``, one matrix row per
-    table row: its line, begun by its LF, with NUL bytes as padding."""
-    parts = []
-    for j, (column, text) in enumerate(zip(cells, literals)):
-        sep = "," if j else "\n"
-        words = _cell_words(column[start:start + n], sep) if text is None else _words(sep + text)
-        parts.append(np.broadcast_to(words, (n, words.shape[-1])))
-    width = sum(part.shape[1] for part in parts)
-    matrix = bytearray(4 * n * width)
-    np.concatenate(parts, axis=1, out=np.frombuffer(matrix, np.uint32).reshape(n, width))
+def _matrix(cells: Sequence, literal_words: Sequence[np.ndarray | None], start: int, n: int,
+            head: str, last: bool) -> bytearray:
+    """The words of ``head``, then of rows ``start`` to ``start + n``, one
+    matrix row per table row (its line, begun by its LF), then if ``last``
+    the table's closing LF, with NUL bytes as padding.
+
+    Each column's words are assigned to its slice of the matrix's columns,
+    a literal's one row of words broadcast down every row."""
+    parts = [_cell_words(column[start:start + n], "," if j else "\n") if words is None else words
+             for j, (column, words) in enumerate(zip(cells, literal_words))]
+    width = sum(part.shape[-1] for part in parts)
+    lead = _words(head)
+    matrix = bytearray(4 * (len(lead) + n * width + last))
+    words = np.frombuffer(matrix, np.uint32)
+    words[:len(lead)] = lead
+    if last:
+        words[-1] = _SEPARATORS["\n"]
+    view = words[len(lead):len(lead) + n * width].reshape(n, width)
+    at = 0
+    for part in parts:
+        view[:, at:at + part.shape[-1]] = part
+        at += part.shape[-1]
     return matrix

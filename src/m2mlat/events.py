@@ -243,11 +243,14 @@ def write_log(log: EventLog) -> str:
     if not _csv_node_id(node_id):
         raise ConfigInvalid(f"node id {node_id!r} cannot be written to CSV: it holds a "
                             "comma, CR or LF, or starts or ends with a blank")
-    cells = {"node": [node_id] * len(log), "seq": log.seq, "t_wall_ns": log.t_wall_ns}
+    # a column of one value throughout is passed as that value
+    cells = {"node": node_id, "seq": log.seq, "t_wall_ns": log.t_wall_ns}
     if (log.t_mono_ns >= 0).any():
         cells["t_mono_ns"] = ["" if t < 0 else t for t in log.t_mono_ns.tolist()]
     if log.source.any():
-        cells["source"] = np.array(_SOURCE_NAMES, object)[log.source]
+        lo = int(np.minimum.reduce(log.source))
+        cells["source"] = (_SOURCE_NAMES[lo] if lo == np.maximum.reduce(log.source)
+                           else np.array(_SOURCE_NAMES, object)[log.source])
     return write_table(tuple(cells), list(cells.values()))
 
 

@@ -23,9 +23,7 @@ median gap).
 
 from __future__ import annotations
 
-import configparser
 import hashlib
-import io
 import warnings
 from dataclasses import dataclass, replace
 
@@ -290,9 +288,15 @@ def preset(name: str) -> ScenarioConfig:
 # --- flat key-value config file (INI) -----------------------------------
 
 def render_config(cfg: ScenarioConfig) -> str:
-    """Serialize a scenario to the flat INI config format."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["scenario"] = {
+    """Serialize a scenario to the flat INI config format.
+
+    The text is what ``configparser.ConfigParser.write`` writes for these
+    sections, written here so that simulating a preset loads no
+    ``configparser``: each section is ``[name]``, then one ``key = value``
+    line per key, a newline inside a value followed by a tab, then a blank
+    line.
+    """
+    sections = {"scenario": {
         "label": cfg.label,
         "stationary": str(cfg.stationary).lower(),
         "sync_mode": cfg.sync_mode.value,
@@ -301,7 +305,7 @@ def render_config(cfg: ScenarioConfig) -> str:
         "seed": str(cfg.seed),
         "start_ns": str(cfg.start_ns),
         "clock_stream": CLOCK_STREAM,
-    }
+    }}
     for name in _COMPONENTS:
         dist: DelayDist = getattr(cfg, name)
         section: dict[str, str] = {"kind": dist.kind.value}
@@ -312,13 +316,16 @@ def render_config(cfg: ScenarioConfig) -> str:
         else:
             section["median_ms"] = repr(dist.median_ns() / MS_NS)
             section["iqr_ms"] = repr(dist.iqr_ns() / MS_NS)
-        cp[name] = section
+        sections[name] = section
     if cfg.clock_models is not None:
-        for section, model in zip(("clock_op", "clock_veh"), cfg.clock_models):
-            cp[section] = {f: repr(v) for f, v in vars(model).items()}
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
+        for name, model in zip(("clock_op", "clock_veh"), cfg.clock_models):
+            sections[name] = {f: repr(v) for f, v in vars(model).items()}
+    out = []
+    for name, section in sections.items():
+        out.append(f"[{name}]\n")
+        out.extend(key + " = " + value.replace("\n", "\n\t") + "\n" for key, value in section.items())
+        out.append("\n")
+    return "".join(out)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -327,6 +334,8 @@ def parse_config(text: str) -> ScenarioConfig:
     A value that does not convert to its field's type, or that its field
     refuses, raises ConfigInvalid.
     """
+    import configparser  # here, so that simulating a preset does not load it
+
     cp = configparser.ConfigParser(interpolation=None)  # the format has no interpolation
     try:
         cp.read_string(text)

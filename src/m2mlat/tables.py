@@ -2,20 +2,22 @@
 toolkit emits, and ``read_int_columns`` reads each integer table it takes
 in (sample files, scheduling files, ground truth) without numpy.
 
-``write_table`` takes one sequence per column and has two paths, which
+``write_table`` takes one sequence per column, or one str or int for a
+column that holds that value on every row, and has two paths, which
 write the same text:
 
 - A table of ``_KERNEL_ROWS`` (768) rows or more whose columns are int
   numpy arrays, save any that hold one int or one ASCII str with no NUL
-  throughout, goes to the numpy digit kernel in ``digits``: 4,096 rows at
-  a time, it looks every cell's digits up four at a time in a word table.
-  Below that crossover ``%`` is the faster of the two. ``digits`` and so
-  numpy are imported only when a table takes this path.
+  throughout, and whose header is ASCII with no NUL, goes to the numpy
+  digit kernel in ``digits``: 4,096 rows at a time, it looks every
+  cell's digits up four at a time in a word table. Below that crossover
+  ``%`` is the faster of the two. ``digits`` and so numpy are imported
+  only when a table takes this path.
 - Every other table is formatted in blocks of ``_ROWS_PER_FORMAT``
-  (1,024) rows, one ``%`` each: a column whose int or str cells are all
-  equal within the block is written into the block's row pattern, and the
-  cells of the other columns fill its ``%s`` fields, so no tuple or line
-  string is made per row.
+  (1,024) rows, one ``%`` each: a one-value column, and a column whose
+  int or str cells are all equal within the block, is written into the
+  block's row pattern, and the cells of the other columns fill its
+  ``%s`` fields, so no tuple or line string is made per row.
 """
 
 from __future__ import annotations
@@ -32,30 +34,38 @@ _ROWS_PER_FORMAT = 1024
 _KERNEL_ROWS = 768
 
 
-def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
+def write_table(columns: Sequence[str], cells: Sequence[Sequence | str | int]) -> str:
     """CSV text, LF after every line: the header ``columns``, then one
     line per row of ``cells``, which holds one list or 1-D numpy array per
-    column, all of one length.
+    column, all of one length, or in place of one a single str or int, the
+    cell of every row. At least one column is a list or array: it gives
+    the row count.
 
     Cells are written with ``str`` (a float's is its shortest round-trip
     repr), so callers pass each cell already in its output form: an int,
     float, bool or str.
     """
-    rows = len(cells[0]) if cells else 0
-    if len(cells) != len(columns) or any(len(column) != rows for column in cells):
-        raise ValueError(f"write_table needs {len(columns)} columns of one length")
-    if rows >= _KERNEL_ROWS and (literals := _kernel_literals(cells)):
+    lengths = {len(column) for column in cells if not isinstance(column, (str, int))}
+    if len(cells) != len(columns) or len(lengths) != 1:
+        raise ValueError(f"write_table needs {len(columns)} columns of one length, "
+                         "at least one of them a list or array")
+    (rows,) = lengths
+    head = ",".join(columns)
+    if rows >= _KERNEL_ROWS and _kernel_text(head) and (literals := _kernel_literals(cells)):
         from .digits import int_table
-        return int_table(",".join(columns), cells, literals)
-    out = [",".join(columns) + "\n"]
+        return int_table(head, cells, literals, rows)
+    out = [head + "\n"]
     for start in range(0, rows, _ROWS_PER_FORMAT):
         fields, varying = [], []
         for column in cells:
-            block = column[start:start + _ROWS_PER_FORMAT]
-            typed = False  # a numpy array's cells share one type unless it holds objects
-            if hasattr(block, "dtype"):
-                typed, block = block.dtype.kind != "O", block.tolist()
-            text = _constant_text(block, typed)
+            if isinstance(column, (str, int)):
+                text = str(column)
+            else:
+                block = column[start:start + _ROWS_PER_FORMAT]
+                typed = False  # a numpy array's cells share one type unless it holds objects
+                if hasattr(block, "dtype"):
+                    typed, block = block.dtype.kind != "O", block.tolist()
+                text = _constant_text(block, typed)
             if text is None:
                 fields.append("%s")
                 varying.append(block)
@@ -69,21 +79,30 @@ def write_table(columns: Sequence[str], cells: Sequence[Sequence]) -> str:
     return "".join(out)
 
 
-def _kernel_literals(cells: Sequence[Sequence]) -> list[str | None] | None:
+def _kernel_literals(cells: Sequence) -> list[str | None] | None:
     """Per column, None for an int numpy array and the text of a column of
     one int or one ASCII str with no NUL: the columns the digit kernel
     takes. None if some column is neither, or none is an int array."""
     literals = []
     for column in cells:
-        kind = column.dtype.kind if hasattr(column, "dtype") else None
-        if kind in ("i", "u"):
-            literals.append(None)
-            continue
-        text = _constant_text(column.tolist() if kind else column, kind not in (None, "O"))
-        if text is None or not text.isascii() or "\0" in text:
+        if isinstance(column, (str, int)):
+            text = str(column)
+        else:
+            kind = column.dtype.kind if hasattr(column, "dtype") else None
+            if kind in ("i", "u"):
+                literals.append(None)
+                continue
+            text = _constant_text(column.tolist() if kind else column, kind not in (None, "O"))
+        if text is None or not _kernel_text(text):
             return None
         literals.append(text)
     return literals if None in literals else None
+
+
+def _kernel_text(text: str) -> bool:
+    """Whether the digit kernel can write ``text``: ASCII with no NUL,
+    which it uses as padding."""
+    return text.isascii() and "\0" not in text
 
 
 def _constant_text(block: list, typed: bool) -> str | None:

@@ -159,6 +159,42 @@ def oracle_write_table(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def oracle_render_config(cfg) -> str:
+    """The scenario's INI text as ``configparser.ConfigParser.write``
+    writes it, from sections built here field by field."""
+    import configparser
+    import io
+
+    from m2mlat.dists import EmpiricalDelay
+    from m2mlat.sim import _COMPONENTS, CLOCK_STREAM, MS_NS
+
+    cp = configparser.ConfigParser(interpolation=None)
+    cp["scenario"] = {
+        "label": cfg.label,
+        "stationary": str(cfg.stationary).lower(),
+        "sync_mode": cfg.sync_mode.value,
+        "trial_interval_s": repr(cfg.trial_interval_s),
+        "trials": str(cfg.trials),
+        "seed": str(cfg.seed),
+        "start_ns": str(cfg.start_ns),
+        "clock_stream": CLOCK_STREAM,
+    }
+    for name in _COMPONENTS:
+        dist = getattr(cfg, name)
+        if isinstance(dist, EmpiricalDelay):
+            cp[name] = {"kind": dist.kind.value,
+                        "samples_ms": ",".join(repr(v / MS_NS) for v in dist.values_ns)}
+        else:
+            cp[name] = {"kind": dist.kind.value, "median_ms": repr(dist.median_ns() / MS_NS),
+                        "iqr_ms": repr(dist.iqr_ns() / MS_NS)}
+    if cfg.clock_models is not None:
+        for name, model in zip(("clock_op", "clock_veh"), cfg.clock_models):
+            cp[name] = {field: repr(value) for field, value in vars(model).items()}
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
 def oracle_parse_log(
     raw: str | bytes, fmt: LogFormat, node: NodeId | None, lenient: bool
 ) -> EventLog:
@@ -271,7 +307,7 @@ def count_line_parser_calls(monkeypatch) -> Counter:
 
 
 WATCHED_MODULES = (
-    "numpy", "scipy", "m2mlat.clocks", "m2mlat.dists", "m2mlat.events",
+    "configparser", "numpy", "scipy", "m2mlat.clocks", "m2mlat.dists", "m2mlat.events",
     "m2mlat.pairing", "m2mlat.probe", "m2mlat.sim", "m2mlat.stats",
 )
 

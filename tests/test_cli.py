@@ -571,11 +571,14 @@ SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2m
     (["budget", "--kernel-ms", "0.005", *BUDGET], []),
     # its one-row CSV goes through tables.write_table, which must not load numpy
     (["budget", "--kernel-ms", "0.005", *BUDGET, "--out", "{d}/budget"], []),
+    # a preset's config is echoed with no configparser; reading one loads it
     (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"], SIMULATE),
+    (["simulate", "--config", "{d}/config.echo", "--out", "{d}/echo"], ["configparser", *SIMULATE]),
     # only fitting a gamma delay needs scipy
-    (["simulate", "--config", "{d}/gamma.ini", "--out", "{d}/gamma"], [*SIMULATE, "scipy"]),
+    (["simulate", "--config", "{d}/gamma.ini", "--out", "{d}/gamma"],
+     ["configparser", *SIMULATE, "scipy"]),
 ], ids=["import", "version", "help", "analyze", "report", "precision", "budget",
-        "budget-kernel-ms", "budget-out", "simulate", "simulate-gamma"])
+        "budget-kernel-ms", "budget-out", "simulate", "simulate-config", "simulate-gamma"])
 def test_only_simulate_loads_scipy(session, argv, loaded):
     # Pins each command's set of loaded modules: each handler imports what it
     # runs, so only simulate loads scipy, budget loads no numpy, and report

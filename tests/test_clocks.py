@@ -310,6 +310,15 @@ class TestPrecisionAnalysis:
         assert series.samples.tolist() == np.delete(expected.samples, 500).tolist()
         assert series.stats_abs.max_ns == expected.stats_abs.max_ns == 4.5 * MS
 
+    def test_bouncing_pulses_pair_within_half_the_pulse_period(self):
+        # three edges 1 ms apart a pulse: the window is half the gap between
+        # bursts, not half the 1 ms gap within one, so b 1.5 ms late pairs
+        times = [p * S + e * MS for p in range(1, 101) for e in range(3)]
+        log_a = make_log(OPERATOR, times, source=EventSource.SHARED_PULSE)
+        log_b = make_log(VEHICLE, [t + 3 * MS // 2 for t in times], source=EventSource.SHARED_PULSE)
+        series = precision_analysis(log_a, log_b)
+        assert series.samples.tolist() == [(t, -3 * MS // 2) for t in times]
+
     def test_one_pulse_each_pairs(self):
         log_a = make_log(OPERATOR, [1 * S])
         log_b = make_log(VEHICLE, [2**63 - 1], seqs=[7])

@@ -549,7 +549,9 @@ def test_a_field_sized_parse_peaks_below_2_5_times_its_input(fmt):
 
 def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
     """The first row's seq ends within the first ``width`` bytes of the
-    text, where ``width`` is the 7 digits of the later seqs."""
+    text, where ``width`` is the 7 digits of the later seqs. A copy of the
+    text would raise the peak by the whole text; the two parses' peaks
+    otherwise differ only by small allocator cache and freelist hits."""
     seq = 1 + 100 * np.arange(12_000)
     t = 1_700_000_000 * 10**9 + 5 * 10**9 * seq
     body = "".join(f"op,{s},{ts}\n" for s, ts in zip(seq.tolist(), t.tolist())).encode()
@@ -566,5 +568,5 @@ def test_a_headerless_log_is_read_without_copying_its_text(monkeypatch):
             tracemalloc.stop()
 
     calls = count_line_parser_calls(monkeypatch)
-    assert peak(body) <= peak(headed)
+    assert peak(body) < peak(headed) + len(body) // 4
     assert sum(calls.values()) == 4  # the first row of each parse

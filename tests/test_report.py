@@ -92,7 +92,7 @@ def test_analysis_modules_load_no_simulator_and_no_scipy():
     # report names PairingReport only in annotations, so it loads no pairing
     assert loaded_modules("import m2mlat.report") == ["m2mlat.stats", "numpy"]
     # clocks draws jitter through its own ndtri, and the simulator loads scipy
-    # only to fit a gamma delay
+    # only to fit a gamma delay, and configparser only to read a config
     clocks = ["m2mlat.clocks", "m2mlat.events", "m2mlat.stats", "numpy"]
     assert loaded_modules("import m2mlat.clocks") == clocks
     assert loaded_modules("import m2mlat.sim") == sorted(clocks + ["m2mlat.dists", "m2mlat.sim"])

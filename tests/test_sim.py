@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import hashlib
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from m2mlat.clocks import CLOCK_STREAM, ClockModel, SyncMode, preset_models
-from m2mlat.dists import ConstantDelay, DistKind, LogNormalDelay, fit_delay_dist
+from m2mlat.dists import ConstantDelay, DistKind, EmpiricalDelay, LogNormalDelay, fit_delay_dist
 from m2mlat.errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from m2mlat.clocks import precision_analysis
 from m2mlat.events import EventSource, Role, write_log
@@ -17,6 +18,7 @@ from m2mlat.pairing import PairingConfig, pair_events
 from m2mlat.sim import (
     TRUTH_COLUMNS,
     ZERO_CLOCKS,
+    PRESET_NAMES,
     GroundTruth,
     ScenarioConfig,
     config_hash,
@@ -28,6 +30,8 @@ from m2mlat.sim import (
     with_overrides,
 )
 from m2mlat.stats import summarize
+
+from helpers import oracle_render_config
 
 MS = 1_000_000
 S = 1_000_000_000
@@ -308,6 +312,23 @@ class TestConfigFile:
         assert parse_config(text.replace(f"clock_stream = {CLOCK_STREAM}\n", "")) == cfg
         with pytest.raises(ConfigInvalid, match="clock_stream"):
             parse_config(text.replace(CLOCK_STREAM, "philox-0"))
+
+    @pytest.mark.parametrize("make", [
+        *(partial(preset, name) for name in PRESET_NAMES),
+        lambda: replace(constant_config(), l_network=EmpiricalDelay((1 * MS, 2 * MS, 30 * MS))),
+        lambda: replace(preset("dyn_coref"), clock_models=(
+            ClockModel(initial_offset_ns=-5), ClockModel(jitter_std_ns=328600.9, spike_max_ns=1))),
+        # read back, the label's newline and % are what parse_config gives
+        lambda: parse_config(render_config(replace(preset("dyn_auto"), label="a 5%\nb %s"))),
+    ], ids=[*PRESET_NAMES, "empirical", "clock-overrides", "label-read-back"])
+    def test_render_config_writes_what_configparser_writes(self, make):
+        cfg = make()
+        assert render_config(cfg) == oracle_render_config(cfg)
+
+    def test_a_label_with_a_newline_and_a_percent_reads_back(self):
+        cfg = replace(preset("dyn_auto"), label="a 5%\nb %s")
+        assert "\nlabel = a 5%\n\tb %s\n" in render_config(cfg)
+        assert parse_config(render_config(cfg)).label == cfg.label
 
     def test_config_hash_tracks_content(self):
         a = preset("dyn_coref")

@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from m2mlat.clocks import precision_analysis
 from m2mlat.digits import _ROWS_PER_CHUNK
 from m2mlat.errors import ConfigInvalid
-from m2mlat.events import write_log
+from m2mlat.events import _SOURCE_NAMES, EventLog, write_log
 from m2mlat.pairing import pair_events
 from m2mlat.sim import GroundTruth, preset, simulate
 from m2mlat.tables import _KERNEL_ROWS, _ROWS_PER_FORMAT, read_int_columns, write_table
 
-from helpers import lax_integers, oracle_write_table
+from helpers import OPERATOR, lax_integers, oracle_write_table
 
 
 @given(lax_integers(), st.booleans(), st.booleans(), st.integers(0, 3))
@@ -191,6 +191,48 @@ def test_columns_of_unequal_length_are_refused():
         write_table(("a", "b"), [[1, 2], [3]])
     with pytest.raises(ValueError, match="2 columns of one length"):
         write_table(("a", "b"), [[1, 2]])
+
+
+@pytest.mark.parametrize("rows", [_KERNEL_ROWS - 1, _KERNEL_ROWS], ids=["percent", "kernel"])
+@pytest.mark.parametrize("value", [-42, "op", "5%s%%"], ids=["int", "str", "percent-str"])
+def test_a_one_value_column_writes_as_a_column_of_that_value(rows, value):
+    n = np.arange(rows, dtype=np.int64) - 7
+    assert write_table(("n", "v", "m"), [n, value, n]) == oracle_write_table(
+        ("n", "v", "m"), zip(n.tolist(), [value] * rows, n.tolist()))
+    assert write_table(("v", "n"), [value, n]) == oracle_write_table(
+        ("v", "n"), zip([value] * rows, n.tolist()))
+
+
+@pytest.mark.parametrize("value", ["é", "a\0b"], ids=["non-ascii", "nul"])
+def test_text_the_kernel_cannot_hold_falls_back_to_percent(monkeypatch, value):
+    # in a one-value column, or in the header, which the kernel's first
+    # chunk also writes
+    import m2mlat.digits
+
+    def refuse(*args):
+        raise AssertionError("the digit kernel took text it cannot hold")
+
+    monkeypatch.setattr(m2mlat.digits, "int_table", refuse)
+    n = np.arange(_KERNEL_ROWS, dtype=np.int64)
+    assert write_table(("n", "v"), [n, value]) == oracle_write_table(
+        ("n", "v"), zip(n.tolist(), [value] * _KERNEL_ROWS))
+    assert write_table(("n", value), [n, n]) == oracle_write_table(("n", value), zip(n, n))
+
+
+def test_a_table_of_one_value_columns_only_is_refused():
+    with pytest.raises(ValueError, match="at least one of them a list or array"):
+        write_table(("a", "b"), ["x", 5])
+
+
+def test_a_mixed_source_log_writes_one_name_per_row():
+    sources = [0, 2, 1] * (_KERNEL_ROWS // 3) + [2]
+    log = EventLog(OPERATOR, np.arange(len(sources)), 10**9 + np.arange(len(sources)),
+                   source=sources)
+    names = [line.rsplit(",", 1)[1] for line in write_log(log).splitlines()[1:]]
+    assert names == [_SOURCE_NAMES[code] for code in sources]
+    one = EventLog(OPERATOR, np.arange(3), 10**9 + np.arange(3), source=[2] * 3)
+    assert write_log(one).splitlines()[1:] == [f"operator,{i},{10**9 + i},{_SOURCE_NAMES[2]}"
+                                               for i in range(3)]
 
 
 def test_writers_peak_below_3_5_times_their_output():
