@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bud = sub.add_parser("budget", help="additive measurement-error budget")
     p_bud.add_argument("--sync-ms", type=_finite_float, required=True)
-    p_bud.add_argument("--circuit-us", type=_finite_float, default=2.0)
+    p_bud.add_argument("--circuit-us", type=_finite_float)
     p_bud.add_argument("--kernel-ms", type=_finite_float)
     p_bud.add_argument("--sched-a", type=Path, help="per-sample ns latencies, node a")
     p_bud.add_argument("--sched-b", type=Path, help="per-sample ns latencies, node b")
@@ -360,7 +360,8 @@ def _cmd_budget(args) -> int:
         raise ConfigInvalid("budget needs --kernel-ms or both --sched-a and --sched-b")
     calib = budget.CalibModel(args.calib_angle_deg, args.steer_rate_dps)
     sync_ns = _ns(args.sync_ms, "--sync-ms")
-    circuit_ns = _ns(args.circuit_us, "--circuit-us")
+    circuit_ns = (budget.DEFAULT_CIRCUIT_ERROR_NS if args.circuit_us is None
+                  else _ns(args.circuit_us, "--circuit-us"))
     result = budget.total_error(sync_ns, circuit_ns, kernel_ns, budget.calib_error(calib))
     print(result.to_text(), end="")
     if args.out:

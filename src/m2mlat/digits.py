@@ -1,16 +1,17 @@
 """The digit kernel behind ``tables.write_table``'s large integer tables.
 
-A table here is int numpy arrays plus columns that hold one int or one
-ASCII str throughout. ``_ROWS_PER_CHUNK`` rows at a time, every cell
-becomes a run of 4-byte words in one uint32 matrix: an int's digits are
-split into groups of four and each group is looked up in a word table,
-with NUL bytes in front of the number's leading group. The two NUL bytes
-each cell keeps in front hold its separator (LF before the first column,
-a comma before the others) and its ``-``. A constant column is the same
-literal words on every row. The first chunk's matrix begins with the
-header's words and the last one's ends with the closing LF, so deleting
-the NULs from the matrix leaves the chunk's text, each line begun by its
-LF, and a table of one chunk is written with no joining copy.
+A table here is int numpy arrays plus columns passed as one int or one
+ASCII str. ``_ROWS_PER_CHUNK`` rows at a time, every cell becomes a run
+of 4-byte words in one uint32 matrix: an int's digits are split into
+groups of four and each group is looked up in a word table, with NUL
+bytes in front of the number's leading group. The two NUL bytes each
+cell keeps in front hold its separator (LF before the first column, a
+comma before the others) and its ``-``. A one-value column, and an int
+array whose cells are all equal, is the same literal words on every row.
+The first chunk's matrix begins with the header's words and the last
+one's ends with the closing LF, so deleting the NULs from the matrix
+leaves the chunk's text, each line begun by its LF, and a table of one
+chunk is written with no joining copy.
 
 ``tables`` imports this module only when a table takes this path, so a
 command that writes only small tables (``budget``) loads no numpy. The
@@ -104,8 +105,8 @@ def _cell_words(block: np.ndarray, sep: str) -> np.ndarray:
 
 def int_table(head: str, cells: Sequence, literals: Sequence[str | None], rows: int) -> str:
     """The CSV text of ``head`` and ``rows`` rows of ``cells``: an int
-    numpy array per column where ``literals`` holds None, else a column
-    whose every cell prints as that literal (a list, or the one value).
+    numpy array per column where ``literals`` holds None, else the one
+    value, passed in place of a column, whose text is that literal.
     ``head`` is ASCII with no NUL."""
     literal_words = [None if text is None else _words(("," if j else "\n") + text)
                      for j, text in enumerate(literals)]

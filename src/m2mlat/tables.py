@@ -7,17 +7,18 @@ column that holds that value on every row, and has two paths, which
 write the same text:
 
 - A table of ``_KERNEL_ROWS`` (768) rows or more whose columns are int
-  numpy arrays, save any that hold one int or one ASCII str with no NUL
-  throughout, and whose header is ASCII with no NUL, goes to the numpy
-  digit kernel in ``digits``: 4,096 rows at a time, it looks every
-  cell's digits up four at a time in a word table. Below that crossover
-  ``%`` is the faster of the two. ``digits`` and so numpy are imported
-  only when a table takes this path.
+  numpy arrays, save any passed as one int or one ASCII str with no NUL,
+  and whose header is ASCII with no NUL, goes to the numpy digit kernel
+  in ``digits``: 4,096 rows at a time, it looks every cell's digits up
+  four at a time in a word table, and writes an int array whose cells
+  are all equal as one literal row. Below that crossover ``%`` is the
+  faster of the two. ``digits`` and so numpy are imported only when a
+  table takes this path.
 - Every other table is formatted in blocks of ``_ROWS_PER_FORMAT``
-  (1,024) rows, one ``%`` each: a one-value column, and a column whose
-  int or str cells are all equal within the block, is written into the
-  block's row pattern, and the cells of the other columns fill its
-  ``%s`` fields, so no tuple or line string is made per row.
+  (1,024) rows, one ``%`` each, with one row pattern for the whole
+  table: a one-value column's text, and a ``%s`` field for each list or
+  array column, whose cells fill it, so no tuple or line string is made
+  per row.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def write_table(columns: Sequence[str], cells: Sequence[Sequence | str | int]) -
     repr), so callers pass each cell already in its output form: an int,
     float, bool or str.
     """
-    lengths = {len(column) for column in cells if not isinstance(column, (str, int))}
+    varying = [column for column in cells if not isinstance(column, (str, int))]
+    lengths = {len(column) for column in varying}
     if len(cells) != len(columns) or len(lengths) != 1:
         raise ValueError(f"write_table needs {len(columns)} columns of one length, "
                          "at least one of them a list or array")
@@ -54,48 +56,31 @@ def write_table(columns: Sequence[str], cells: Sequence[Sequence | str | int]) -
     if rows >= _KERNEL_ROWS and _kernel_text(head) and (literals := _kernel_literals(cells)):
         from .digits import int_table
         return int_table(head, cells, literals, rows)
+    pattern = ",".join(str(column).replace("%", "%%") if isinstance(column, (str, int))
+                       else "%s" for column in cells) + "\n"
     out = [head + "\n"]
     for start in range(0, rows, _ROWS_PER_FORMAT):
-        fields, varying = [], []
-        for column in cells:
-            if isinstance(column, (str, int)):
-                text = str(column)
-            else:
-                block = column[start:start + _ROWS_PER_FORMAT]
-                typed = False  # a numpy array's cells share one type unless it holds objects
-                if hasattr(block, "dtype"):
-                    typed, block = block.dtype.kind != "O", block.tolist()
-                text = _constant_text(block, typed)
-            if text is None:
-                fields.append("%s")
-                varying.append(block)
-            else:
-                fields.append(text.replace("%", "%%"))
         k = min(rows - start, _ROWS_PER_FORMAT)
         flat = [None] * (k * len(varying))
-        for j, block in enumerate(varying):
-            flat[j::len(varying)] = block
-        out.append((",".join(fields) + "\n") * k % tuple(flat))
+        for j, column in enumerate(varying):
+            block = column[start:start + k]
+            flat[j::len(varying)] = block.tolist() if hasattr(block, "dtype") else block
+        out.append(pattern * k % tuple(flat))
     return "".join(out)
 
 
 def _kernel_literals(cells: Sequence) -> list[str | None] | None:
-    """Per column, None for an int numpy array and the text of a column of
-    one int or one ASCII str with no NUL: the columns the digit kernel
-    takes. None if some column is neither, or none is an int array."""
+    """Per column, None for an int numpy array and the text of one int or
+    one ASCII str with no NUL: the columns the digit kernel takes. None if
+    some column is neither, or none is an int array."""
     literals = []
     for column in cells:
-        if isinstance(column, (str, int)):
-            text = str(column)
+        if isinstance(column, (str, int)) and _kernel_text(text := str(column)):
+            literals.append(text)
+        elif hasattr(column, "dtype") and column.dtype.kind in ("i", "u"):
+            literals.append(None)
         else:
-            kind = column.dtype.kind if hasattr(column, "dtype") else None
-            if kind in ("i", "u"):
-                literals.append(None)
-                continue
-            text = _constant_text(column.tolist() if kind else column, kind not in (None, "O"))
-        if text is None or not _kernel_text(text):
             return None
-        literals.append(text)
     return literals if None in literals else None
 
 
@@ -103,23 +88,6 @@ def _kernel_text(text: str) -> bool:
     """Whether the digit kernel can write ``text``: ASCII with no NUL,
     which it uses as padding."""
     return text.isascii() and "\0" not in text
-
-
-def _constant_text(block: list, typed: bool) -> str | None:
-    """The text of every cell of ``block`` if the cells are equal ints or
-    equal strs; else None. ``typed``: every cell has one type.
-
-    Equal cells of other types may print differently (``0.0 == -0.0``, and
-    ``True == 1``), so only an int or str column folds, and a list whose
-    first cell is an int only if every cell is an int.
-    """
-    first = block[0]
-    if (type(first) not in (int, str) or block[-1] != first
-            or block.count(first) != len(block)):
-        return None
-    if not typed and type(first) is int and set(map(type, block)) != {int}:
-        return None
-    return str(first)
 
 
 def table_lines(raw: bytes | str) -> list[tuple[int, str]]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from m2mlat import probe
+from m2mlat.budget import DEFAULT_CIRCUIT_ERROR_NS
 from m2mlat.cli import build_parser, run_cli
 from m2mlat.dists import ConstantDelay
 from m2mlat.errors import ConfigInvalid
@@ -458,6 +459,16 @@ class TestBudget:
         assert code == 0
         assert "e_total_ns=10329000" in stdout
         assert "in_precision_band=true" in stdout
+
+    def test_circuit_error_defaults_to_the_budget_constant(self, capsys):
+        flags = ("budget", "--sync-ms", "0.322", "--kernel-ms", "0.005",
+                 "--calib-angle-deg", "1", "--steer-rate-dps", "100")
+        code, stdout, _ = run(capsys, *flags)
+        assert code == 0
+        assert f"e_circuit_ns={DEFAULT_CIRCUIT_ERROR_NS}\n" in stdout
+        code, given, _ = run(capsys, *flags, "--circuit-us", "2")
+        assert code == 0
+        assert stdout == given
 
     def test_scheduling_csv_ingestion(self, tmp_path, capsys):
         # per-sample scheduling latencies; asymmetry = max(118-2, 106-2) us

@@ -107,8 +107,8 @@ COLUMN_KINDS = {
     "float64": ([0.0, -0.0, 1.5, 1e300, -2.5e-7], [0.0, -0.0], partial(np.array, dtype=np.float64)),
     "float_list": ([0.0, -0.0, 0.1, 3.0], [0.0, -0.0], None),
 }
-# The kinds passed as int arrays; beside them, a column of one int or one
-# ASCII str takes the digit kernel, and one of one bool or of NUL or
+# The kinds passed as int arrays; beside them, a column passed as one int,
+# bool or ASCII str takes the digit kernel, and one passed as NUL or
 # non-ASCII text keeps the table on %.
 INT_ARRAYS = ("int64", "int32", "uint64", "int64_field")
 KERNEL_KINDS = (*INT_ARRAYS, "int_list", "int_object", "str_list", "str_object", "bool",
@@ -120,7 +120,7 @@ def tables(draw):
     """(column names, one list or array per column), each block of
     ``_ROWS_PER_FORMAT`` rows of a column constant, mixed from equal cells,
     or mixed from all its values. Half the tables hold an int array, and
-    every other column of theirs is one value throughout, as the digit
+    every other column of theirs is passed as its one value, as the digit
     kernel takes them; row counts lie on both sides of its crossover and
     of its chunk size."""
     assert _ROWS_PER_FORMAT == 1024
@@ -137,21 +137,23 @@ def tables(draw):
     for kind in kinds:
         values, twins, make = COLUMN_KINDS[kind]
         if constant and kind not in INT_ARRAYS:
-            cells = [values[rng.integers(len(values))]] * rows
-        else:
-            cells = []
-            for start in range(0, rows, 1024):
-                k = min(rows - start, 1024)
-                pool = draw(st.sampled_from(([values[rng.integers(len(values))]], twins, values)))
-                cells.extend(pool[i] for i in rng.integers(len(pool), size=k).tolist())
+            columns.append(values[rng.integers(len(values))])
+            continue
+        cells = []
+        for start in range(0, rows, 1024):
+            k = min(rows - start, 1024)
+            pool = draw(st.sampled_from(([values[rng.integers(len(values))]], twins, values)))
+            cells.extend(pool[i] for i in rng.integers(len(pool), size=k).tolist())
         columns.append(cells if make is None else make(cells))
     return [f"c{i}" for i in range(len(columns))], columns
 
 
 def assert_writes_as_oracle(names, columns):
     text = write_table(names, columns)
-    expected = oracle_write_table(
-        names, zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    rows = next(len(c) for c in columns if not isinstance(c, (str, int)))
+    expected = oracle_write_table(names, zip(*(
+        [c] * rows if isinstance(c, (str, int)) else c.tolist() if isinstance(c, np.ndarray) else c
+        for c in columns)))
     # a plain == assert would make pytest diff two texts of up to 2,050 lines
     same = text == expected
     assert same, next(((no, a, b) for no, (a, b) in enumerate(
@@ -167,8 +169,8 @@ def assert_writes_as_oracle(names, columns):
     np.array([-(2**31), 2**31 - 1, 10**8, -(10**8)] * (_ROWS_PER_CHUNK // 4) + [-10**4], np.int32),
     int64_field([-9999, 10**12] * (_ROWS_PER_CHUNK // 2) + [0]),
     np.array([2**32, 0, 2**32 - 1, 1] * (_ROWS_PER_CHUNK // 4) + [5], np.int64),
-    ["op%s"] * (_ROWS_PER_CHUNK + 1),
-    np.array([-5] * (_ROWS_PER_CHUNK + 1), object),
+    "op%s",
+    -5,
 ]))
 @example((["n", "s"], [np.arange(_KERNEL_ROWS), ["é"] * _KERNEL_ROWS]))
 @example((["n", "s"], [np.arange(_KERNEL_ROWS), ["a\0"] * _KERNEL_ROWS]))
@@ -194,7 +196,8 @@ def test_columns_of_unequal_length_are_refused():
 
 
 @pytest.mark.parametrize("rows", [_KERNEL_ROWS - 1, _KERNEL_ROWS], ids=["percent", "kernel"])
-@pytest.mark.parametrize("value", [-42, "op", "5%s%%"], ids=["int", "str", "percent-str"])
+@pytest.mark.parametrize("value", [-42, True, "op", "5%s%%"],
+                         ids=["int", "bool", "str", "percent-str"])
 def test_a_one_value_column_writes_as_a_column_of_that_value(rows, value):
     n = np.arange(rows, dtype=np.int64) - 7
     assert write_table(("n", "v", "m"), [n, value, n]) == oracle_write_table(
@@ -239,8 +242,13 @@ def test_writers_peak_below_3_5_times_their_output():
     op, veh, truth = simulate(replace(preset("dyn_coref"), trials=20_000))
     pairs, offsets = pair_events(op, veh), precision_analysis(op, veh)
     assert len(pairs.samples) == len(offsets.samples) == 20_000
+    # a log with t_mono_ns and mixed sources is written through %, 1,024
+    # rows at a time
+    n = np.arange(20_000)
+    mixed = EventLog(OPERATOR, n, 10**18 + 7 * n, t_mono_ns=np.where(n % 5, 10**12 + n, -1),
+                     source=n % len(_SOURCE_NAMES))
     for write in (truth.to_csv, lambda: write_log(op), lambda: write_log(veh),
-                  pairs.to_csv, offsets.to_csv):
+                  lambda: write_log(mixed), pairs.to_csv, offsets.to_csv):
         tracemalloc.start()
         try:
             text = write()
