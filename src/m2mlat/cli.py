@@ -18,7 +18,10 @@ written as machine-readable CSV next to the human-readable text when
 
 Each handler imports the modules its command runs, so a command loads
 only those: only ``simulate`` loads the simulator, only ``probe`` the
-probe, and ``budget``, ``--help`` and ``--version`` load no numpy.
+probe, and ``report``, ``budget``, ``--help`` and ``--version`` load no
+numpy: ``report`` reads its samples as a list of ints, which ``stats``
+reduces with the standard library, bit for bit as its int64 array path
+reduces ``analyze``'s pairs.
 
 ``main()``, the console entry point, freezes the garbage collector as it
 returns, because the process exits next; callers that run commands in

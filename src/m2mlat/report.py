@@ -61,8 +61,10 @@ def build_report(
     thresholds_ns: Sequence[int] = DEFAULT_THRESHOLDS_NS,
     pairing: PairingReport | None = None,
 ) -> Report:
-    """Stats and box plot of one sample set: an int64 array, or anything
-    ``np.asarray`` takes as one, passed to both as given."""
+    """Stats and box plot of one sample set, passed to both as given: a
+    list or tuple of ints within int64, reduced without numpy, or an int64
+    array or anything ``np.asarray`` takes as one (see ``m2mlat.stats``;
+    the two give the same bits)."""
     return Report(
         label=label,
         stats=summarize(samples_ns, thresholds_ns),

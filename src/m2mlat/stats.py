@@ -3,14 +3,28 @@
 Quantiles use linear interpolation between order statistics (rank
 ``h = (n - 1) * p``), and the standard deviation is the population form
 (divide by n). Both are pinned so that reports are bit-reproducible.
+
+``summarize`` and ``boxplot_data`` take one of two paths, which give the
+same results and raise the same errors, bit for bit (``tests/test_stats.py``
+pins the one against the other):
+
+- a list or tuple whose items are all ``int`` (not ``bool``) within int64,
+  as ``report --samples`` and ``probe``'s offset summary pass, is reduced
+  with the standard library alone, so that ``report`` loads no numpy; its
+  standard deviation is a port of numpy's pairwise ``add.reduce``;
+- anything else (the int64 arrays of ``pairing`` and ``clocks``, floats,
+  numpy scalars) goes through ``np.asarray(..., dtype=np.int64)``, and
+  numpy is imported only then.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ConfigInvalid, EmptySample, TooFewSamples
 from .tables import write_table
@@ -56,28 +70,28 @@ class SummaryStats:
 def summarize(samples, thresholds: Sequence[int] = ()) -> SummaryStats:
     """Summarize a sample set of integer ns; permutation invariant bit-exactly.
 
-    ``samples`` is an int64 array, or anything ``np.asarray`` takes as
-    one. It is sorted (into a copy) before any floating-point reduction, so
-    reorderings of the same sample set cannot change summation order.
+    ``samples`` is a list or tuple of ints, an int64 array, or anything
+    ``np.asarray`` takes as one (see the module docstring for which takes
+    which path). It is sorted (into a copy) before any floating-point
+    reduction, so reorderings of the same sample set cannot change
+    summation order.
     """
-    arr = np.sort(np.asarray(samples, dtype=np.int64))
-    if arr.size == 0:
+    ordered = _sorted(samples)
+    n = len(ordered)
+    if n == 0:
         raise EmptySample("summarize requires at least one sample")
-    q1, median, q3 = _quartiles(arr)
-    n = int(arr.size)
+    q1, median, q3 = _quartiles(ordered)
     return SummaryStats(
         n=n,
-        min_ns=int(arr[0]),
-        max_ns=int(arr[-1]),
-        mean_ns=_mean(arr),
-        std_ns=_std(arr),
+        min_ns=int(ordered[0]),
+        max_ns=int(ordered[-1]),
+        mean_ns=_mean(ordered),
+        std_ns=_std(ordered),
         median_ns=median,
         q1_ns=q1,
         q3_ns=q3,
         iqr_ns=q3 - q1,
-        frac_over={
-            int(t): float(np.count_nonzero(arr > int(t)) / n) for t in thresholds
-        },
+        frac_over={int(t): (n - bisect_right(ordered, int(t))) / n for t in thresholds},
     )
 
 
@@ -96,61 +110,125 @@ class BoxplotData:
 
 def boxplot_data(samples) -> BoxplotData:
     """Box plot of a sample set of integer ns, given as ``summarize`` takes it."""
-    arr = np.sort(np.asarray(samples, dtype=np.int64))
-    if arr.size < 5:
-        raise TooFewSamples(f"box plot requires n >= 5, got {arr.size}")
-    q1, median, q3 = _quartiles(arr)
+    ordered = _sorted(samples)
+    if len(ordered) < 5:
+        raise TooFewSamples(f"box plot requires n >= 5, got {len(ordered)}")
+    q1, median, q3 = _quartiles(ordered)
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
-    inside = arr[(arr >= lo_fence) & (arr <= hi_fence)]
-    outliers = arr[(arr < lo_fence) | (arr > hi_fence)]
+    # the fences are compared as float64, as numpy compares int64 with a
+    # float; float() keeps sorted ints in order, so the inside is one run
+    lo = bisect_left(ordered, lo_fence, key=float)
+    hi = bisect_right(ordered, hi_fence, key=float)
+    whiskers = int(ordered[lo]), int(ordered[hi - 1])
+    outliers = (*map(int, ordered[:lo]), *map(int, ordered[hi:]))
     return BoxplotData(
         q1_ns=q1,
         median_ns=median,
         q3_ns=q3,
-        whisker_lo_ns=int(inside.min()),
-        whisker_hi_ns=int(inside.max()),
-        outliers_ns=tuple(outliers.tolist()),
+        whisker_lo_ns=whiskers[0],
+        whisker_hi_ns=whiskers[1],
+        outliers_ns=outliers,
     )
 
 
-def _mean(arr: np.ndarray) -> float:
-    """Mean of an int64 array, correctly rounded.
+def _sorted(samples):
+    """The samples in ascending order: a list for a list or tuple of ints
+    within int64, an int64 array for anything else."""
+    if isinstance(samples, (list, tuple)) and {int}.issuperset(map(type, samples)):
+        ordered = sorted(samples)
+        if not ordered or (-(2**63) <= ordered[0] and ordered[-1] < 2**63):
+            return ordered
+    import numpy as np
 
-    The exact sum is taken as two int64 sums that cannot wrap below 2**31
-    samples (the high and the low 32 bits of each sample), and Python's
-    int / int rounds once.
+    return np.sort(np.asarray(samples, dtype=np.int64))
+
+
+def _mean(ordered) -> float:
+    """Mean of sorted int samples, correctly rounded: the exact sum, which
+    Python's int / int rounds once.
+
+    An int64 array's exact sum is taken as two int64 sums that cannot wrap
+    below 2**31 samples (the high and the low 32 bits of each sample).
     """
-    total = int((arr >> 32).sum()) * 2**32 + int((arr & 0xFFFFFFFF).sum())
-    return total / arr.size
+    if isinstance(ordered, list):
+        return sum(ordered) / len(ordered)
+    total = int((ordered >> 32).sum()) * 2**32 + int((ordered & 0xFFFFFFFF).sum())
+    return total / ordered.size
 
 
-def _std(sorted_arr: np.ndarray) -> float:
-    """Population standard deviation of a sorted int64 array.
+# numpy's default cast buffer: add.reduce of an int array as float64 casts
+# and sums this many elements at a time, adding each chunk's sum in turn
+_NUMPY_BUFSIZE = 8192
 
-    Taken over the exact integer distances from the minimum (modulo 2**64,
-    so never overflowing), which a shift of every sample leaves unchanged:
-    the result is bit-identical under shifts, not merely close.
+
+def _std(ordered) -> float:
+    """Population standard deviation of sorted int samples.
+
+    Taken over the exact integer distances from the minimum (modulo 2**64
+    in an array, so never overflowing), which a shift of every sample
+    leaves unchanged: the result is bit-identical under shifts, not merely
+    close.
+
+    A list's is numpy's ``std`` of those distances as a uint64 array, step
+    for step: their float64 sum in ``_NUMPY_BUFSIZE`` chunks, each summed
+    pairwise and added in order from 0.0, over n; then the squared
+    deviations from that mean, summed pairwise in one pass, over n.
+    That match assumes numpy's default cast buffer (``np.setbufsize``
+    left alone) and the block layout of its ``pairwise_sum``; a numpy
+    release that changes either can put the two paths an ulp apart, which
+    the tests in ``tests/test_stats.py`` are there to show.
     """
-    dist = sorted_arr.view(np.uint64) - sorted_arr[:1].view(np.uint64)
-    return float(dist.std())
+    if not isinstance(ordered, list):
+        import numpy as np
+
+        dist = ordered.view(np.uint64) - ordered[:1].view(np.uint64)
+        return float(dist.std())
+    n, least = len(ordered), ordered[0]
+    dist = [float(v - least) for v in ordered]
+    total = 0.0
+    for start in range(0, n, _NUMPY_BUFSIZE):
+        total += _pairwise_sum(dist, start, min(_NUMPY_BUFSIZE, n - start))
+    mean = total / n
+    squares = [(d - mean) * (d - mean) for d in dist]
+    return math.sqrt(_pairwise_sum(squares, 0, n) / n)
 
 
-def _quartiles(sorted_arr: np.ndarray) -> tuple[float, float, float]:
-    """Q1, median and Q3 of a sorted array at rank ``h = (n - 1) * p``.
+def _pairwise_sum(xs: list[float], lo: int, n: int) -> float:
+    """Sum of ``xs[lo:lo + n]`` in numpy's order for float64 ``add.reduce``
+    (its ``pairwise_sum``): below 8 items one running sum from 0.0; up to
+    128, eight running sums over the items taken eight apart, added as a
+    tree, then the leftover items one by one; above 128, the sums of two
+    halves, split at half the count rounded down to a multiple of 8.
+    """
+    if n < 8:
+        return reduce(add, xs[lo:lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(add, xs[lo + j:end:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[end:lo + n], res)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(xs, lo, half) + _pairwise_sum(xs, lo + half, n - half)
+
+
+def _quartiles(ordered) -> tuple[float, float, float]:
+    """Q1, median and Q3 of sorted samples at rank ``h = (n - 1) * p``.
 
     Bit for bit numpy's ``quantile(method="linear")``, at a fraction of its
     cost on small samples: with ``g = h - floor(h)``, ``a + (b - a) * g``
-    below 0.5 and ``b - (b - a) * (1 - g)`` from 0.5 up.
+    below 0.5 and ``b - (b - a) * (1 - g)`` from 0.5 up, in Python ints
+    and floats.
     """
-    n = len(sorted_arr)
+    n = len(ordered)
     out = []
     for p in (0.25, 0.5, 0.75):
         h = (n - 1) * p
         lo = int(h)
         g = h - lo
-        a, b = sorted_arr[lo].item(), sorted_arr[min(lo + 1, n - 1)].item()
+        a, b = int(ordered[lo]), int(ordered[min(lo + 1, n - 1)])
         out.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
     return tuple(out)
 

@@ -574,8 +574,8 @@ SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2m
     (["--help"], []),
     (["analyze", "--operator", "{d}/operator.csv", "--vehicle", "{d}/vehicle.csv",
       "--out", "{d}/again"], ["m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]),
-    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"],
-     ["m2mlat.stats", "numpy"]),
+    # report's samples are a list of ints, which stats reduces without numpy
+    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"], ["m2mlat.stats"]),
     (["precision", "--node-a", "{d}/operator.csv", "--node-b", "{d}/vehicle.csv"],
      ["m2mlat.clocks", "m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]),
     (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv", *BUDGET], []),
@@ -592,23 +592,30 @@ SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2m
         "budget-kernel-ms", "budget-out", "simulate", "simulate-config", "simulate-gamma"])
 def test_only_simulate_loads_scipy(session, argv, loaded):
     # Pins each command's set of loaded modules: each handler imports what it
-    # runs, so only simulate loads scipy, budget loads no numpy, and report
-    # no events, pairing or clocks. main() runs in a fresh interpreter, as
-    # the console script runs it.
+    # runs, so only simulate loads scipy, budget and report load no numpy,
+    # and report no events, pairing or clocks. main() runs in a fresh
+    # interpreter, as the console script runs it.
     code = "import sys, m2mlat.cli\nif sys.argv[1:]:\n    assert m2mlat.cli.main(sys.argv[1:]) == 0"
     assert loaded_modules(code, *(a.format(d=session) for a in argv)) == loaded
 
 
+# python -m m2mlat.cli ..., run through runpy as -m runs it
+RUN_AS_MODULE = (
+    "import runpy\ntry:\n"
+    "    runpy.run_module('m2mlat.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+)
+
+
 def test_budget_as_module_loads_no_numpy(session):
-    # python -m m2mlat.cli budget ..., run through runpy as -m runs it
-    code = (
-        "import runpy\ntry:\n"
-        "    runpy.run_module('m2mlat.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
-    )
     argv = ["budget", "--sched-a", f"{session}/sched_a.csv",
             "--sched-b", f"{session}/sched_b.csv", *BUDGET]
-    assert loaded_modules(code, *argv) == []
+    assert loaded_modules(RUN_AS_MODULE, *argv) == []
+
+
+def test_report_as_module_loads_no_numpy(session):
+    argv = ["report", "--samples", f"{session}/rep.pairs.csv"]
+    assert loaded_modules(RUN_AS_MODULE, *argv) == ["m2mlat.stats"]
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from m2mlat.errors import EmptySample, TooFewSamples
-from m2mlat.stats import boxplot_data, stats_csv, summarize
+from m2mlat.stats import _sorted, boxplot_data, stats_csv, summarize
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+int64s = st.integers(INT64_MIN, INT64_MAX)
 
 
 class TestSummarize:
@@ -139,3 +144,106 @@ def test_stats_csv_round_trips_fields():
     assert float(fields["std_ns"]) == s.std_ns
     assert float(fields["median_ns"]) == s.median_ns
     assert float(fields["frac_over_3ns"]) == s.frac_over[3]
+
+
+# Sizes at the edges of numpy's float64 sum, which the list path's standard
+# deviation ports: 8 running sums, 128-item blocks, 8,192-item cast chunks.
+# CI also runs these tests at the oldest numpy that pyproject.toml allows.
+EDGE_SIZES = (7, 8, 127, 128, 129, 8_191, 8_192, 8_193)
+
+
+@st.composite
+def int64_lists(draw):
+    """A list of 1 to 20,000 ints within int64: ``distinct`` values drawn
+    from a range of ``2**bits`` (1 gives an all-equal set, a few give
+    ties), and sometimes either extreme of int64."""
+    n = draw(st.sampled_from(EDGE_SIZES) | st.integers(1, 20_000))
+    spread = 2 ** draw(st.integers(0, 64)) - 1
+    lo = draw(st.integers(INT64_MIN, INT64_MAX - spread))
+    distinct = draw(st.sampled_from((1, 2, 3)) | st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(lo, lo + spread, distinct, dtype=np.int64, endpoint=True)
+    values = pool[rng.integers(0, distinct, n)].tolist()
+    for extreme in draw(st.sets(st.sampled_from((INT64_MIN, INT64_MAX)))):
+        values[rng.integers(n)] = extreme
+    return values
+
+
+def exact_fields(result):
+    """Each field of a SummaryStats or BoxplotData with its type, floats
+    as ``float.hex``, so that one ulp or a numpy scalar shows."""
+    def exact(value):
+        if isinstance(value, dict):
+            return {k: exact(v) for k, v in value.items()}
+        if isinstance(value, tuple):
+            return tuple(map(exact, value))
+        return type(value), value.hex() if isinstance(value, float) else value
+    return {f.name: exact(getattr(result, f.name)) for f in dataclasses.fields(result)}
+
+
+def outcome(f, *args):
+    """``exact_fields`` of what ``f(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return exact_fields(f(*args))
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int64_lists(), st.lists(int64s, max_size=3))
+def test_an_int_list_reduces_as_its_int64_array_bit_for_bit(values, thresholds):
+    # report --samples and probe's summary pass lists, which stats reduces
+    # without numpy; pairing and clocks pass arrays
+    assert isinstance(_sorted(values), list)
+    thresholds = [*thresholds, values[0]]  # one equal to a sample, which it does not exceed
+    arr = np.array(values, dtype=np.int64)
+    assert exact_fields(summarize(values, thresholds)) == exact_fields(summarize(arr, thresholds))
+    assert outcome(boxplot_data, values) == outcome(boxplot_data, arr)
+    # both paths bisect for frac_over and the fences; numpy's masks are the reference
+    frac_over = summarize(arr, thresholds).frac_over
+    assert frac_over == {t: np.count_nonzero(arr > t) / arr.size for t in thresholds}
+    if arr.size >= 5:
+        bp = boxplot_data(arr)
+        iqr = bp.q3_ns - bp.q1_ns
+        inside = (arr >= bp.q1_ns - 1.5 * iqr) & (arr <= bp.q3_ns + 1.5 * iqr)
+        assert (bp.whisker_lo_ns, bp.whisker_hi_ns) == (arr[inside].min(), arr[inside].max())
+        assert bp.outliers_ns == tuple(np.sort(arr[~inside]).tolist())
+
+
+@pytest.mark.parametrize("seed", [19, 28, 37])
+def test_a_long_int_list_sums_its_mean_in_numpys_cast_chunks(seed):
+    # on these sets one pairwise sum over all 8,193 distances moves the mean,
+    # and so the std, by an ulp from numpy's, which sums 8,192 at a time
+    rnd = random.Random(seed)
+    values = [rnd.randint(INT64_MIN, INT64_MAX) for _ in range(8_193)]
+    assert summarize(values).std_ns.hex() == summarize(np.array(values)).std_ns.hex()
+
+
+@given(st.lists(int64s, max_size=4))
+def test_a_short_int_list_is_refused_as_its_array_is(values):
+    arr = np.array(values, dtype=np.int64)
+    assert outcome(summarize, values) == outcome(summarize, arr)
+    expected = outcome(boxplot_data, arr)
+    assert expected[0] is TooFewSamples
+    assert outcome(boxplot_data, values) == expected
+    assert outcome(boxplot_data, tuple(values)) == expected
+
+
+@given(
+    st.lists(int64s, max_size=30),
+    st.floats(-1e18, 1e18) | st.booleans()
+    | st.integers(2**63, 2**70) | st.integers(-(2**70), INT64_MIN - 1),
+    st.data(),
+)
+def test_a_list_with_a_float_bool_or_wide_int_is_read_as_an_int64_array(values, odd, data):
+    # such a list takes the array path: np.asarray's cast, or its error
+    at = data.draw(st.integers(0, len(values)))
+    values = [*values[:at], odd, *values[at:]]
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except (OverflowError, ValueError) as exc:
+        expected = expected_box = type(exc), str(exc)
+    else:
+        expected, expected_box = outcome(summarize, arr, [0]), outcome(boxplot_data, arr)
+    assert outcome(summarize, values, [0]) == expected
+    assert outcome(boxplot_data, values) == expected_box
