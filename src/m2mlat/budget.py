@@ -11,9 +11,9 @@ the budget separately reports whether the total falls inside the 10 to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigInvalid, EmptyLog, NegativeComponent, ZeroRate
+from .record import Record
 from .tables import write_table
 
 # Hall-effect sensor reaction time; wiring propagation is negligible next
@@ -28,8 +28,7 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-@dataclass(frozen=True)
-class CalibModel:
+class CalibModel(Record):
     """Sensor placement uncertainty: a misalignment angle swept at the
     typical steering rate converts to a timing error."""
 
@@ -67,8 +66,7 @@ def kernel_asymmetry(a_ns, b_ns) -> int:
     return max(max(a) - min(b), max(b) - min(a))
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(Record):
     e_sync_ns: int
     e_circuit_ns: int
     e_kernel_ns: int

@@ -21,11 +21,15 @@ only those: only ``simulate`` loads the simulator, only ``probe`` the
 probe, and ``report``, ``budget``, ``--help`` and ``--version`` load no
 numpy: ``report`` reads its samples as a list of ints, which ``stats``
 reduces with the standard library, bit for bit as its int64 array path
-reduces ``analyze``'s pairs.
+reduces ``analyze``'s pairs. ``simulate`` loads no ``stats``. The value
+types are ``record.Record`` subclasses, so no command loads
+``dataclasses``.
 
-``main()``, the console entry point, freezes the garbage collector as it
-returns, because the process exits next; callers that run commands in
-process and carry on use ``run_cli``.
+``main()``, the console entry point, keeps the cyclic garbage collector
+off while a command runs, save ``probe``, which can run for hours, and
+freezes it as it returns, because the process exits next; callers that
+run commands in process and carry on use ``run_cli``, which leaves the
+collector alone.
 
 Examples:
   m2mlat simulate --preset dyn_coref --trials 500 --seed 7 --out run1/
@@ -143,14 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: list[str]) -> int:
+    args = _parse_args(argv)
+    return args if isinstance(args, int) else _run(args)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace | int:
+    """The parsed command line, or the exit code of a command line that
+    names no command to run (``--help``, ``--version``, a bad option)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return parser.parse_args(argv)
     except ConfigInvalid as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
+
+
+def _run(args: argparse.Namespace) -> int:
     handler = {
         "simulate": _cmd_simulate,
         "analyze": _cmd_analyze,
@@ -172,14 +186,23 @@ def run_cli(argv: list[str]) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the console script and of ``python -m m2mlat.cli``.
 
-    The process exits next, so as it returns this freezes the garbage
-    collector: shutdown then skips its collections over every object
-    already loaded (~21k after numpy and a command's modules), while
-    stdout and stderr are flushed as before. In-process callers use
-    ``run_cli``, which leaves the collector alone.
+    A batch command ends in seconds and the process exits next, so the
+    cyclic garbage collector is off while it runs: importing numpy alone
+    triggers a few dozen collections (29 with numpy 2.4 on Python 3.11).
+    ``probe``, which can run for hours, runs with the collector as it
+    was. As it returns this freezes the collector: shutdown then skips
+    its collections over every object already loaded (~21k after numpy
+    and a command's modules), while stdout and stderr are flushed as
+    before. In-process callers use ``run_cli``, which leaves the collector
+    alone.
     """
     try:
-        return run_cli(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, int):
+            return args
+        if args.command != "probe":
+            gc.disable()
+        return _run(args)
     finally:
         gc.freeze()
 

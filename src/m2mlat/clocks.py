@@ -19,15 +19,20 @@ Sign conventions, used consistently everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigInvalid, EmptyLog, LengthMismatch, NegativeRtt
-from .events import EventLog
-from .stats import SummaryStats, summarize
+from .record import Record
 from .tables import write_table
+
+# Annotations only, so that importing clocks, as sim and probe do, loads
+# neither events nor stats; precision_analysis imports stats as it runs.
+if TYPE_CHECKING:
+    from .events import EventLog
+    from .stats import SummaryStats
 
 NS_PER_S = 1_000_000_000
 
@@ -91,8 +96,7 @@ _Q2 = (
 )
 
 
-@dataclass(frozen=True)
-class ClockModel:
+class ClockModel(Record):
     """Generative model of one node's wall-clock error.
 
     The error at true time t is a disciplined deterministic part (initial
@@ -292,8 +296,7 @@ def sample_clock_error(
 OFFSET_DTYPE = np.dtype([("t_ref_ns", np.int64), ("offset_ns", np.int64)])
 
 
-@dataclass(frozen=True, eq=False)
-class OffsetSeries:
+class OffsetSeries(Record, eq=False):
     """Per-pulse inter-node offsets with signed and absolute summaries.
 
     ``samples`` is one ``OFFSET_DTYPE`` row per pulse, where t_ref is node
@@ -328,6 +331,7 @@ def precision_analysis(log_a: EventLog, log_b: EventLog) -> OffsetSeries:
     period is the median of every gap.
     """
     from .pairing import _match  # here, not at the top: sim and probe import clocks
+    from .stats import summarize
 
     if not len(log_a) or not len(log_b):
         raise EmptyLog("both logs must contain events to compare")

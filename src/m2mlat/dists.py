@@ -25,12 +25,12 @@ or a gamma with ``k`` times the scale, draws ``k`` times each value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigInvalid, Unfittable
+from .record import Record
 
 # Standard normal upper-quartile point.
 Z75 = 0.6744897501960817
@@ -67,8 +67,7 @@ class DelayDist:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ConstantDelay(DelayDist):
+class ConstantDelay(DelayDist, Record):
     value_ns: int
     kind = DistKind.CONSTANT
 
@@ -87,8 +86,7 @@ class ConstantDelay(DelayDist):
         return 0.0
 
 
-@dataclass(frozen=True)
-class LogNormalDelay(DelayDist):
+class LogNormalDelay(DelayDist, Record):
     mu: float
     sigma: float
     kind = DistKind.LOGNORMAL
@@ -107,8 +105,7 @@ class LogNormalDelay(DelayDist):
         return math.exp(self.mu) * 2.0 * math.sinh(self.sigma * Z75)
 
 
-@dataclass(frozen=True)
-class GammaDelay(DelayDist):
+class GammaDelay(DelayDist, Record):
     shape: float
     scale_ns: float
     kind = DistKind.GAMMA
@@ -128,8 +125,7 @@ class GammaDelay(DelayDist):
         return float(q3 - q1) * self.scale_ns
 
 
-@dataclass(frozen=True)
-class EmpiricalDelay(DelayDist):
+class EmpiricalDelay(DelayDist, Record):
     values_ns: tuple[int, ...]
     kind = DistKind.EMPIRICAL
 

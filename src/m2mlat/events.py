@@ -65,7 +65,6 @@ would then split into other cells, or read back as another id.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -78,6 +77,7 @@ from .errors import (
     NonMonotonicTime,
     UnparseableLine,
 )
+from .record import Record
 from .tables import write_table
 
 
@@ -118,8 +118,7 @@ _KERNEL_RING_RE = re.compile(
 _CSV_COLUMNS = ("node", "seq", "t_wall_ns", "t_mono_ns", "source")
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(Record):
     """Identity of one recording endpoint."""
 
     id: str

@@ -21,12 +21,11 @@ burst per motion and seconds between motions, need neither walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigInvalid, EmptyLog, RoleMismatch
 from .events import EventLog, Role
+from .record import Record
 from .tables import write_table
 
 MS = 1_000_000
@@ -38,8 +37,7 @@ DEFAULT_MIN_LATENCY_NS = 0
 DEFAULT_MAX_WINDOW_NS = 2_000 * MS
 
 
-@dataclass(frozen=True)
-class PairingConfig:
+class PairingConfig(Record):
     debounce_ns: int = DEFAULT_DEBOUNCE_NS
     min_latency_ns: int = DEFAULT_MIN_LATENCY_NS
     max_window_ns: int = DEFAULT_MAX_WINDOW_NS
@@ -60,8 +58,7 @@ SAMPLE_DTYPE = np.dtype([(name, np.int64) for name in (
     "op_seq", "veh_seq", "op_t_wall_ns", "veh_t_wall_ns", "m2m_ns")])
 
 
-@dataclass(frozen=True, eq=False)
-class PairingReport:
+class PairingReport(Record):
     """Matching outcome plus the bookkeeping needed to audit it.
 
     ``samples`` is one ``SAMPLE_DTYPE`` row per matched pair, in operator

@@ -23,10 +23,10 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
 
 from .clocks import probe_offset
 from .errors import MalformedPacket, NegativeRtt
+from .record import Record
 from .tables import write_table
 
 PROBE_MAGIC = b"M2MP"
@@ -38,8 +38,7 @@ PACKET_SIZE = 40
 _PACKET = struct.Struct(">4sBBHQQQ8x")
 
 
-@dataclass(frozen=True)
-class ProbePacket:
+class ProbePacket(Record):
     kind: int
     seq: int
     t1: int
@@ -86,8 +85,7 @@ def respond(data: bytes, recv_ns: int, send_ns: int) -> bytes | None:
     )
 
 
-@dataclass(frozen=True)
-class ProbeSample:
+class ProbeSample(Record):
     """One completed request/response exchange."""
 
     seq: int
@@ -104,14 +102,14 @@ def complete_exchange(seq: int, t1: int, t2: int, t3: int, t4: int) -> ProbeSamp
     return ProbeSample(seq, t1, t2, t3, t4, offset, rtt)
 
 
-@dataclass
 class ProbeResult:
     """Aggregate over a probe run; appended to by the requester, read as a
     snapshot by reporters."""
 
-    samples: list[ProbeSample] = field(default_factory=list)
-    negative_rtt: list[tuple[int, int, int, int, int]] = field(default_factory=list)
-    lost: int = 0
+    def __init__(self):
+        self.samples: list[ProbeSample] = []
+        self.negative_rtt: list[tuple[int, int, int, int, int]] = []
+        self.lost = 0
 
     def to_csv(self) -> str:
         columns = ("seq", "t1", "t2", "t3", "t4", "offset_ns", "rtt_ns")

@@ -9,11 +9,11 @@ machine-readable surfaces are the CSV helpers here and in ``stats``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .stats import BoxplotData, SummaryStats, boxplot_data, summarize
+from .record import Record
+from .stats import BoxplotData, SummaryStats, boxplot_data, sorted_samples, summarize
 
 if TYPE_CHECKING:  # annotations only: importing pairing would load the log parser
     from .pairing import PairingReport
@@ -21,8 +21,7 @@ if TYPE_CHECKING:  # annotations only: importing pairing would load the log pars
 DEFAULT_THRESHOLDS_NS = (1_000_000_000,)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     tool_version: str
     seed: str
     config_hash: str
@@ -45,8 +44,7 @@ def make_provenance(seed: int | str | None, config_hash: str) -> Provenance:
     )
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     label: str
     stats: SummaryStats
     boxplot: BoxplotData
@@ -61,14 +59,15 @@ def build_report(
     thresholds_ns: Sequence[int] = DEFAULT_THRESHOLDS_NS,
     pairing: PairingReport | None = None,
 ) -> Report:
-    """Stats and box plot of one sample set, passed to both as given: a
-    list or tuple of ints within int64, reduced without numpy, or an int64
+    """Stats and box plot of one sample set, sorted once for both: a list
+    or tuple of ints within int64, reduced without numpy, or an int64
     array or anything ``np.asarray`` takes as one (see ``m2mlat.stats``;
     the two give the same bits)."""
+    ordered = sorted_samples(samples_ns)
     return Report(
         label=label,
-        stats=summarize(samples_ns, thresholds_ns),
-        boxplot=boxplot_data(samples_ns),
+        stats=summarize(ordered, thresholds_ns),
+        boxplot=boxplot_data(ordered),
         provenance=provenance,
         pairing=pairing,
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .dists import (
 )
 from .errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from .events import EventLog, EventSource, NodeId, Role
+from .record import Record, replace
 from .tables import read_int_columns, table_lines, write_table
 
 MS_NS = 1_000_000
@@ -55,8 +55,7 @@ MS_NS = 1_000_000
 _COMPONENTS = ("l_gen", "l_network", "l_exec", "l_follow", "friction_extra")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     l_gen: DelayDist
     l_network: DelayDist
     l_exec: DelayDist

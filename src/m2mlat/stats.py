@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Sequence
 
 from .errors import ConfigInvalid, EmptySample, TooFewSamples
+from .record import Record
 from .tables import write_table
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(Record):
     """Summary block used by every report surface.
 
     ``frac_over`` maps a threshold in ns to the fraction of samples
@@ -47,7 +46,7 @@ class SummaryStats:
     q1_ns: float
     q3_ns: float
     iqr_ns: float
-    frac_over: dict[int, float] = field(default_factory=dict)
+    frac_over: dict[int, float]
 
     def __post_init__(self):
         if self.n < 1:
@@ -76,7 +75,7 @@ def summarize(samples, thresholds: Sequence[int] = ()) -> SummaryStats:
     reduction, so reorderings of the same sample set cannot change
     summation order.
     """
-    ordered = _sorted(samples)
+    ordered = sorted_samples(samples)
     n = len(ordered)
     if n == 0:
         raise EmptySample("summarize requires at least one sample")
@@ -95,8 +94,7 @@ def summarize(samples, thresholds: Sequence[int] = ()) -> SummaryStats:
     )
 
 
-@dataclass(frozen=True)
-class BoxplotData:
+class BoxplotData(Record):
     """Tukey box-plot reduction: whiskers reach the furthest sample within
     1.5 * IQR of the quartiles; points beyond are outliers."""
 
@@ -110,7 +108,7 @@ class BoxplotData:
 
 def boxplot_data(samples) -> BoxplotData:
     """Box plot of a sample set of integer ns, given as ``summarize`` takes it."""
-    ordered = _sorted(samples)
+    ordered = sorted_samples(samples)
     if len(ordered) < 5:
         raise TooFewSamples(f"box plot requires n >= 5, got {len(ordered)}")
     q1, median, q3 = _quartiles(ordered)
@@ -133,16 +131,22 @@ def boxplot_data(samples) -> BoxplotData:
     )
 
 
-def _sorted(samples):
+def sorted_samples(samples):
     """The samples in ascending order: a list for a list or tuple of ints
-    within int64, an int64 array for anything else."""
+    within int64, an int64 array for anything else. Sorted samples are
+    returned after one pass (``sorted`` finds the one run; a sorted 1-D
+    int64 array is returned as it is), so a caller that reduces one sample
+    set more than once sorts it here first."""
     if isinstance(samples, (list, tuple)) and {int}.issuperset(map(type, samples)):
         ordered = sorted(samples)
         if not ordered or (-(2**63) <= ordered[0] and ordered[-1] < 2**63):
             return ordered
     import numpy as np
 
-    return np.sort(np.asarray(samples, dtype=np.int64))
+    ordered = np.asarray(samples, dtype=np.int64)
+    if ordered.ndim != 1 or (ordered[1:] < ordered[:-1]).any():
+        ordered = np.sort(ordered)
+    return ordered
 
 
 def _mean(ordered) -> float:

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,8 +308,9 @@ def count_line_parser_calls(monkeypatch) -> Counter:
 
 
 WATCHED_MODULES = (
-    "configparser", "numpy", "scipy", "m2mlat.clocks", "m2mlat.dists", "m2mlat.events",
-    "m2mlat.pairing", "m2mlat.probe", "m2mlat.sim", "m2mlat.stats",
+    "configparser", "dataclasses", "numpy", "scipy", "m2mlat.clocks", "m2mlat.dists",
+    "m2mlat.events", "m2mlat.pairing", "m2mlat.probe", "m2mlat.record", "m2mlat.sim",
+    "m2mlat.stats",
 )
 
 
@@ -340,3 +342,26 @@ def loaded_modules(code: str, *args: str) -> list[str]:
         "\nimport json, sys\nprint(json.dumps(sorted(m for m in "
         f"{WATCHED_MODULES!r} if m in sys.modules)))\n"
     ), *args)
+
+
+@dataclass(frozen=True)
+class DataTwin:
+    """The frozen dataclass that ``m2mlat.record.Record`` stands in for:
+    ``tests/test_record.py`` builds a record with these fields, defaults
+    and check, and compares the two."""
+
+    n: int
+    label: str = "x"
+    parts: tuple = ()
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ConfigInvalid(f"n must be >= 0, got {self.n}")
+
+
+@dataclass(frozen=True, eq=False)
+class DataIdentityTwin:
+    """``DataTwin``'s fields with identity equality, as ``eq=False`` gives."""
+
+    n: int
+    label: str = "x"

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from m2mlat.probe import (
     encode_packet,
     respond,
 )
+from m2mlat.record import replace
 from m2mlat.sim import ZERO_CLOCKS, preset, simulate, simulate_shared_pulse_run
 from m2mlat.stats import summarize
 

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import gc
 import re
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from m2mlat.cli import build_parser, run_cli
 from m2mlat.dists import ConstantDelay
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import LogFormat, parse_log
+from m2mlat.record import replace
 from m2mlat.report import input_digest
 from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config, preset, render_config
 
@@ -440,6 +441,27 @@ class TestProbeCli:
         assert stdout.startswith("responder listening on 127.0.0.1:")
         assert "exchanges=2 lost=0" in stdout
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_cli_leaves_the_collector_as_it_was(self, capsys, enabled):
+        sock = probe.open_socket("127.0.0.1", 0)
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=probe.run_responder, args=(sock,),
+            kwargs={"stop": stop, "max_packets": 1}, daemon=True,
+        )
+        thread.start()
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = run(capsys, "probe", "--peer", f"127.0.0.1:{sock.getsockname()[1]}",
+                             "--count", "1", "--interval-ms", "0")
+            assert (code, gc.isenabled()) == (0, enabled)
+        finally:
+            (gc.enable if was else gc.disable)()
+            stop.set()
+            thread.join(timeout=3)
+            sock.close()
+
     def test_needs_a_mode(self, capsys):
         code, _, err = run(capsys, "probe")
         assert code == 1
@@ -565,7 +587,10 @@ def session(tmp_path_factory):
 
 
 BUDGET = ["--sync-ms", "0.33", "--calib-angle-deg", "1", "--steer-rate-dps", "100"]
-SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2mlat.stats", "numpy"]
+# simulate loads no stats; no command loads dataclasses, save through scipy
+SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.record", "m2mlat.sim",
+            "numpy"]
+ANALYZE = ["m2mlat.events", "m2mlat.pairing", "m2mlat.record", "m2mlat.stats", "numpy"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -573,21 +598,23 @@ SIMULATE = ["m2mlat.clocks", "m2mlat.dists", "m2mlat.events", "m2mlat.sim", "m2m
     (["--version"], []),
     (["--help"], []),
     (["analyze", "--operator", "{d}/operator.csv", "--vehicle", "{d}/vehicle.csv",
-      "--out", "{d}/again"], ["m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]),
+      "--out", "{d}/again"], ANALYZE),
     # report's samples are a list of ints, which stats reduces without numpy
-    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"], ["m2mlat.stats"]),
+    (["report", "--samples", "{d}/rep.pairs.csv", "--out", "{d}/again"],
+     ["m2mlat.record", "m2mlat.stats"]),
     (["precision", "--node-a", "{d}/operator.csv", "--node-b", "{d}/vehicle.csv"],
-     ["m2mlat.clocks", "m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]),
-    (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv", *BUDGET], []),
-    (["budget", "--kernel-ms", "0.005", *BUDGET], []),
+     sorted(ANALYZE + ["m2mlat.clocks"])),
+    (["budget", "--sched-a", "{d}/sched_a.csv", "--sched-b", "{d}/sched_b.csv", *BUDGET],
+     ["m2mlat.record"]),
+    (["budget", "--kernel-ms", "0.005", *BUDGET], ["m2mlat.record"]),
     # its one-row CSV goes through tables.write_table, which must not load numpy
-    (["budget", "--kernel-ms", "0.005", *BUDGET, "--out", "{d}/budget"], []),
+    (["budget", "--kernel-ms", "0.005", *BUDGET, "--out", "{d}/budget"], ["m2mlat.record"]),
     # a preset's config is echoed with no configparser; reading one loads it
     (["simulate", "--preset", "dyn_auto", "--trials", "5", "--out", "{d}/sim"], SIMULATE),
     (["simulate", "--config", "{d}/config.echo", "--out", "{d}/echo"], ["configparser", *SIMULATE]),
-    # only fitting a gamma delay needs scipy
+    # only fitting a gamma delay needs scipy, which loads dataclasses itself
     (["simulate", "--config", "{d}/gamma.ini", "--out", "{d}/gamma"],
-     ["configparser", *SIMULATE, "scipy"]),
+     ["configparser", "dataclasses", *SIMULATE, "scipy"]),
 ], ids=["import", "version", "help", "analyze", "report", "precision", "budget",
         "budget-kernel-ms", "budget-out", "simulate", "simulate-config", "simulate-gamma"])
 def test_only_simulate_loads_scipy(session, argv, loaded):
@@ -610,12 +637,12 @@ RUN_AS_MODULE = (
 def test_budget_as_module_loads_no_numpy(session):
     argv = ["budget", "--sched-a", f"{session}/sched_a.csv",
             "--sched-b", f"{session}/sched_b.csv", *BUDGET]
-    assert loaded_modules(RUN_AS_MODULE, *argv) == []
+    assert loaded_modules(RUN_AS_MODULE, *argv) == ["m2mlat.record"]
 
 
 def test_report_as_module_loads_no_numpy(session):
     argv = ["report", "--samples", f"{session}/rep.pairs.csv"]
-    assert loaded_modules(RUN_AS_MODULE, *argv) == ["m2mlat.stats"]
+    assert loaded_modules(RUN_AS_MODULE, *argv) == ["m2mlat.record", "m2mlat.stats"]
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -625,16 +652,18 @@ def test_report_as_module_loads_no_numpy(session):
 ], ids=["report", "budget", "io-error"])
 @pytest.mark.parametrize("entry, frozen", [("main", True), ("run_cli", False)])
 def test_only_main_freezes_the_collector(session, argv, code, entry, frozen):
-    # main() ends the process, so it freezes the collector as it returns and
-    # shutdown skips its collections; run_cli serves in-process callers
+    # main() ends the process, so it turns the collector off for the command
+    # and freezes it as it returns, and shutdown skips its collections;
+    # run_cli serves in-process callers and leaves it alone
     probe = (
         "import gc, json, sys, m2mlat.cli\n"
         f"code = m2mlat.cli.{entry}(sys.argv[1:])\n"
-        "print(json.dumps([code, gc.get_freeze_count()]))"
+        "print(json.dumps([code, gc.get_freeze_count(), gc.isenabled()]))"
     )
-    got_code, freeze_count = fresh_result(probe, *(a.format(d=session) for a in argv))
+    got_code, freeze_count, enabled = fresh_result(probe, *(a.format(d=session) for a in argv))
     assert got_code == code
     assert (freeze_count > 0) is frozen
+    assert enabled is not frozen
 
 
 def test_console_path_matches_run_cli(tmp_path, capsys, monkeypatch):
@@ -674,15 +703,18 @@ def test_only_probe_loads_the_probe():
                               kwargs={"stop": stop, "max_packets": 1}, daemon=True)
     thread.start()
     try:
-        code = "import sys, m2mlat.cli\nassert m2mlat.cli.main(sys.argv[1:]) == 0"
+        # probe can run for hours, so main() leaves the collector on
+        code = ("import gc, sys, m2mlat.cli\nassert m2mlat.cli.main(sys.argv[1:]) == 0\n"
+                "assert gc.isenabled()")
         loaded = loaded_modules(code, "probe", "--peer", f"127.0.0.1:{sock.getsockname()[1]}",
                                 "--count", "1", "--interval-ms", "0")
     finally:
         stop.set()
         thread.join(timeout=3)
         sock.close()
-    # the probe's estimator lives in clocks, which summarizes through stats
-    assert loaded == ["m2mlat.clocks", "m2mlat.events", "m2mlat.probe", "m2mlat.stats", "numpy"]
+    # the probe's estimator lives in clocks, which loads no event model; the
+    # offsets are summarized through stats
+    assert loaded == ["m2mlat.clocks", "m2mlat.probe", "m2mlat.record", "m2mlat.stats", "numpy"]
 
 
 def test_format_choices_match_log_formats():

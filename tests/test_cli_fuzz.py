@@ -8,14 +8,13 @@ that is not UTF-8, digits and line breaks.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from m2mlat.cli import run_cli
 from m2mlat.clocks import ClockModel
 from m2mlat.dists import EmpiricalDelay
+from m2mlat.record import replace
 from m2mlat.sim import preset, render_config
 
 MS = 1_000_000

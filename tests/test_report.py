@@ -9,6 +9,7 @@ import pytest
 from m2mlat import __version__
 from m2mlat.cli import run_cli
 from m2mlat.report import build_report, input_digest, make_provenance, render_text
+from m2mlat.stats import boxplot_data, summarize
 
 from helpers import loaded_modules
 
@@ -44,6 +45,19 @@ def test_render_includes_thresholds_and_boxplot():
     text = render_text(_sample_report())
     assert "frac_over_1000ms:" in text
     assert "boxplot_whisker_hi_ms:" in text
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_build_report_sorts_once_to_the_same_bits(as_array):
+    # summarize and boxplot_data take build_report's one sorted copy, and
+    # give what each gives alone on the unsorted samples, float for float
+    rng = np.random.default_rng(5)
+    values = [int(v) for v in rng.lognormal(20.4, 0.2, 1_001)]
+    samples = np.array(values) if as_array else values
+    alone = summarize(samples, (800_000_000, 10**9)), boxplot_data(samples)
+    rep = build_report("t", samples, make_provenance(None, "x"), (800_000_000, 10**9))
+    assert (rep.stats, rep.boxplot) == alone
+    assert repr((rep.stats, rep.boxplot)) == repr(alone)
 
 
 @pytest.mark.parametrize("thresholds_ns, keys", [
@@ -85,16 +99,19 @@ def test_input_digest_is_order_sensitive_and_stable():
 
 
 def test_analysis_modules_load_no_simulator_and_no_scipy():
-    # Parsing, pairing and reporting import neither the simulator stack nor scipy.
-    analysis = ["m2mlat.events", "m2mlat.pairing", "m2mlat.stats", "numpy"]
+    # Parsing, pairing and reporting import neither the simulator stack nor
+    # scipy, and records are no dataclasses.
+    analysis = ["m2mlat.events", "m2mlat.pairing", "m2mlat.record", "m2mlat.stats", "numpy"]
     assert loaded_modules(
         "import m2mlat.events, m2mlat.pairing, m2mlat.report, m2mlat.stats") == analysis
     # report names PairingReport only in annotations, so it loads no pairing,
     # and stats imports numpy only to reduce what is not a list of ints
-    assert loaded_modules("import m2mlat.report") == ["m2mlat.stats"]
-    assert loaded_modules("import m2mlat.stats") == ["m2mlat.stats"]
-    # clocks draws jitter through its own ndtri, and the simulator loads scipy
-    # only to fit a gamma delay, and configparser only to read a config
-    clocks = ["m2mlat.clocks", "m2mlat.events", "m2mlat.stats", "numpy"]
+    assert loaded_modules("import m2mlat.report") == ["m2mlat.record", "m2mlat.stats"]
+    assert loaded_modules("import m2mlat.stats") == ["m2mlat.record", "m2mlat.stats"]
+    # clocks draws jitter through its own ndtri and imports stats only to
+    # summarize offsets; the simulator loads scipy only to fit a gamma
+    # delay, and configparser only to read a config
+    clocks = ["m2mlat.clocks", "m2mlat.record", "numpy"]
     assert loaded_modules("import m2mlat.clocks") == clocks
-    assert loaded_modules("import m2mlat.sim") == sorted(clocks + ["m2mlat.dists", "m2mlat.sim"])
+    assert loaded_modules("import m2mlat.sim") == sorted(
+        clocks + ["m2mlat.dists", "m2mlat.events", "m2mlat.sim"])

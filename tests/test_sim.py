@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 
 import hashlib
@@ -15,6 +14,7 @@ from m2mlat.errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from m2mlat.clocks import precision_analysis
 from m2mlat.events import EventSource, Role, write_log
 from m2mlat.pairing import PairingConfig, pair_events
+from m2mlat.record import replace
 from m2mlat.sim import (
     TRUTH_COLUMNS,
     ZERO_CLOCKS,

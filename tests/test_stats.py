@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from m2mlat.errors import EmptySample, TooFewSamples
-from m2mlat.stats import _sorted, boxplot_data, stats_csv, summarize
+from m2mlat.stats import boxplot_data, sorted_samples, stats_csv, summarize
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 int64s = st.integers(INT64_MIN, INT64_MAX)
@@ -178,7 +177,7 @@ def exact_fields(result):
         if isinstance(value, tuple):
             return tuple(map(exact, value))
         return type(value), value.hex() if isinstance(value, float) else value
-    return {f.name: exact(getattr(result, f.name)) for f in dataclasses.fields(result)}
+    return {name: exact(value) for name, value in vars(result).items()}
 
 
 def outcome(f, *args):
@@ -194,9 +193,12 @@ def outcome(f, *args):
 def test_an_int_list_reduces_as_its_int64_array_bit_for_bit(values, thresholds):
     # report --samples and probe's summary pass lists, which stats reduces
     # without numpy; pairing and clocks pass arrays
-    assert isinstance(_sorted(values), list)
+    assert isinstance(sorted_samples(values), list)
     thresholds = [*thresholds, values[0]]  # one equal to a sample, which it does not exceed
     arr = np.array(values, dtype=np.int64)
+    ordered = sorted_samples(arr)
+    assert ordered.tolist() == sorted(values)
+    assert sorted_samples(ordered) is ordered  # sorted already: one pass, no sort
     assert exact_fields(summarize(values, thresholds)) == exact_fields(summarize(arr, thresholds))
     assert outcome(boxplot_data, values) == outcome(boxplot_data, arr)
     # both paths bisect for frac_over and the fences; numpy's masks are the reference

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -13,6 +12,7 @@ from m2mlat.digits import _ROWS_PER_CHUNK
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import _SOURCE_NAMES, EventLog, write_log
 from m2mlat.pairing import pair_events
+from m2mlat.record import replace
 from m2mlat.sim import GroundTruth, preset, simulate
 from m2mlat.tables import _KERNEL_ROWS, _ROWS_PER_FORMAT, read_int_columns, write_table
 
