@@ -17,8 +17,10 @@ are supported:
   ``m2m_irq: seq=<uint> ts=<uint ns> src=<hall|pulse>``, UTF-8, LF or CRLF
   line endings. The fields may be separated by any ASCII blank (such as a
   tab), and anything before the ``m2m_irq:`` marker (such as a bracketed
-  kernel timestamp) is ignored. Ring logs carry no node identity, so
-  ``parse_log`` requires an explicit ``node`` for this format.
+  kernel timestamp) is ignored. A line whose blanks are not the kernel
+  module's (one after the marker and one between each two fields, none
+  after the source but a CR) is read line by line, more slowly. Ring logs
+  carry no node identity, so ``parse_log`` requires an explicit ``node``.
   Interrupt-logging kernel modules do not share a standard output grammar;
   this line shape is the contract this toolkit commits to, and an emitter
   must match it (or be piped through a one-line rewrite) to be ingested.
@@ -42,12 +44,12 @@ line parsers see. A CSV row is a line that starts with the node id the
 first row pins, then one comma per cell, 1-19 digits in each integer cell
 (``t_mono_ns`` 0-19), a name or nothing in each ``source`` cell and at most
 one CR at its end; any other line must be blank. In ring text the spaces
-and the ``m2m_irq:`` markers show each event's line, and a walk from each
-marker over the runs of spaces finds its fields. Cells and words are read
-with one gather each from a view of the text as overlapping fixed-width
-windows. The line parsers read only the lines these checks refuse, and the
-first CSV row, and write every error message; a line of bytes that is not
-UTF-8 is blanked.
+and the ``m2m_irq:`` markers show each event's line, and the three spaces
+before its end (its LF, or one CR before it) are the blanks of its fields.
+Cells and words are read with one gather each from a view of the text as
+overlapping fixed-width windows. The line parsers read only the lines
+these checks refuse, and the first CSV row, and write every error message;
+a line of bytes that is not UTF-8 is blanked.
 
 A lenient parse keeps the number of lines it skipped in
 ``EventLog.skipped`` and the error of the first of them in
@@ -407,18 +409,15 @@ def _refused_lines(data: bytes, refused: np.ndarray, starts: np.ndarray):
     return ((line + 1, _line_at(data, at)) for line, at in zip(map(int, refused), map(int, starts)))
 
 
-def _line_starts(text: np.ndarray) -> np.ndarray:
-    return np.append(0, np.flatnonzero(text == ord("\n")) + 1)
-
-
 def _finish(node: NodeId, parse, lenient: bool, errors: list[LineError], row: np.ndarray,
             columns, refused, counted: int = 0) -> EventLog:
     """The log of the rows the scans vouch for, on the lines where ``row``
     is true, and of the ``(line_no, text)`` ``refused`` yields in order for
     ``parse``; ``errors`` and ``counted`` more lines were rejected before.
-    The rows merge in line order. From the first one out of order with the
-    one before it, each row out of order with the last row kept is rejected.
-    Strict, the error of the lowest line rejected raises.
+    The rows merge in line order, and ``EventLog`` checks their order. From
+    the first one out of order with the one before it, each row out of
+    order with the last row kept is rejected. Strict, the error of the
+    lowest line rejected raises.
     """
     first = min(errors, key=lambda err: err.line_no, default=None)
     skipped, more, lines = len(errors) + counted, [], None
@@ -434,11 +433,14 @@ def _finish(node: NodeId, parse, lenient: bool, errors: list[LineError], row: np
         more, lines = np.array(more, np.int64).T, np.flatnonzero(row) + 1
         lines, *columns = np.insert(np.vstack((lines, *columns)), np.searchsorted(lines, more[0]),
                                     more, axis=1)
-    seq, t = columns[0], columns[1]
-    breaks = (np.flatnonzero(_out_of_order(seq, t)) + 1).tolist()
-    if breaks:  # each row out of order with the one before; the rows between are not
+    try:
+        log = EventLog(node, *columns, skipped, None if first is None else str(first))
+    except (NonMonotonicSeq, NonMonotonicTime) as broken:  # its line_no is the row's, from 1
+        seq, t, i = columns[0], columns[1], broken.line_no - 1
+        # each row out of order with the one before; the rows between are not
+        breaks = (np.flatnonzero(_out_of_order(seq[i - 1:], t[i - 1:])) + i).tolist()
         lines = np.flatnonzero(row) + 1 if lines is None else lines
-        keep, last = np.ones(len(seq), bool), breaks[0] - 1
+        keep, last = np.ones(len(seq), bool), i - 1
         for start, stop in zip(breaks, breaks[1:] + [len(seq)]):
             for at in range(start, stop):  # a row kept keeps the rest up to the next break
                 try:
@@ -451,12 +453,12 @@ def _finish(node: NodeId, parse, lenient: bool, errors: list[LineError], row: np
                 else:
                     last = stop - 1
                     break
-        columns = [column[keep] for column in columns]
+        log = EventLog(node, *(column[keep] for column in columns), skipped, str(first))
     if first is not None and not lenient:
         raise first
-    if not len(columns[0]):
+    if not len(log):
         raise EmptyLog("no event records found")
-    return EventLog(node, *columns, skipped, None if first is None else str(first))
+    return log
 
 
 def _lower(first: LineError | None, err: LineError) -> LineError:
@@ -490,18 +492,17 @@ def _read_csv(data: bytes, node: NodeId | None, lenient: bool, errors: list[Line
     else:
         raise EmptyLog("no event records found")
     text = np.frombuffer(data, np.uint8, offset=start)
-    row, columns, refused = _csv_columns(text, node_id, pin[1:])
-    starts = _line_starts(text)[refused] + start if len(refused) else refused
+    row, columns, refused, starts = _csv_columns(text, node_id, pin[1:])
     return (node or infer_node(node_id),
             lambda line, line_no: _parse_csv_row(line, line_no, pin, node_id)[1],
             np.concatenate((np.zeros(k, bool), row)), columns,
-            _refused_lines(data, refused + k, starts))
+            _refused_lines(data, refused + k, starts + start))
 
 
 def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tuple:
     """Which lines of ``text`` are rows of ``node_id`` and ``cells``, their
-    four columns, and the indices of the refused lines: those that are
-    neither such a row nor blank.
+    four columns, and the indices and starts of the refused lines: those
+    that are neither such a row nor blank.
 
     Node ids and blank lines hold no comma, so a row is a line that holds
     ``len(cells)`` commas, and every other line must hold only ``_BLANK``
@@ -531,6 +532,7 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
             blank[blank] = np.logical_and.reduceat(is_blank, offsets)
         del is_blank
     refused = others[~blank]
+    starts = bounds[refused] + 1
     if len(refused):  # their commas are no row's
         commas = commas[row[np.searchsorted(bounds, commas) - 1]]
     rows = np.flatnonzero(row)
@@ -541,7 +543,6 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
     # blank at either end. A str log's lone surrogates are encoded as its text.
     word = node_id.encode(errors="surrogatepass")
     ok = (commas[:, 0] == heads + len(word)) & _word_at(text, heads, word)
-    del heads
     ends -= text[ends - 1] == ord("\r")
     columns = {}
     for k, name in enumerate(cells):
@@ -563,8 +564,9 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
         bad = np.flatnonzero(row)[~ok]
         row[bad] = False
         refused = np.sort(np.append(refused, bad))
+        starts = np.sort(np.append(starts, heads[~ok]))  # as lines rise, so do their starts
         columns = tuple(column[ok] for column in columns)
-    return row, columns, refused
+    return row, columns, refused, starts
 
 
 def _rows_of(commas: np.ndarray, bounds: np.ndarray, cells: int) -> np.ndarray:
@@ -641,10 +643,12 @@ def _read_ring(data: bytes, ascii: bool) -> tuple:
     among them) and one the colons; a gather of the 8 bytes up to each
     colon keeps those that end an ``m2m_irq:`` marker. A line of ASCII is
     blank if the spaces hold all its bytes, which their positions show; a
-    line of other text is decoded. A line with a marker whose tail
-    ``_ring_tails`` refuses is refused. No tail it reads holds a second
-    marker, so the other lines that are not blank have no marker: the
-    first is refused, for its message, the rest counted.
+    line of other text is decoded. Each marker's line ends at its LF, or
+    at a CR before it, and the three spaces before that end go to
+    ``_ring_tails``. A line with a marker whose tail it refuses is refused,
+    and the line parser reads it. No tail it reads holds a second marker,
+    so the other lines that are not blank have no marker: the first is
+    refused, for its message, the rest counted.
     """
     text = np.frombuffer(data, np.uint8)
     spaces = np.flatnonzero(text <= ord(" "))
@@ -664,125 +668,58 @@ def _read_ring(data: bytes, ascii: bool) -> tuple:
         for line in np.unique(np.searchsorted(bounds, np.flatnonzero(text > 0x7f)) - 1).tolist():
             blank[line] = not _line_at(data, int(bounds[line]) + 1).strip()
     lines = np.searchsorted(bounds, colons) - 1
-    lfs = np.append(at_lf, len(spaces))[lines]
     row = np.zeros(len(blank), bool)
     row[lines] = True
     markerless = np.flatnonzero(~(blank | row))
-    refused, starts = markerless[:1], bounds[markerless[:1]] + 1
-    del at_lf, bounds, blank, lines
-    ok, *columns = _ring_tails(text, spaces, colons, lfs)
+    refused = markerless[:1]
+    ends = bounds[lines + 1]  # each marker line's LF, or the end of the text
+    cr = text[ends - 1] == ord("\r")  # a marker line holds at least the marker
+    ends -= cr
+    at = np.append(at_lf, len(spaces))[lines] - cr - [[3], [2], [1]]
+    blanks = spaces.take(at, mode="clip") if len(spaces) else np.zeros_like(at)
+    blanks[0, at[0] < 0] = -1  # fewer than three spaces before the end
+    del spaces, at_lf, blank, cr, at
+    ok, *columns = _ring_tails(text, colons, blanks, ends)
     if not ok.all():  # the lines of refused tails, and any other marker on them
-        starts = _line_starts(text)
-        lines = np.searchsorted(starts, colons, "right") - 1
         bad = np.zeros(len(row), bool)
         bad[lines[~ok]] = True
         row &= ~bad
         columns = [column[row[lines]] for column in columns]
         refused = np.sort(np.append(refused, np.flatnonzero(bad)))
-        starts = starts[refused]
-    return row, columns, _refused_lines(data, refused, starts), max(len(markerless) - 1, 0)
+    return (row, columns, _refused_lines(data, refused, bounds[refused] + 1),
+            max(len(markerless) - 1, 0))
 
 
-def _ring_tails(text: np.ndarray, spaces: np.ndarray, colons: np.ndarray,
-                lfs: np.ndarray) -> tuple:
+def _ring_tails(text: np.ndarray, colons: np.ndarray, blanks: np.ndarray,
+                ends: np.ndarray) -> tuple:
     """Which of the tails that run from the markers ending at ``colons`` up
-    to the spaces ``spaces[lfs]``, the LFs that end their lines (the end of
-    the text past the last one), are well formed, and their four columns.
+    to ``ends`` are as the kernel module prints them, and their four
+    columns. ``blanks`` holds the three spaces before each end, or -1 for
+    the first where fewer lie there.
 
-    A tail is blanks, ``seq=`` and 1-19 digits, blanks, ``ts=`` and 1-19
-    digits (above 0, below 2**63), blanks, ``src=`` and a source name, then
-    blanks. A blank is a space other than LF: what the line parser's ``\\s``
-    takes there in ASCII. The walk goes from token to token through
-    ``spaces``: a token runs up to the next space, and the next one starts
-    past the run of spaces there. A run that holds the LF at the line's end
-    takes the tokens after it off the line, so the source name must end by
-    that LF.
-
-    A tail of single blanks holds three spaces, so the first space after
-    its marker is the third before its LF; it is searched for only in the
-    other tails.
+    Such a tail is one blank, ``seq=`` and 1-19 digits, one blank, ``ts=``
+    and 1-19 digits (above 0, below 2**63), one blank and ``src=hall`` or
+    ``src=pulse``. A blank is a space other than LF. So the three spaces
+    before the end are those blanks, and the first of them is the byte
+    after the colon. Every other tail is refused.
     """
-    if not len(spaces):  # no tail is well formed: its fields need blanks between them
-        return np.zeros(len(colons), bool), *np.zeros((4, len(colons)), np.int64)
-    ends = _space_at(spaces, lfs, len(text))
-    at = lfs - 3
-    miss = np.flatnonzero((at < 1) | (spaces.take(at, mode="clip") <= colons)
-                          | (spaces.take(at - 1, mode="clip") > colons))
-    at[miss] = np.searchsorted(spaces, colons[miss] + 1)
-    start, at = _past_run(spaces, at, colons + 1)
-    ok, cells = np.ones(len(colons), bool), []
-    for word in (b"seq=", b"ts="):
-        stop = _space_at(spaces, at, len(text))
+    ok = blanks[0] == colons + 1
+    start, cells = colons + 2, []
+    for word, stop in zip((b"seq=", b"ts="), blanks[1:]):
         value, good = _uint_cells(text, stop, stop - start - len(word))
         ok &= good & _word_at(text, start, word)
-        start, at = _past_run(spaces, at, stop)
+        start = stop + 1
         cells.append(value)
-    stop = _space_at(spaces, at, len(text))
-    named = (stop == start + 8) & _word_at(text, start, b"src=hall")
-    pulse = np.flatnonzero(stop == start + 9)
+    named = (ends == start + 8) & _word_at(text, start, b"src=hall")
+    pulse = np.flatnonzero(ends == start + 9)
     pulse = pulse[_word_at(text, start[pulse], b"src=pulse")]
     named[pulse] = True
-    ok &= named & (stop <= ends)
-    # after the source name, no blank or a run of them up to the line's end
-    trail = np.flatnonzero(ok & (stop < ends))
-    ok[trail] = spaces[_run_ends(spaces, at[trail])] >= ends[trail] - 1
     seq, t_wall = cells
-    ok &= t_wall > 0
+    ok &= named & (t_wall > 0)
     # source codes index tuple(EventSource): hall is 0 and pulse 1
     source = np.zeros(len(seq), np.int64)
     source[pulse] = 1
     return ok, seq, t_wall, np.full(len(seq), -1), source
-
-
-def _space_at(spaces: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
-    """``spaces[at]``, and ``size`` where ``at`` is past the last space."""
-    found = spaces.take(at, mode="clip")
-    found[at >= len(spaces)] = size
-    return found
-
-
-def _past_run(spaces: np.ndarray, at: np.ndarray, starts: np.ndarray) -> tuple:
-    """Where the token after the run of spaces from each of ``starts``
-    begins (``starts`` itself where no space is there), and the index of
-    the first space after that; ``spaces[at]`` is the first space at or
-    after ``starts``. Most runs are one blank, and only the longer ones
-    are walked to their ends."""
-    first = spaces.take(at, mode="clip")
-    run = first == starts
-    longer = np.flatnonzero(run & (spaces.take(at + 1, mode="clip") == first + 1))
-    last = _run_ends(spaces, at[longer])
-    starts, at = np.where(run, first + 1, starts), at + run
-    starts[longer], at[longer] = spaces[last] + 1, last + 1
-    return starts, at
-
-
-def _run_ends(spaces: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The index of the last space of the run of consecutive bytes that
-    starts at each ``spaces[at]``.
-
-    ``spaces`` rises, so ``spaces[k] - k`` never falls, and it holds one
-    value along a run. A gallop and then a bisection find where that value
-    last holds, in as many steps as the longest run's length has bits.
-    """
-    if not len(at):
-        return at
-    key = spaces[at] - at
-
-    def inside(k, which):
-        return (k < len(spaces)) & (spaces.take(k, mode="clip") - k == key[which])
-
-    lo, hi, live, step = at.copy(), at + 1, np.arange(len(at)), 1
-    while len(live):  # lo is in the run, and hi is probed: hi = lo + step
-        live = live[inside(hi[live], live)]
-        lo[live], step = hi[live], step * 2
-        hi[live] = lo[live] + step
-    live = np.flatnonzero(hi - lo > 1)
-    while len(live):  # lo is in the run and hi is not
-        mid = (lo[live] + hi[live]) // 2
-        inner = inside(mid, live)
-        lo[live[inner]], hi[live[~inner]] = mid[inner], mid[~inner]
-        live = live[hi[live] - lo[live] > 1]
-    return lo
 
 
 def _windows(text: np.ndarray, width: int) -> np.ndarray:

@@ -233,24 +233,28 @@ class TestParseKernelRing:
         assert log.seq.tolist() == [0, 2]
         assert log.skipped == 1
 
-    @pytest.mark.parametrize("text, columns, skipped", [
+    # parsed: the lines the line parser reads in each parse
+    @pytest.mark.parametrize("text, columns, skipped, parsed", [
         ("m2m_irq: seq=0 ts=1000 src=hall\r\nnoise\r\nm2m_irq: seq=1 ts=2000 src=pulse\r\n",
-         ([0, 1], [1000, 2000], [0, 1]), 1),
+         ([0, 1], [1000, 2000], [0, 1]), 1, 1),
         ("[ 1.0]\tm2m_irq:\tseq=0\tts=1000\tsrc=hall\t\n"
-         "m2m_irq:seq=1 \t ts=2000\x0bsrc=pulse", ([0, 1], [1000, 2000], [0, 1]), 0),
+         "m2m_irq:seq=1 \t ts=2000\x0bsrc=pulse", ([0, 1], [1000, 2000], [0, 1]), 0, 2),
         ("m2m_irq: seq=0 ts=1000 src=hall\n\r\n\r\nm2m_irq: seq=1 ts=2000 src=hall\r",
-         ([0, 1], [1000, 2000], [0, 0]), 0),
+         ([0, 1], [1000, 2000], [0, 0]), 0, 0),
         ("[ 0.1] usb 1-1: Product: Caméra\nm2m_irq: seq=0 ts=1000 src=hall\n\u00a0\n"
-         "[ 0.2] Caméra m2m_irq: seq=1 ts=2000 src=pulse\n", ([0, 1], [1000, 2000], [0, 1]), 1),
+         "[ 0.2] Caméra m2m_irq: seq=1 ts=2000 src=pulse\n", ([0, 1], [1000, 2000], [0, 1]), 1, 1),
     ], ids=["crlf", "tab_separators", "cr_only_lines", "utf8_dmesg_and_nbsp_line"])
-    def test_events_read_without_the_line_loop(self, monkeypatch, text, columns, skipped):
-        """Only the first skipped line is parsed, for its message."""
+    def test_events_read_without_the_line_loop(self, monkeypatch, text, columns, skipped, parsed):
+        """The line parser reads the first skipped line, for its message,
+        and each event line whose blanks are not single ones (the
+        ``tab_separators`` lines end in a tab, or have no blank after the
+        marker)."""
         calls = count_line_parser_calls(monkeypatch)
         for raw in (text, text.encode()):
             log = parse_log(raw, LogFormat.KERNEL_RING, node=OPERATOR, lenient=True)
             assert (log.seq.tolist(), log.t_wall_ns.tolist(), log.source.tolist()) == columns
             assert log.skipped == skipped
-        assert sum(calls.values()) == 2 * min(skipped, 1)
+        assert sum(calls.values()) == 2 * parsed
 
 
 def _assert_lax_lines_rejected(lines: list[str], bad: int, **kwargs) -> None:
