@@ -14,7 +14,7 @@ import math
 
 from .errors import ConfigInvalid, EmptyLog, NegativeComponent, ZeroRate
 from .record import Record
-from .tables import write_table
+from .tables import write_fields, write_table
 
 # Hall-effect sensor reaction time; wiring propagation is negligible next
 # to it, so this constant is the whole signal-path contribution.
@@ -89,23 +89,21 @@ class ErrorBudget(Record):
         lo, hi = PRECISION_BAND_NS
         return lo <= self.e_total_ns <= hi
 
+    def fields(self) -> tuple[tuple[str, int | str], ...]:
+        """``(name, value)`` of the four components, their total and the band
+        verdict: the budget CSV's columns and the text's lines."""
+        return (*vars(self).items(), ("e_total_ns", self.e_total_ns),
+                ("in_precision_band", str(self.in_precision_band).lower()))
+
     def to_text(self) -> str:
-        return (
-            f"e_sync_ns={self.e_sync_ns}\n"
-            f"e_circuit_ns={self.e_circuit_ns}\n"
-            f"e_kernel_ns={self.e_kernel_ns}\n"
-            f"e_calib_ns={self.e_calib_ns}\n"
-            f"e_total_ns={self.e_total_ns}\n"
-            f"e_total_ms={self.e_total_ns / 1e6:.3f}\n"
-            f"in_precision_band={str(self.in_precision_band).lower()}\n"
-        )
+        """``fields()`` as ``name=value`` lines, with ``e_total_ms`` after ``e_total_ns``."""
+        fields = list(self.fields())
+        fields.insert(-1, ("e_total_ms", f"{self.e_total_ns / 1e6:.3f}"))
+        return write_fields(fields)
 
     def to_csv(self) -> str:
-        parts = ("e_sync_ns", "e_circuit_ns", "e_kernel_ns", "e_calib_ns", "e_total_ns")
-        return write_table(
-            parts + ("in_precision_band",),
-            [[getattr(self, p)] for p in parts] + [[str(self.in_precision_band).lower()]],
-        )
+        names, values = zip(*self.fields())
+        return write_table(names, [[value] for value in values])
 
 
 def total_error(

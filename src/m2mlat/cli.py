@@ -409,10 +409,12 @@ def _cmd_report(args) -> int:
 def _emit_report(args, values, digest: str, pairing=None, skips=()) -> int:
     """Print the report of one sample set; with --out, also write its files.
 
-    The ``(field, value)`` pairs of ``skips`` follow the report on stdout,
-    after a blank line, and the pairing fields in ``.meta.txt``.
+    ``skips``, ``(name, value)`` pairs, follow the report on stdout as
+    ``name: value`` lines, after a blank line, and ``pairing.fields()`` in
+    ``.meta.txt`` as ``name=value`` lines; ``tables.write_fields`` writes both.
     """
     from . import report, stats
+    from .tables import write_fields
 
     thresholds = [_ns(t, "--threshold-ms") for t in args.threshold_ms or ()]
     rep = report.build_report(
@@ -422,13 +424,12 @@ def _emit_report(args, values, digest: str, pairing=None, skips=()) -> int:
     text = report.render_text(rep)
     print(text, end="")
     if skips:
-        print("", *(f"{key}: {value}" for key, value in skips), sep="\n")
+        print("\n" + write_fields(skips, ": "), end="")
     if args.out:
         files = {".report.txt": text}
         if pairing is not None:
             files[".pairs.csv"] = pairing.to_csv()
-            files[".meta.txt"] = pairing.meta_text() + "".join(
-                f"{key}={value}\n" for key, value in skips)
+            files[".meta.txt"] = pairing.meta_text() + write_fields(skips)
         files[".stats.csv"] = stats.stats_csv(rep.stats)
         files[".boxplot.csv"] = stats.boxplot_csv(rep.boxplot)
         _write_prefixed(args.out, files)

@@ -515,7 +515,7 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
     # blank, so the blank check refuses a line with the wrong number of
     # commas too.
     bounds = np.concatenate(([-1], np.flatnonzero(text == ord("\n")), [len(text)]))
-    row = _rows_of(commas, bounds, len(cells))
+    row = np.diff(np.searchsorted(commas, bounds)) == len(cells)
     others = np.flatnonzero(~row)
     heads, stops = bounds[others] + 1, bounds[others + 1]
     filled = heads < stops
@@ -567,19 +567,6 @@ def _csv_columns(text: np.ndarray, node_id: str, cells: tuple[str, ...]) -> tupl
         starts = np.sort(np.append(starts, heads[~ok]))  # as lines rise, so do their starts
         columns = tuple(column[ok] for column in columns)
     return row, columns, refused, starts
-
-
-def _rows_of(commas: np.ndarray, bounds: np.ndarray, cells: int) -> np.ndarray:
-    """Which of the lines between ``bounds`` hold ``cells`` of the
-    ``commas``. In a log without blank lines the first lines hold ``cells``
-    commas each, and if each such group lies in its line no search is
-    needed."""
-    rows = len(commas) // cells
-    if len(commas) == rows * cells and rows < len(bounds):
-        groups = commas.reshape(rows, cells)
-        if (groups[:, 0] > bounds[:rows]).all() and (groups[:, -1] < bounds[1:rows + 1]).all():
-            return np.arange(len(bounds) - 1) < rows
-    return np.diff(np.searchsorted(commas, bounds)) == cells
 
 
 def _source_cells(text: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> tuple:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigInvalid, EmptyLog, RoleMismatch
 from .events import EventLog, Role
 from .record import Record
-from .tables import write_table
+from .tables import write_fields, write_table
 
 MS = 1_000_000
 
@@ -75,12 +75,22 @@ class PairingReport(Record):
     config: PairingConfig
 
     def __eq__(self, other) -> bool:
-        # meta_text lists every field but the samples
         return (
             isinstance(other, PairingReport)
             and np.array_equal(self.samples, other.samples)
-            and self.meta_text() == other.meta_text()
+            and self.fields() == other.fields()
         )
+
+    @property
+    def counts(self) -> tuple[tuple[str, int], ...]:
+        """``(name, value)`` of the four counts, the fields between ``samples``
+        and ``config``: the pairing block of ``report.render_text``."""
+        return tuple(vars(self).items())[1:-1]
+
+    def fields(self) -> tuple[tuple[str, int], ...]:
+        """``(name, value)`` of the run facts ``.meta.txt`` lists, in order: the
+        sample count, the four counts, then the config's window fields."""
+        return (("samples", len(self.samples)), *self.counts, *vars(self.config).items())
 
     @property
     def m2m_values(self) -> np.ndarray:
@@ -92,16 +102,8 @@ class PairingReport(Record):
         return write_table(columns, [self.samples[c] for c in columns])
 
     def meta_text(self) -> str:
-        return (
-            f"samples={len(self.samples)}\n"
-            f"unmatched_op={self.unmatched_op}\n"
-            f"unmatched_veh={self.unmatched_veh}\n"
-            f"suppressed_op={self.suppressed_op}\n"
-            f"suppressed_veh={self.suppressed_veh}\n"
-            f"debounce_ns={self.config.debounce_ns}\n"
-            f"min_latency_ns={self.config.min_latency_ns}\n"
-            f"max_window_ns={self.config.max_window_ns}\n"
-        )
+        """``.meta.txt``: ``fields()`` as ``name=value`` lines."""
+        return write_fields(self.fields())
 
 
 def debounce(log: EventLog, debounce_ns: int) -> EventLog:

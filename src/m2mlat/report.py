@@ -2,8 +2,8 @@
 
 Every report carries provenance (tool version, seed, config digest) so a
 number in a results table can always be traced back to the run that
-produced it. Rendering is one human-readable key-value text block; the
-machine-readable surfaces are the CSV helpers here and in ``stats``.
+produced it. ``render_text`` writes it as ``name: value`` lines, naming its
+figures by the columns of the machine-readable CSVs of ``stats``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .record import Record
-from .stats import BoxplotData, SummaryStats, boxplot_data, sorted_samples, summarize
+from .stats import (BOXPLOT_COLUMNS, STATS_COLUMNS, BoxplotData, SummaryStats, boxplot_data,
+                    sorted_samples, summarize)
+from .tables import write_fields
 
 if TYPE_CHECKING:  # annotations only: importing pairing would load the log parser
     from .pairing import PairingReport
@@ -80,44 +82,22 @@ def _exact_ms(ns: int) -> str:
     return f"{text}.{frac:06d}".rstrip("0") if frac else text
 
 
+def _ms_fields(record, columns, prefix: str = "") -> list[tuple[str, str]]:
+    """``(prefix + name_ms, value in ms)`` of each ``name_ns`` column of ``record``."""
+    return [(f"{prefix}{c[:-3]}_ms", f"{getattr(record, c) / 1e6:.6f}") for c in columns]
+
+
 def render_text(report: Report) -> str:
-    s = report.stats
-    bp = report.boxplot
-    lines = [
-        "# m2m latency report",
-        f"label: {report.label}",
-        f"tool_version: {report.provenance.tool_version}",
-        f"seed: {report.provenance.seed}",
-        f"config_hash: {report.provenance.config_hash}",
-        "",
-        f"samples: {s.n}",
-        f"min_ms: {s.min_ns / 1e6:.6f}",
-        f"max_ms: {s.max_ns / 1e6:.6f}",
-        f"mean_ms: {s.mean_ns / 1e6:.6f}",
-        f"std_ms: {s.std_ns / 1e6:.6f}",
-        f"median_ms: {s.median_ns / 1e6:.6f}",
-        f"q1_ms: {s.q1_ns / 1e6:.6f}",
-        f"q3_ms: {s.q3_ns / 1e6:.6f}",
-        f"iqr_ms: {s.iqr_ns / 1e6:.6f}",
-    ]
-    for t in sorted(s.frac_over):
-        lines.append(f"frac_over_{_exact_ms(t)}ms: {s.frac_over[t]:.4f}")
-    lines += [
-        "",
-        f"boxplot_q1_ms: {bp.q1_ns / 1e6:.6f}",
-        f"boxplot_median_ms: {bp.median_ns / 1e6:.6f}",
-        f"boxplot_q3_ms: {bp.q3_ns / 1e6:.6f}",
-        f"boxplot_whisker_lo_ms: {bp.whisker_lo_ns / 1e6:.6f}",
-        f"boxplot_whisker_hi_ms: {bp.whisker_hi_ns / 1e6:.6f}",
-        f"boxplot_outliers: {len(bp.outliers_ns)}",
+    """A title, then ``name: value`` blocks split by blank lines: label and
+    provenance; the stats of ``stats.stats_csv`` in ms; the box plot of
+    ``stats.boxplot_csv``; and a paired run's ``PairingReport.counts``."""
+    s, bp = report.stats, report.boxplot
+    blocks = [
+        (("label", report.label), *vars(report.provenance).items()),
+        (("samples", s.n), *_ms_fields(s, STATS_COLUMNS[1:]),
+         *((f"frac_over_{_exact_ms(t)}ms", f"{s.frac_over[t]:.4f}") for t in sorted(s.frac_over))),
+        (*_ms_fields(bp, BOXPLOT_COLUMNS, "boxplot_"), ("boxplot_outliers", len(bp.outliers_ns))),
     ]
     if report.pairing is not None:
-        p = report.pairing
-        lines += [
-            "",
-            f"unmatched_op: {p.unmatched_op}",
-            f"unmatched_veh: {p.unmatched_veh}",
-            f"suppressed_op: {p.suppressed_op}",
-            f"suppressed_veh: {p.suppressed_veh}",
-        ]
-    return "\n".join(lines) + "\n"
+        blocks.append(report.pairing.counts)
+    return "# m2m latency report\n" + "\n".join(write_fields(block, ": ") for block in blocks)

@@ -237,19 +237,19 @@ def _quartiles(ordered) -> tuple[float, float, float]:
     return tuple(out)
 
 
-_STATS_COLUMNS = (
+STATS_COLUMNS = (
     "n", "min_ns", "max_ns", "mean_ns", "std_ns",
     "median_ns", "q1_ns", "q3_ns", "iqr_ns",
 )
-_BOXPLOT_COLUMNS = ("q1_ns", "median_ns", "q3_ns", "whisker_lo_ns", "whisker_hi_ns")
+BOXPLOT_COLUMNS = ("q1_ns", "median_ns", "q3_ns", "whisker_lo_ns", "whisker_hi_ns")
 
 
 def stats_csv(stats: SummaryStats) -> str:
     """Machine-readable one-row CSV rendering of a stats block."""
     over = sorted(stats.frac_over)
     return write_table(
-        _STATS_COLUMNS + tuple(f"frac_over_{t}ns" for t in over),
-        [[getattr(stats, c)] for c in _STATS_COLUMNS] + [[stats.frac_over[t]] for t in over],
+        STATS_COLUMNS + tuple(f"frac_over_{t}ns" for t in over),
+        [[getattr(stats, c)] for c in STATS_COLUMNS] + [[stats.frac_over[t]] for t in over],
     )
 
 
@@ -257,6 +257,6 @@ def boxplot_csv(bp: BoxplotData) -> str:
     """One-row CSV of a box plot; outliers are ``;``-separated in one cell."""
     outliers = ";".join(map(str, bp.outliers_ns))
     return write_table(
-        _BOXPLOT_COLUMNS + ("outliers_ns",),
-        [[getattr(bp, c)] for c in _BOXPLOT_COLUMNS] + [[outliers]],
+        BOXPLOT_COLUMNS + ("outliers_ns",),
+        [[getattr(bp, c)] for c in BOXPLOT_COLUMNS] + [[outliers]],
     )

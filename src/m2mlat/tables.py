@@ -1,6 +1,7 @@
-"""The integer CSV table format: ``write_table`` writes every table the
-toolkit emits, and ``read_int_columns`` reads each integer table it takes
-in (sample files, scheduling files, ground truth) without numpy.
+"""The toolkit's text formats: ``write_table`` writes every CSV table the
+toolkit emits, ``write_fields`` every ``key: value`` or ``key=value``
+text, and ``read_int_columns`` reads each integer table it takes in
+(sample files, scheduling files, ground truth) without numpy.
 
 ``write_table`` takes one sequence per column, or one str or int for a
 column that holds that value on every row, and has two paths, which
@@ -88,6 +89,12 @@ def _kernel_text(text: str) -> bool:
     """Whether the digit kernel can write ``text``: ASCII with no NUL,
     which it uses as padding."""
     return text.isascii() and "\0" not in text
+
+
+def write_fields(fields, sep: str = "=") -> str:
+    """One ``name<sep>value`` line, LF-ended, per ``(name, value)`` pair of
+    ``fields``, in order: every key-value text the toolkit writes."""
+    return "".join(f"{name}{sep}{value}\n" for name, value in fields)
 
 
 def table_lines(raw: bytes | str) -> list[tuple[int, str]]:

@@ -102,9 +102,15 @@ class TestTotalError:
 
     def test_text_and_csv_exports(self):
         b = total_error(322_000, 2_000, 5_000, 10 * MS)
-        text = b.to_text()
-        assert "e_total_ns=10329000" in text
-        assert "in_precision_band=true" in text
+        assert b.to_text() == (
+            "e_sync_ns=322000\n"
+            "e_circuit_ns=2000\n"
+            "e_kernel_ns=5000\n"
+            "e_calib_ns=10000000\n"
+            "e_total_ns=10329000\n"
+            "e_total_ms=10.329\n"
+            "in_precision_band=true\n"
+        )
         header, row = b.to_csv().strip().split("\n")
         assert header.startswith("e_sync_ns,")
         assert row == "322000,2000,5000,10000000,10329000,true"

@@ -13,6 +13,7 @@ from m2mlat.cli import build_parser, run_cli
 from m2mlat.dists import ConstantDelay
 from m2mlat.errors import ConfigInvalid
 from m2mlat.events import LogFormat, parse_log
+from m2mlat.pairing import PairingConfig, pair_events
 from m2mlat.record import replace
 from m2mlat.report import input_digest
 from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config, preset, render_config
@@ -152,6 +153,32 @@ class TestAnalyze:
         code, stdout, _ = run(capsys, *argv)
         assert stdout == (tmp_path / "rep.report.txt").read_text()
         assert (tmp_path / "rep.meta.txt").read_text().endswith("max_window_ns=2000000000\n")
+
+    def test_stdout_and_meta_name_the_same_facts(self, tmp_path, capsys):
+        # every count stdout prints as key: value, .meta.txt holds as key=value;
+        # .meta.txt lists PairingReport.fields(), then the lenient skips
+        op, veh = tmp_path / "op.csv", tmp_path / "veh.csv"
+        op.write_text("".join(f"operator,{i},{5 * i + 1}000000000\n" for i in range(8))
+                      + "operator,8,41100000000\noperator,xx,yy\n")
+        veh.write_text("".join(f"vehicle,{i},{5 * i + 1}800000000\n" for i in range(7))
+                       + "vehicle,7,60000000000\nvehicle,7,1\n")
+        code, stdout, _ = run(capsys, "analyze", "--lenient", "--debounce-ms", "200",
+                              "--operator", str(op), "--vehicle", str(veh),
+                              "--out", str(tmp_path / "rep"))
+        assert code == 0
+        meta = (tmp_path / "rep.meta.txt").read_text()
+        blocks = stdout.split("\n\n")  # title and provenance, stats, box plot, counts, skips
+        lines = [blocks[1].splitlines()[0], *"\n".join(blocks[3:]).splitlines()]
+        assert [line.split(": ")[0] for line in lines][:2] == ["samples", "unmatched_op"]
+        assert len(lines) == 9
+        for line in lines:
+            assert line.replace(": ", "=", 1) + "\n" in meta
+        pairing = pair_events(parse_log(op.read_bytes(), lenient=True),
+                              parse_log(veh.read_bytes(), lenient=True),
+                              PairingConfig(debounce_ns=200 * MS))
+        names = [name for name, _ in pairing.fields()]
+        names += ["skipped_op", "first_error_op", "skipped_veh", "first_error_veh"]
+        assert [line.split("=")[0] for line in meta.splitlines()] == names
 
     def test_malformed_log_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -15,6 +15,7 @@ from m2mlat.pairing import (
     debounce,
     pair_events,
 )
+from m2mlat.record import replace
 
 from helpers import (
     OPERATOR, VEHICLE, events_of, make_log, oracle_debounce, oracle_pairs, pairs_of,
@@ -308,4 +309,25 @@ def test_pairing_csv_and_meta():
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "op_seq,veh_seq,op_t_wall_ns,veh_t_wall_ns,m2m_ns"
     assert csv_text.splitlines()[1].endswith(str(800 * MS))
-    assert "samples=1" in rep.meta_text()
+    assert rep.meta_text() == (
+        "samples=1\n"
+        "unmatched_op=0\n"
+        "unmatched_veh=0\n"
+        "suppressed_op=0\n"
+        "suppressed_veh=0\n"
+        "debounce_ns=0\n"
+        "min_latency_ns=0\n"
+        f"max_window_ns={2_000 * MS}\n"
+    )
+
+
+@pytest.mark.parametrize("change", [
+    {"unmatched_op": 1}, {"unmatched_veh": 1}, {"suppressed_op": 1}, {"suppressed_veh": 1},
+    {"config": PairingConfig(debounce_ns=1)}, {"config": PairingConfig(min_latency_ns=1)},
+    {"config": PairingConfig(max_window_ns=1)},
+])
+def test_reports_differing_in_one_count_or_config_field_are_unequal(change):
+    rep = pair_events(make_log(OPERATOR, [1 * S]), make_log(VEHICLE, [1 * S + 800 * MS]),
+                      PairingConfig(debounce_ns=0))
+    assert rep == replace(rep)
+    assert rep != replace(rep, **change)

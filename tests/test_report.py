@@ -8,10 +8,14 @@ import pytest
 
 from m2mlat import __version__
 from m2mlat.cli import run_cli
+from m2mlat.pairing import PairingConfig, pair_events
 from m2mlat.report import build_report, input_digest, make_provenance, render_text
 from m2mlat.stats import boxplot_data, summarize
 
-from helpers import loaded_modules
+from helpers import OPERATOR, VEHICLE, loaded_modules, make_log
+
+MS = 1_000_000
+S = 1_000_000_000
 
 
 def _sample_report():
@@ -28,6 +32,75 @@ def test_provenance_is_mandatory_and_rendered():
     assert "seed: 7" in text
     assert "config_hash: abc123def456" in text
     assert "label: bench" in text
+
+
+def test_render_text_is_pinned_whole():
+    assert render_text(_sample_report()) == f"""\
+# m2m latency report
+label: bench
+tool_version: {__version__}
+seed: 7
+config_hash: abc123def456
+
+samples: 300
+min_ms: 531.440471
+max_ms: 1084.564507
+mean_ms: 794.649385
+std_ms: 101.622567
+median_ms: 791.796504
+q1_ms: 723.370004
+q3_ms: 867.367086
+iqr_ms: 143.997083
+frac_over_1000ms: 0.0267
+
+boxplot_q1_ms: 723.370004
+boxplot_median_ms: 791.796504
+boxplot_q3_ms: 867.367086
+boxplot_whisker_lo_ms: 531.440471
+boxplot_whisker_hi_ms: 1062.617382
+boxplot_outliers: 1
+"""
+
+
+def test_render_text_with_pairing_and_two_thresholds_is_pinned_whole():
+    # every count differs from the others, so the pin also fixes their order
+    op = make_log(OPERATOR, sorted([5 * S * i + S for i in range(8)] + [S + 100 * MS, S + 200 * MS]))
+    veh = make_log(VEHICLE, sorted([5 * S * i + S + (700 + 37 * i) * MS for i in range(7)]
+                                   + [6 * S + 837 * MS, 47 * S, 48 * S, 49 * S]))
+    pairing = pair_events(op, veh, PairingConfig(debounce_ns=250 * MS, max_window_ns=1500 * MS))
+    rep = build_report("field", pairing.m2m_values, make_provenance(None, "feedc0ffee12"),
+                       (850_500_000, 800 * MS), pairing)
+    assert render_text(rep) == f"""\
+# m2m latency report
+label: field
+tool_version: {__version__}
+seed: n/a
+config_hash: feedc0ffee12
+
+samples: 7
+min_ms: 700.000000
+max_ms: 922.000000
+mean_ms: 811.000000
+std_ms: 74.000000
+median_ms: 811.000000
+q1_ms: 755.500000
+q3_ms: 866.500000
+iqr_ms: 111.000000
+frac_over_800ms: 0.5714
+frac_over_850.5ms: 0.2857
+
+boxplot_q1_ms: 755.500000
+boxplot_median_ms: 811.000000
+boxplot_q3_ms: 866.500000
+boxplot_whisker_lo_ms: 700.000000
+boxplot_whisker_hi_ms: 922.000000
+boxplot_outliers: 0
+
+unmatched_op: 1
+unmatched_veh: 3
+suppressed_op: 2
+suppressed_veh: 1
+"""
 
 
 def test_boxplot_consistent_with_stats():
