@@ -267,13 +267,10 @@ def _cmd_analyze(args) -> int:
     pairing = pair_events(op_log, veh_log, cfg)
     if not len(pairing.samples):
         raise EmptyLog("no event pairs inside the matching window")
-    skips = []  # a lenient parse's skips, for each log that skipped lines
-    for side, log in (("op", op_log), ("veh", veh_log)):
-        if log.skipped:
-            skips += [(f"skipped_{side}", log.skipped), (f"first_error_{side}", log.first_error)]
-    return _emit_report(
-        args, pairing.m2m_values, report.input_digest(op_raw, veh_raw), pairing, skips
-    )
+    skips = [(f"{name}_{side}", value) for side, log in (("op", op_log), ("veh", veh_log))
+             for name, value in log.fields()]
+    digest = report.input_digest(op_raw, veh_raw)
+    return _emit_report(args, pairing.m2m_values, digest, pairing, skips)
 
 
 def _cmd_precision(args) -> int:
@@ -285,11 +282,7 @@ def _cmd_precision(args) -> int:
     log_b, _ = _read_log(args.node_b, fmt, Role.VEHICLE)
     series = clocks.precision_analysis(log_a, log_b)
     for name, s in (("signed", series.stats_signed), ("abs", series.stats_abs)):
-        print(
-            f"offset_{name}: n={s.n} min_ms={s.min_ns / 1e6:.6f} "
-            f"max_ms={s.max_ns / 1e6:.6f} mean_ms={s.mean_ns / 1e6:.6f} "
-            f"std_ms={s.std_ns / 1e6:.6f}"
-        )
+        print(f"offset_{name}:", _joined(("n", s.n), *stats.ms_fields(s, stats.STATS_COLUMNS[1:5])))
     if args.out:
         _write_prefixed(args.out, {
             ".offsets.csv": series.to_csv(),
@@ -345,10 +338,8 @@ def _cmd_probe(args) -> int:
         peer = _parse_hostport(args.peer)
         result = probe.run_requester(
             peer, args.count, args.interval_ms, timeout_ms=args.timeout_ms,
-            on_sample=lambda s: print(
-                f"seq={s.seq} offset_ms={s.offset_ns / 1e6:.6f} "
-                f"rtt_ms={s.rtt_ns / 1e6:.6f}"
-            ),
+            on_sample=lambda s: print(_joined(("seq", s.seq),
+                                              *stats.ms_fields(s, ("offset_ns", "rtt_ns")))),
         )
     finally:
         stop.set()
@@ -362,13 +353,15 @@ def _cmd_probe(args) -> int:
     )
     if result.samples:
         s = stats.summarize([round(x.offset_ns) for x in result.samples])
-        print(
-            f"offset: mean_ms={s.mean_ns / 1e6:.6f} median_ms={s.median_ns / 1e6:.6f} "
-            f"min_ms={s.min_ns / 1e6:.6f} max_ms={s.max_ns / 1e6:.6f}"
-        )
+        print("offset:", _joined(*stats.ms_fields(s, ("mean_ns", "median_ns", "min_ns", "max_ns"))))
     if args.out:
         _write_prefixed(args.out, {".exchanges.csv": result.to_csv()})
     return 0
+
+
+def _joined(*fields) -> str:
+    """``(name, value)`` pairs as one ``name=value name=value`` line."""
+    return " ".join(f"{name}={value}" for name, value in fields)
 
 
 def _cmd_budget(args) -> int:
@@ -409,9 +402,10 @@ def _cmd_report(args) -> int:
 def _emit_report(args, values, digest: str, pairing=None, skips=()) -> int:
     """Print the report of one sample set; with --out, also write its files.
 
-    ``skips``, ``(name, value)`` pairs, follow the report on stdout as
-    ``name: value`` lines, after a blank line, and ``pairing.fields()`` in
-    ``.meta.txt`` as ``name=value`` lines; ``tables.write_fields`` writes both.
+    ``skips``, each log's ``EventLog.fields()`` with its side appended to
+    each name, follow the report on stdout as ``name: value`` lines, after
+    a blank line, and ``pairing.fields()`` in ``.meta.txt`` as
+    ``name=value`` lines; ``tables.write_fields`` writes both.
     """
     from . import report, stats
     from .tables import write_fields

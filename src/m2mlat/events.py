@@ -53,7 +53,9 @@ a line of bytes that is not UTF-8 is blanked.
 
 A lenient parse keeps the number of lines it skipped in
 ``EventLog.skipped`` and the error of the first of them in
-``EventLog.first_error``. CSV serializes neither, nor the node role.
+``EventLog.first_error``; ``EventLog.fields()`` names the two as the
+``(name, value)`` pairs that the CLI reports. CSV serializes neither, nor
+the node role.
 Parsing the output of ``write_log`` (which, like every CSV table of the
 toolkit, goes through ``tables.write_table``) reproduces the original log
 exactly for logs that skipped nothing and a canonical node id
@@ -66,7 +68,9 @@ would then split into other cells, or read back as another id.
 
 from __future__ import annotations
 
+import codecs
 import re
+import threading
 from enum import Enum
 
 import numpy as np
@@ -172,14 +176,15 @@ class EventLog:
         if n and (self.source.min() < 0 or self.source.max() >= len(_SOURCE_NAMES)):
             raise ConfigInvalid("source codes must index tuple(EventSource)")
 
+    def fields(self) -> tuple[tuple[str, int | str], ...]:
+        """``(("skipped", n), ("first_error", message))`` of a lenient parse's skips, or ``()``."""
+        skips = ("skipped", self.skipped), ("first_error", self.first_error)
+        return skips if self.skipped else ()
+
     @property
     def meta(self) -> dict[str, str]:
-        """``skipped`` and ``first_error`` as the text dict that
-        ``bench/field.py`` reads, ``{}`` when nothing was skipped. It goes
-        with the benchmark's next refresh."""
-        if not self.skipped:
-            return {}
-        return {"parse_skipped": str(self.skipped), "parse_first_error": self.first_error}
+        """``fields()`` keyed ``parse_<name>``, the text dict that ``bench/field.py`` reads."""
+        return {f"parse_{name}": str(value) for name, value in self.fields()}
 
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -376,19 +381,40 @@ _IS_BLANK, _IS_SPACE = (np.frombuffer(bytes(byte in spaces for byte in range(256
 _LINE = re.compile(rb"(?m)^.*$")
 
 
+# Where the first byte sequence that is not UTF-8 starts in each line, as
+# the one decode of ``_utf8`` finds them; per thread, since the codec
+# registry is global.
+_not_utf8 = threading.local()
+
+
+def _record_not_utf8(err: UnicodeDecodeError) -> tuple[str, int]:
+    """Records the start of a bad sequence, and resumes at its line's LF:
+    one call per bad line, however many bad bytes it holds."""
+    _not_utf8.starts.append(err.start)
+    end = err.object.find(b"\n", err.start)
+    return "", len(err.object) if end < 0 else end
+
+
+codecs.register_error("m2mlat.record_not_utf8", _record_not_utf8)
+
+
 def _utf8(raw: str | bytes, lenient: bool) -> tuple[bytes, bool, list[LineError]]:
     """The log as bytes, whether they are ASCII, and the error of each line
     that is not UTF-8, blanked to its LF (strict, the first raises). A str
-    is encoded with its surrogates, which hold no ASCII byte."""
+    is encoded with its surrogates, which hold no ASCII byte.
+
+    One decode finds the first bad sequence of each line: no sequence
+    holds an LF, so from each LF it finds what a decode from the line's
+    start would find.
+    """
     if isinstance(raw, str):
         return raw.encode(errors="surrogatepass"), raw.isascii(), []
-    ascii, errors, parts, pos, k = raw.isascii(), [], [], 0, 0
-    while not ascii:
-        try:
-            raw[pos:].decode()
-            break
-        except UnicodeDecodeError as err:
-            bad = pos + err.start
+    if raw.isascii():
+        return raw, True, []
+    _not_utf8.starts = starts = []
+    raw.decode(errors="m2mlat.record_not_utf8")
+    errors, parts, pos, k = [], [], 0, 0
+    for bad in starts:
         start, end = raw.rfind(b"\n", pos, bad) + 1, raw.find(b"\n", bad)
         k += raw.count(b"\n", pos, start)
         errors.append(UnparseableLine(k + 1, "not valid UTF-8"))
@@ -397,7 +423,7 @@ def _utf8(raw: str | bytes, lenient: bool) -> tuple[bytes, bool, list[LineError]
         parts.append(raw[pos:start])
         pos = len(raw) if end < 0 else end
     data = b"".join(parts) + raw[pos:] if errors else raw
-    return data, data.isascii() if errors else ascii, errors
+    return data, bool(errors) and data.isascii(), errors
 
 
 def _line_at(data: bytes, start: int) -> str:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import __version__
 from .record import Record
 from .stats import (BOXPLOT_COLUMNS, STATS_COLUMNS, BoxplotData, SummaryStats, boxplot_data,
-                    sorted_samples, summarize)
+                    ms_fields, sorted_samples, summarize)
 from .tables import write_fields
 
 if TYPE_CHECKING:  # annotations only: importing pairing would load the log parser
@@ -82,11 +82,6 @@ def _exact_ms(ns: int) -> str:
     return f"{text}.{frac:06d}".rstrip("0") if frac else text
 
 
-def _ms_fields(record, columns, prefix: str = "") -> list[tuple[str, str]]:
-    """``(prefix + name_ms, value in ms)`` of each ``name_ns`` column of ``record``."""
-    return [(f"{prefix}{c[:-3]}_ms", f"{getattr(record, c) / 1e6:.6f}") for c in columns]
-
-
 def render_text(report: Report) -> str:
     """A title, then ``name: value`` blocks split by blank lines: label and
     provenance; the stats of ``stats.stats_csv`` in ms; the box plot of
@@ -94,9 +89,9 @@ def render_text(report: Report) -> str:
     s, bp = report.stats, report.boxplot
     blocks = [
         (("label", report.label), *vars(report.provenance).items()),
-        (("samples", s.n), *_ms_fields(s, STATS_COLUMNS[1:]),
+        (("samples", s.n), *ms_fields(s, STATS_COLUMNS[1:]),
          *((f"frac_over_{_exact_ms(t)}ms", f"{s.frac_over[t]:.4f}") for t in sorted(s.frac_over))),
-        (*_ms_fields(bp, BOXPLOT_COLUMNS, "boxplot_"), ("boxplot_outliers", len(bp.outliers_ns))),
+        (*ms_fields(bp, BOXPLOT_COLUMNS, "boxplot_"), ("boxplot_outliers", len(bp.outliers_ns))),
     ]
     if report.pairing is not None:
         blocks.append(report.pairing.counts)

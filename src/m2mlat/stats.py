@@ -14,7 +14,11 @@ pins the one against the other):
   standard deviation is a port of numpy's pairwise ``add.reduce``;
 - anything else (the int64 arrays of ``pairing`` and ``clocks``, floats,
   numpy scalars) goes through ``np.asarray(..., dtype=np.int64)``, and
-  numpy is imported only then.
+  numpy is imported only then. An unsigned array holding 2**63 or more,
+  which that cast would wrap negative, is refused.
+
+``ms_fields`` writes each figure that the report, ``precision`` and
+``probe`` print in ms.
 """
 
 from __future__ import annotations
@@ -143,6 +147,8 @@ def sorted_samples(samples):
             return ordered
     import numpy as np
 
+    if getattr(getattr(samples, "dtype", None), "kind", "") == "u" and (samples >= 2**63).any():
+        raise ConfigInvalid("samples of 2**63 ns or more do not fit in int64")
     ordered = np.asarray(samples, dtype=np.int64)
     if ordered.ndim != 1 or (ordered[1:] < ordered[:-1]).any():
         ordered = np.sort(ordered)
@@ -242,6 +248,12 @@ STATS_COLUMNS = (
     "median_ns", "q1_ns", "q3_ns", "iqr_ns",
 )
 BOXPLOT_COLUMNS = ("q1_ns", "median_ns", "q3_ns", "whisker_lo_ns", "whisker_hi_ns")
+
+
+def ms_fields(record, columns, prefix: str = "") -> list[tuple[str, str]]:
+    """``(prefix + name_ms, value in ms to six decimals)`` of each
+    ``name_ns`` column of ``record``, as the CLI prints its figures."""
+    return [(f"{prefix}{c[:-3]}_ms", f"{getattr(record, c) / 1e6:.6f}") for c in columns]
 
 
 def stats_csv(stats: SummaryStats) -> str:

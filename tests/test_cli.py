@@ -10,13 +10,15 @@ import pytest
 from m2mlat import probe
 from m2mlat.budget import DEFAULT_CIRCUIT_ERROR_NS
 from m2mlat.cli import build_parser, run_cli
+from m2mlat.clocks import SyncMode
 from m2mlat.dists import ConstantDelay
 from m2mlat.errors import ConfigInvalid
-from m2mlat.events import LogFormat, parse_log
+from m2mlat.events import LogFormat, parse_log, write_log
 from m2mlat.pairing import PairingConfig, pair_events
 from m2mlat.record import replace
 from m2mlat.report import input_digest
-from m2mlat.sim import PRESET_NAMES, GroundTruth, parse_config, preset, render_config
+from m2mlat.sim import (PRESET_NAMES, GroundTruth, parse_config, preset, render_config,
+                        simulate_shared_pulse_run)
 
 from helpers import fresh_result, loaded_modules, run_python
 
@@ -179,6 +181,19 @@ class TestAnalyze:
         names = [name for name, _ in pairing.fields()]
         names += ["skipped_op", "first_error_op", "skipped_veh", "first_error_veh"]
         assert [line.split("=")[0] for line in meta.splitlines()] == names
+
+    def test_no_pair_in_the_window_is_a_validation_error(self, capture, capsys):
+        # dyn_coref's latencies are tens of ms, so a 1 ms window holds none
+        code, stdout, err = run(capsys, "analyze", "--operator", str(capture / "operator.csv"),
+                                "--vehicle", str(capture / "vehicle.csv"), "--max-window-ms", "1")
+        assert (code, stdout) == (1, "")
+        assert err == "error: EmptyLog: no event pairs inside the matching window\n"
+
+    def test_a_flag_value_that_is_no_number_is_a_validation_error(self, capture, capsys):
+        code, stdout, err = run(capsys, "analyze", "--operator", str(capture / "operator.csv"),
+                                "--vehicle", str(capture / "vehicle.csv"), "--debounce-ms", "abc")
+        assert (code, stdout) == (1, "")
+        assert err == "error: argument --debounce-ms: invalid finite float value: 'abc'\n"
 
     def test_malformed_log_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -418,6 +433,36 @@ class TestPrecision:
         assert offsets[0] == "t_ref_ns,offset_ns"
         assert len(offsets) == 21
 
+    def test_stdout_is_pinned_whole(self, tmp_path, capsys):
+        # 300 pulses of a co-referenced shared-pulse run: both lines, every figure
+        argv = ["precision"]
+        for name, log in zip("ab", simulate_shared_pulse_run(SyncMode.CO_REFERENCED, 300, 10**9, 9)):
+            (tmp_path / f"{name}.csv").write_text(write_log(log))
+            argv += [f"--node-{name}", str(tmp_path / f"{name}.csv")]
+        assert run(capsys, *argv) == (0, (
+            "offset_signed: n=300 min_ms=-4.494780 max_ms=2.420769 mean_ms=-0.029331 "
+            "std_ms=0.552369\n"
+            "offset_abs: n=300 min_ms=0.001380 max_ms=4.494780 mean_ms=0.324474 "
+            "std_ms=0.447982\n"
+        ), "")
+
+
+# A figure in ms as probe prints it: six decimals, a sign only when negative.
+MS_FIGURE = r"-?\d+\.\d{6}"
+
+
+def assert_probe_stdout(stdout: str, exchanges: int, listening: bool = False) -> None:
+    """Each line of ``probe``'s stdout has its exact shape, in order: the
+    responder's address, one line per exchange, the counts, the offsets."""
+    shapes = [r"responder listening on 127\.0\.0\.1:\d+"] * listening
+    shapes += [rf"seq={i} offset_ms={MS_FIGURE} rtt_ms=\d+\.\d{{6}}" for i in range(exchanges)]
+    shapes += [f"exchanges={exchanges} lost=0 negative_rtt=0",
+               "offset: " + " ".join(f"{k}_ms={MS_FIGURE}" for k in ("mean", "median", "min", "max"))]
+    lines = stdout.splitlines()
+    assert len(lines) == len(shapes), lines
+    for line, shape in zip(lines, shapes):
+        assert re.fullmatch(shape, line), (line, shape)
+
 
 class TestProbeCli:
     def test_requester_against_threaded_responder(self, capsys, tmp_path):
@@ -441,6 +486,7 @@ class TestProbeCli:
             sock.close()
         assert code == 0
         assert "exchanges=3 lost=0" in stdout
+        assert_probe_stdout(stdout, 3)
         lines = (tmp_path / "probe.exchanges.csv").read_text().splitlines()
         assert lines[0].startswith("seq,t1,t2,t3,t4")
         assert len(lines) == 4
@@ -467,6 +513,7 @@ class TestProbeCli:
         assert code == 0
         assert stdout.startswith("responder listening on 127.0.0.1:")
         assert "exchanges=2 lost=0" in stdout
+        assert_probe_stdout(stdout, 2, listening=True)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_cli_leaves_the_collector_as_it_was(self, capsys, enabled):

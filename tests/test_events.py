@@ -405,6 +405,13 @@ def test_meta_is_the_skip_count_as_the_benchmark_reads_it():
         clean.meta = {"parse_skipped": "1"}
 
 
+def test_fields_are_a_lenient_parse_skips():
+    skipping = parse_log("operator,0,1000\nbogus\noperator,1,2000", lenient=True)
+    assert skipping.fields() == (("skipped", 1), ("first_error", "line 2: expected 3 columns, got 1"))
+    for lenient in (False, True):
+        assert parse_log("operator,0,1000\noperator,1,2000", lenient=lenient).fields() == ()
+
+
 def test_event_log_validation():
     with pytest.raises(ConfigInvalid):
         EventLog(OPERATOR, [-1], [100])

@@ -9,7 +9,9 @@ message and line number, strict and lenient.
 from __future__ import annotations
 
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -488,6 +490,52 @@ def test_field_sized_dirty_capture_matches_line_loop(monkeypatch, name):
         calls.clear()
         assert _outcome(lambda: parse_log(raw, fmt, node=node, lenient=lenient)) == expected[lenient]
         assert sum(calls.values()) <= refused + 1
+
+
+# Byte sequences that are not UTF-8: a stray byte, a cut 3-byte character,
+# an encoded surrogate, an overlong form, a run of bad bytes, a lone lead byte.
+NOT_UTF8 = (b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xfe\xfe\xff", b"\xc3")
+
+
+def spoil_every_tenth_line(raw: bytes, rng: np.random.Generator) -> tuple[bytes, int]:
+    """``raw`` with one of ``NOT_UTF8`` put into every tenth line, at its
+    start, end or anywhere between, and twice into every thirtieth; and
+    how many lines that spoils."""
+    lines = raw.split(b"\n")
+    spoilt = range(3, len(lines), 10)
+    for i in spoilt:
+        for k in range(1 + (i % 30 == 3)):
+            at = int(rng.integers(0, len(lines[i]) + 1))
+            lines[i] = lines[i][:at] + NOT_UTF8[(i + k) % len(NOT_UTF8)] + lines[i][at:]
+    return b"\n".join(lines), len(spoilt)
+
+
+@pytest.mark.parametrize("fmt", [CSV, RING], ids=["csv", "ring"])
+def test_a_capture_with_many_lines_not_utf8_matches_line_loop(fmt):
+    """Found in one decode of the whole capture, each of 1,200 and more
+    spoilt lines is refused as the line loop refuses it, strict and lenient."""
+    rng = np.random.default_rng(402)
+    raw = field_ring_capture(rng) if fmt is RING else field_csv_capture(rng, True, "béta")
+    raw, spoilt = spoil_every_tenth_line(raw, rng)
+    node = OPERATOR if fmt is RING else None
+    assert spoilt >= 1200
+    assert oracle_parse_log(raw, fmt, node, True).skipped >= spoilt
+    assert_same(raw, fmt, node)
+
+
+def test_threads_parsing_at_once_each_find_their_own_lines_not_utf8():
+    rng = np.random.default_rng(403)
+    raws = [spoil_every_tenth_line(field_csv_capture(rng, False, "operator")[:100_000], rng)[0]
+            for _ in range(4)]
+    expected = [oracle_parse_log(raw, CSV, None, True) for raw in raws]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so that the threads cut into each other's decodes
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(5):
+                assert list(pool.map(lambda raw: parse_log(raw, lenient=True), raws)) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_csv_body_of_other_lines_is_refused_without_gathering_it():

@@ -170,6 +170,25 @@ class TestLoopback:
         assert result.lost == 0
         assert [(s.t1, s.t2) for s in result.samples] == [(1_000, 7_000)]
 
+    def test_exchange_with_a_negative_round_trip_is_kept_apart(self):
+        # the responder holds the request 10 us by its clock, 1 us passes
+        # by the requester's: the round trip is -9 us
+        sock = open_socket("127.0.0.1", 0)
+        thread = threading.Thread(
+            target=run_responder, args=(sock,),
+            kwargs={"clock": iter([10_000, 20_000]).__next__, "max_packets": 1}, daemon=True,
+        )
+        thread.start()
+        try:
+            result = run_requester(sock.getsockname(), 1, 0.0,
+                                   clock=iter([1_000, 2_000]).__next__, timeout_ms=3000)
+        finally:
+            thread.join(timeout=3)
+            sock.close()
+        assert not thread.is_alive()
+        assert (result.samples, result.lost) == ([], 0)
+        assert result.negative_rtt == [(0, 1_000, 10_000, 20_000, 2_000)]
+
     def test_requester_counts_losses_when_nobody_answers(self):
         sock = open_socket("127.0.0.1", 0)
         port = sock.getsockname()[1]

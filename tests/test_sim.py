@@ -126,6 +126,15 @@ class TestGroundTruth:
         with pytest.raises(ConfigInvalid):
             GroundTruth.from_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
 
+    def test_wrong_header_rejected(self):
+        header, row = simulate(constant_config(trials=1))[2].to_csv().splitlines()
+        names = header.split(",")
+        for bad in (names[1:], names[:-1], [names[1], names[0], *names[2:]], ["x", *names[1:]]):
+            with pytest.raises(ConfigInvalid, match="bad ground-truth header"):
+                GroundTruth.from_csv(",".join(bad) + f"\n{row}\n")
+        with pytest.raises(ConfigInvalid, match="bad ground-truth header"):
+            GroundTruth.from_csv(row + "\n")
+
     def test_inconsistent_rows_rejected(self):
         _, _, truth = simulate(constant_config(trials=5))
         for name, reason in (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from m2mlat.errors import EmptySample, TooFewSamples
+from m2mlat.errors import ConfigInvalid, EmptySample, TooFewSamples
 from m2mlat.stats import boxplot_data, sorted_samples, stats_csv, summarize
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -249,3 +249,20 @@ def test_a_list_with_a_float_bool_or_wide_int_is_read_as_an_int64_array(values, 
         expected, expected_box = outcome(summarize, arr, [0]), outcome(boxplot_data, arr)
     assert outcome(summarize, values, [0]) == expected
     assert outcome(boxplot_data, values) == expected_box
+
+
+@pytest.mark.parametrize("big", [2**63, 2**64 - 1])
+def test_unsigned_samples_beyond_int64_are_refused(big):
+    # cast to int64 they would wrap negative: 2**64 - 1 would read as -1
+    samples = np.array([5, big, 7] * 2, np.uint64)
+    for reduce in (summarize, boxplot_data, sorted_samples):
+        with pytest.raises(ConfigInvalid, match="do not fit in int64"):
+            reduce(samples)
+    with pytest.raises(ConfigInvalid):
+        summarize(np.uint64(big))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+def test_unsigned_samples_within_int64_reduce_as_int64(dtype):
+    values = [5, min(int(np.iinfo(dtype).max), INT64_MAX), 7, 0, 3]
+    assert summarize(np.array(values, dtype)) == summarize(np.array(values, np.int64))
