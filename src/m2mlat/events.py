@@ -25,6 +25,10 @@ are supported:
   this line shape is the contract this toolkit commits to, and an emitter
   must match it (or be piped through a one-line rewrite) to be ingested.
 
+Either format may start with a UTF-8 byte-order mark, as Excel's "CSV
+UTF-8" and PowerShell 5's ``Out-File -Encoding utf8`` write one; it is
+dropped, and line numbers do not change.
+
 Timestamps are stored as 64-bit signed integer nanoseconds; derived
 statistics may be floating point but storage never is, and a cell beyond
 int64 is an unparseable line. An ``EventLog`` is one node (CSV repeats its
@@ -399,16 +403,19 @@ codecs.register_error("m2mlat.record_not_utf8", _record_not_utf8)
 
 
 def _utf8(raw: str | bytes, lenient: bool) -> tuple[bytes, bool, list[LineError]]:
-    """The log as bytes, whether they are ASCII, and the error of each line
-    that is not UTF-8, blanked to its LF (strict, the first raises). A str
-    is encoded with its surrogates, which hold no ASCII byte.
+    """The log as bytes, without a leading UTF-8 byte-order mark, whether
+    they are ASCII, and the error of each line that is not UTF-8, blanked to
+    its LF (strict, the first raises). A str is encoded with its
+    surrogates, which hold no ASCII byte.
 
     One decode finds the first bad sequence of each line: no sequence
     holds an LF, so from each LF it finds what a decode from the line's
     start would find.
     """
     if isinstance(raw, str):
+        raw = raw.removeprefix("\ufeff")
         return raw.encode(errors="surrogatepass"), raw.isascii(), []
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     if raw.isascii():
         return raw, True, []
     _not_utf8.starts = starts = []

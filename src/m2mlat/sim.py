@@ -7,8 +7,13 @@ command execution, actuator follow-through), plus a friction surcharge
 when the vehicle is stationary. Both recorded timestamps additionally
 carry their node's clock error, so a downstream analysis sees exactly
 what a field capture would: truth plus synchronization error. Ground
-truth is one int64 array per ``TRUTH_COLUMNS`` name. The shared-pulse
-precision run is the same generator with every delay component zero.
+truth is one int64 array per ``TRUTH_COLUMNS`` name, named in two groups:
+``CHAIN_COLUMNS`` maps each chain component's config field to its
+column, and ``NODE_TERMS`` names each node's measurement-term columns
+(today its clock error). Closure is two sums: the total is the sum of
+the chain, and a node's recorded time is its true time plus the sum of
+its terms. The shared-pulse precision run is the same generator with
+every delay component zero.
 
 Four scenario presets are calibrated so that the full
 simulate / pair / summarize pipeline reproduces the aggregate latency
@@ -48,11 +53,15 @@ from .dists import (
 from .errors import ConfigInvalid, OverlappingTrials, UnknownPreset
 from .events import EventLog, EventSource, NodeId, Role
 from .record import Record, replace
-from .tables import read_int_columns, table_lines, write_table
+from .tables import _int_columns, table_lines, write_table
 
 MS_NS = 1_000_000
 
-_COMPONENTS = ("l_gen", "l_network", "l_exec", "l_follow", "friction_extra")
+# The vehicle chain: each component's ScenarioConfig field and its truth column.
+CHAIN_COLUMNS = {"l_gen": "l_gen_ns", "l_network": "l_network_ns", "l_exec": "l_exec_ns",
+                 "l_follow": "l_follow_ns", "friction_extra": "friction_ns"}
+# Each node's measurement-term columns; its recorded time is its true time plus their sum.
+NODE_TERMS = {"op": ("clock_err_op_ns",), "veh": ("clock_err_veh_ns",)}
 
 
 class ScenarioConfig(Record):
@@ -92,36 +101,34 @@ class ScenarioConfig(Record):
 ZERO_CLOCKS = (ClockModel(), ClockModel())
 
 
-TRUTH_COLUMNS = (
-    "trial", "true_op_time_ns", "l_gen_ns", "l_network_ns", "l_exec_ns", "l_follow_ns",
-    "friction_ns", "true_total_ns", "clock_err_op_ns", "clock_err_veh_ns",
-    "recorded_op_ns", "recorded_veh_ns",
-)
+TRUTH_COLUMNS = ("trial", "true_op_time_ns", *CHAIN_COLUMNS.values(), "true_total_ns",
+                 *(c for terms in NODE_TERMS.values() for c in terms),
+                 *(f"recorded_{node}_ns" for node in NODE_TERMS))
 
 
 class GroundTruth:
     """Per-trial ground truth: one int64 array per name in TRUTH_COLUMNS.
 
     Construction checks closure on every trial: the total is the sum of
-    the components, and each recorded timestamp is its true time plus
-    that node's clock error. The error names the first trial that fails.
+    the CHAIN_COLUMNS, and each recorded timestamp is its true time plus
+    the sum of its node's NODE_TERMS. The error names the first trial that fails.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
         if set(columns) != set(TRUTH_COLUMNS) or len(set(map(len, columns.values()))) > 1:
             raise ConfigInvalid(f"ground truth needs equal-length columns {TRUTH_COLUMNS}")
-        self.columns = {k: np.asarray(columns[k], dtype=np.int64) for k in TRUTH_COLUMNS}
-        trial, t_op, *parts, total, err_op, err_veh, rec_op, rec_veh = self.columns.values()
+        c = self.columns = {k: np.asarray(columns[k], dtype=np.int64) for k in TRUTH_COLUMNS}
+        true = {"op": c["true_op_time_ns"], "veh": c["true_op_time_ns"] + c["true_total_ns"]}
         bad = np.array([
-            total != sum(parts),
-            rec_op - err_op != t_op,
-            rec_veh - err_veh != t_op + total,
+            c["true_total_ns"] != sum(c[k] for k in CHAIN_COLUMNS.values()),
+            *(c[f"recorded_{node}_ns"] - sum(c[k] for k in terms) != true[node]
+              for node, terms in NODE_TERMS.items()),
         ])
         if bad.any():
             i = int(bad.any(axis=0).argmax())
             reason = ("total does not match components", "operator recording inconsistent",
                       "vehicle recording inconsistent")[int(bad[:, i].argmax())]
-            raise ConfigInvalid(f"trial {int(trial[i])}: {reason}")
+            raise ConfigInvalid(f"trial {int(c['trial'][i])}: {reason}")
 
     def __len__(self) -> int:
         return len(self.columns["trial"])
@@ -140,8 +147,7 @@ class GroundTruth:
         lines = table_lines(text)
         if not lines or [c.strip() for c in lines[0][1].split(",")] != list(TRUTH_COLUMNS):
             raise ConfigInvalid("bad ground-truth header")
-        columns = read_int_columns(text, TRUTH_COLUMNS, "ground truth")
-        return cls(dict(zip(TRUTH_COLUMNS, columns)))
+        return cls(dict(zip(TRUTH_COLUMNS, _int_columns(lines, TRUTH_COLUMNS, "ground truth"))))
 
 
 def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
@@ -153,6 +159,8 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
     """
     n = cfg.trials
     rng = np.random.default_rng(cfg.seed)
+    if not cfg.stationary:  # friction is drawn only for a stationary vehicle
+        cfg = replace(cfg, friction_extra=ConstantDelay(0))
 
     def draw(name: str) -> np.ndarray:
         try:
@@ -160,14 +168,12 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
         except ConfigInvalid as err:
             raise ConfigInvalid(f"[{name}] {err}") from None
 
-    l_gen, l_network, l_exec, l_follow = map(draw, _COMPONENTS[:4])
-    friction = draw("friction_extra") if cfg.stationary else np.zeros(n, dtype=np.int64)
+    chain = {column: draw(name) for name, column in CHAIN_COLUMNS.items()}
     interval_ns = int(round(cfg.trial_interval_s * NS_PER_S))
-    parts = (l_gen, l_network, l_exec, l_follow, friction)
     # Bounds every vehicle time in exact ints, before int64 sums that would wrap silently.
-    if cfg.start_ns + interval_ns * (n - 1) + sum(int(p.max()) for p in parts) >= 2**63:
+    if cfg.start_ns + interval_ns * (n - 1) + sum(int(p.max()) for p in chain.values()) >= 2**63:
         raise ConfigInvalid("trial delay totals and vehicle times must fit in int64 ns")
-    totals = sum(parts)
+    totals = sum(chain.values())
 
     if int(totals.max()) >= interval_ns:
         warnings.warn(
@@ -178,16 +184,18 @@ def simulate(cfg: ScenarioConfig) -> tuple[EventLog, EventLog, GroundTruth]:
 
     op_model, veh_model = cfg.effective_clock_models()
     op_true = cfg.start_ns + interval_ns * np.arange(n, dtype=np.int64)
-    veh_true = op_true + totals
-    err_op = clock_errors(op_model, op_true, cfg.seed, OPERATOR_SALT)
-    err_veh = clock_errors(veh_model, veh_true, cfg.seed, VEHICLE_SALT)
-    op_rec, veh_rec = op_true + err_op, veh_true + err_veh
-    truth = GroundTruth(dict(zip(TRUTH_COLUMNS, (
-        np.arange(n, dtype=np.int64), op_true, l_gen, l_network, l_exec, l_follow,
-        friction, totals, err_op, err_veh, op_rec, veh_rec,
-    ))))
-    op_log = _build_log(NodeId("operator", Role.OPERATOR), op_rec)
-    veh_log = _build_log(NodeId("vehicle", Role.VEHICLE), veh_rec)
+    true = {"op": op_true, "veh": op_true + totals}
+    # Each node's measurement terms, in the order NODE_TERMS names their columns.
+    terms = {"op": [clock_errors(op_model, true["op"], cfg.seed, OPERATOR_SALT)],
+             "veh": [clock_errors(veh_model, true["veh"], cfg.seed, VEHICLE_SALT)]}
+    truth = GroundTruth({
+        "trial": np.arange(n, dtype=np.int64), "true_op_time_ns": op_true, **chain,
+        "true_total_ns": totals,
+        **{col: term for node, cols in NODE_TERMS.items() for col, term in zip(cols, terms[node])},
+        **{f"recorded_{node}_ns": true[node] + sum(terms[node]) for node in NODE_TERMS},
+    })
+    op_log = _build_log(NodeId("operator", Role.OPERATOR), truth.columns["recorded_op_ns"])
+    veh_log = _build_log(NodeId("vehicle", Role.VEHICLE), truth.columns["recorded_veh_ns"])
     return op_log, veh_log, truth
 
 
@@ -200,8 +208,8 @@ def simulate_shared_pulse_run(
     every offset between the two logs is clock error. Half the period
     must exceed the worst clock excursion.
     """
-    zero = ConstantDelay(0)
-    cfg = ScenarioConfig(zero, zero, zero, zero, zero, stationary=False, sync_mode=mode,
+    zero = dict.fromkeys(CHAIN_COLUMNS, ConstantDelay(0))
+    cfg = ScenarioConfig(**zero, stationary=False, sync_mode=mode,
                          trial_interval_s=period_ns / NS_PER_S, trials=pulses, seed=seed)
     return simulate(cfg)[:2]
 
@@ -305,13 +313,11 @@ def render_config(cfg: ScenarioConfig) -> str:
         "start_ns": str(cfg.start_ns),
         "clock_stream": CLOCK_STREAM,
     }}
-    for name in _COMPONENTS:
+    for name in CHAIN_COLUMNS:
         dist: DelayDist = getattr(cfg, name)
         section: dict[str, str] = {"kind": dist.kind.value}
         if isinstance(dist, EmpiricalDelay):
-            section["samples_ms"] = ",".join(
-                repr(v / MS_NS) for v in dist.values_ns
-            )
+            section["samples_ms"] = ",".join(repr(v / MS_NS) for v in dist.values_ns)
         else:
             section["median_ms"] = repr(dist.median_ns() / MS_NS)
             section["iqr_ms"] = repr(dist.iqr_ns() / MS_NS)
@@ -328,7 +334,8 @@ def render_config(cfg: ScenarioConfig) -> str:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse the flat INI config format back into a scenario.
+    """Parse the flat INI config format back into a scenario; a leading
+    byte-order mark is dropped.
 
     A value that does not convert to its field's type, or that its field
     refuses, raises ConfigInvalid.
@@ -337,10 +344,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
     cp = configparser.ConfigParser(interpolation=None)  # the format has no interpolation
     try:
-        cp.read_string(text)
+        cp.read_string(text.removeprefix("\ufeff"))
     except configparser.Error as err:
         raise ConfigInvalid(f"bad config file: {err}")
-    for name in ("scenario", *_COMPONENTS):
+    for name in ("scenario", *CHAIN_COLUMNS):
         if name not in cp:
             raise ConfigInvalid(f"config is missing the [{name}] section")
     sc = cp["scenario"]
@@ -353,7 +360,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     try:  # int() refuses nan with ValueError, and infinities with OverflowError
         return ScenarioConfig(
-            **{name: _parse_dist(cp[name], name) for name in _COMPONENTS},
+            **{name: _parse_dist(cp[name], name) for name in CHAIN_COLUMNS},
             stationary=sc.getboolean("stationary", False),
             sync_mode=SyncMode(sc.get("sync_mode", SyncMode.CO_REFERENCED.value)),
             trial_interval_s=sc.getfloat("trial_interval_s", 5.0),
@@ -376,10 +383,8 @@ def _parse_dist(section, name: str) -> DelayDist:
         raw = section.get("samples_ms", "")
         if not raw.strip():
             raise ConfigInvalid(f"[{name}] empirical kind requires samples_ms")
-        values = tuple(
-            int(round(float(v) * MS_NS)) for v in raw.split(",") if v.strip()
-        )
-        return EmpiricalDelay(values)
+        return EmpiricalDelay(tuple(int(round(float(v) * MS_NS)) for v in raw.split(",")
+                                    if v.strip()))
     median_ms = section.getfloat("median_ms")
     iqr_ms = section.getfloat("iqr_ms", 0.0)
     if median_ms is None:

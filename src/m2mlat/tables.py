@@ -98,9 +98,10 @@ def write_fields(fields, sep: str = "=") -> str:
 
 
 def table_lines(raw: bytes | str) -> list[tuple[int, str]]:
-    """(number from 1, line) of each non-blank line; lines end at LF, CRLF or a lone CR."""
+    """(number from 1, line) of each non-blank line; lines end at LF, CRLF or a
+    lone CR, and a UTF-8 byte-order mark before the first is dropped."""
     text = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     return [(no, line) for no, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
@@ -115,7 +116,11 @@ def read_int_columns(raw: bytes | str, columns: Sequence[str], where) -> list[li
     bytes that are not UTF-8 are replaced, so refused. A fault raises
     ConfigInvalid naming ``where`` (a path, or what the table is) and the line.
     """
-    lines = table_lines(raw)
+    return _int_columns(table_lines(raw), columns, where)
+
+
+def _int_columns(lines: list[tuple[int, str]], columns: Sequence[str], where) -> list[list[int]]:
+    """``read_int_columns`` of the ``table_lines`` of a table."""
     header = [cell.strip() for cell in lines[0][1].split(",")] if lines else []
     if all(column in header for column in columns):
         indexes = [header.index(column) for column in columns]

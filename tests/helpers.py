@@ -167,7 +167,7 @@ def oracle_render_config(cfg) -> str:
     import io
 
     from m2mlat.dists import EmpiricalDelay
-    from m2mlat.sim import _COMPONENTS, CLOCK_STREAM, MS_NS
+    from m2mlat.sim import CHAIN_COLUMNS, CLOCK_STREAM, MS_NS
 
     cp = configparser.ConfigParser(interpolation=None)
     cp["scenario"] = {
@@ -180,7 +180,7 @@ def oracle_render_config(cfg) -> str:
         "start_ns": str(cfg.start_ns),
         "clock_stream": CLOCK_STREAM,
     }
-    for name in _COMPONENTS:
+    for name in CHAIN_COLUMNS:
         dist = getattr(cfg, name)
         if isinstance(dist, EmpiricalDelay):
             cp[name] = {"kind": dist.kind.value,

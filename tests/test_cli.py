@@ -627,6 +627,47 @@ class TestReport:
         assert f"config_hash: {input_digest(samples.read_bytes())}" in stdout
 
 
+def test_a_byte_order_mark_changes_no_output(tmp_path, capsys):
+    # Excel's "CSV UTF-8" and PowerShell 5's Out-File -Encoding utf8 start
+    # a file with one; only a config_hash of the raw bytes may differ
+    def bom_copy(path):
+        copy = path.with_name("bom." + path.name)
+        copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return copy
+
+    def outputs(prefix):  # each --out file, its config_hash blanked
+        return {p.name.removeprefix(prefix): re.sub(rb"config_hash\W+\w+", b"", p.read_bytes())
+                for p in tmp_path.glob(prefix + ".*")}
+
+    _, sim_out, _ = run(capsys, "simulate", "--preset", "dyn_coref", "--trials", "40",
+                        "--out", str(tmp_path / "sim"))
+    code, bom_sim_out, _ = run(capsys, "simulate", "--config",
+                               str(bom_copy(tmp_path / "sim" / "config.echo")),
+                               "--out", str(tmp_path / "sim"))
+    assert (code, bom_sim_out) == (0, sim_out)
+    logs = [tmp_path / "sim" / f"{node}.csv" for node in ("operator", "vehicle")]
+    for lenient in ([], ["--lenient"]):
+        texts = []
+        for prefix, (op, veh) in (("a", logs), ("b", map(bom_copy, logs))):
+            code, stdout, _ = run(capsys, "analyze", *lenient, "--operator", str(op),
+                                  "--vehicle", str(veh), "--out", str(tmp_path / prefix))
+            assert code == 0
+            texts.append(re.sub("config_hash: .*", "", stdout))
+        assert texts[0] == texts[1]
+        assert outputs("a") == outputs("b")
+    samples = bom_copy(tmp_path / "a.pairs.csv")
+    assert run(capsys, "report", "--samples", str(samples), "--out", str(tmp_path / "r"))[0] == 0
+    assert outputs("r")[".stats.csv"] == outputs("a")[".stats.csv"]
+    sched = tmp_path / "sched.csv"
+    budgets = []
+    for text in ("latency_ns\n2000\n118000\n", "2000\n118000\n"):
+        sched.write_text(text)
+        for path in (sched, bom_copy(sched)):
+            budgets.append(run(capsys, "budget", "--sched-a", str(path), "--sched-b",
+                               str(path), *BUDGET))
+    assert budgets == [(0, budgets[0][1], "")] * 4
+
+
 class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -257,6 +257,32 @@ class TestParseKernelRing:
         assert sum(calls.values()) == 2 * parsed
 
 
+@pytest.mark.parametrize("fmt, text", [
+    (LogFormat.CSV, "node,seq,t_wall_ns\noperator,0,1000\n{bad}\noperator,2,3000\n"),
+    (LogFormat.CSV, "operator,0,1000\n{bad}\noperator,2,3000\n"),
+    (LogFormat.KERNEL_RING,
+     "m2m_irq: seq=0 ts=1000 src=hall\n{bad}\nm2m_irq: seq=2 ts=3000 src=hall\n"),
+], ids=["csv_header", "csv_headerless", "kernel_ring"])
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_a_byte_order_mark_is_dropped(fmt, text, encode):
+    """As Excel's "CSV UTF-8" and PowerShell 5's Out-File write it: the log
+    reads as without it, strict and lenient, and line numbers are kept."""
+    def parse(text, **kwargs):
+        return parse_log(encode(text), fmt, node=OPERATOR, **kwargs)
+
+    good = text.replace("{bad}", "")
+    assert parse("\ufeff" + good) == parse(good)
+    assert parse("\ufeff" + good, lenient=True) == parse(good)
+    for bad in ("bogus", "\ufeffbogus"):  # a mark after the start is a bad line
+        marked = "\ufeff" + text.replace("{bad}", bad)
+        with pytest.raises(UnparseableLine) as exc:
+            parse(marked)
+        assert exc.value.line_no == text.count("\n", 0, text.index("{bad}")) + 1
+        log = parse(marked, lenient=True)
+        assert (log.seq.tolist(), log.skipped) == ([0, 2], 1)
+        assert log.first_error.startswith(f"line {exc.value.line_no}: ")
+
+
 def _assert_lax_lines_rejected(lines: list[str], bad: int, **kwargs) -> None:
     """The last 2 * bad + 1 lines hold seq 0, a lax integer, seq 2, a lax
     integer, ... seq 2 * bad."""

@@ -120,26 +120,39 @@ class TestGroundTruth:
 
     def test_bad_csv_rows_rejected(self):
         header, row = simulate(constant_config(trials=1))[2].to_csv().splitlines()
-        for bad in ("x", "1.5", str(2**63), "+5", "1_000", "\u0663"):
-            with pytest.raises(ConfigInvalid):
-                GroundTruth.from_csv(f"{header}\n{bad},{row.split(',', 1)[1]}\n")
-        with pytest.raises(ConfigInvalid):
-            GroundTruth.from_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
+        for bad in ("x", "1.5", "+5", "1_000", "\u0663"):
+            line = f"{bad},{row.split(',', 1)[1]}"
+            with pytest.raises(ConfigInvalid) as exc:
+                GroundTruth.from_csv(f"{header}\n{line}\n")
+            assert str(exc.value) == f"ground truth line 2: no integer trial: {line!r}"
+        with pytest.raises(ConfigInvalid, match=f"^ground truth line 2: trial does not fit "
+                                                 f"in int64: {2**63}$"):
+            GroundTruth.from_csv(f"{header}\n{2**63},{row.split(',', 1)[1]}\n")
+        short = row.rsplit(",", 1)[0]
+        with pytest.raises(ConfigInvalid) as exc:
+            GroundTruth.from_csv(f"{header}\n{short}\n")
+        assert str(exc.value) == (
+            f"ground truth line 2: 11 cells under a 12-column header: {short!r}")
 
     def test_wrong_header_rejected(self):
         header, row = simulate(constant_config(trials=1))[2].to_csv().splitlines()
         names = header.split(",")
         for bad in (names[1:], names[:-1], [names[1], names[0], *names[2:]], ["x", *names[1:]]):
-            with pytest.raises(ConfigInvalid, match="bad ground-truth header"):
+            with pytest.raises(ConfigInvalid, match="^bad ground-truth header$"):
                 GroundTruth.from_csv(",".join(bad) + f"\n{row}\n")
-        with pytest.raises(ConfigInvalid, match="bad ground-truth header"):
-            GroundTruth.from_csv(row + "\n")
+        for text in (row + "\n", "", "\n \r\n"):
+            with pytest.raises(ConfigInvalid, match="^bad ground-truth header$"):
+                GroundTruth.from_csv(text)
 
     def test_inconsistent_rows_rejected(self):
         _, _, truth = simulate(constant_config(trials=5))
+        chain = ("l_gen_ns", "l_network_ns", "l_exec_ns", "l_follow_ns", "friction_ns")
         for name, reason in (
-            ("true_total_ns", "total does not match components"),
+            *((name, "total does not match components") for name in ("true_total_ns", *chain)),
+            ("true_op_time_ns", "operator recording inconsistent"),
+            ("clock_err_op_ns", "operator recording inconsistent"),
             ("recorded_op_ns", "operator recording inconsistent"),
+            ("clock_err_veh_ns", "vehicle recording inconsistent"),
             ("recorded_veh_ns", "vehicle recording inconsistent"),
         ):
             columns = {k: v.copy() for k, v in truth.columns.items()}
@@ -155,7 +168,11 @@ class TestGroundTruth:
         ragged = dict(truth.columns, trial=np.arange(4))
         with pytest.raises(ConfigInvalid):
             GroundTruth(ragged)
-        assert tuple(truth.columns) == TRUTH_COLUMNS
+        assert tuple(truth.columns) == TRUTH_COLUMNS == (
+            "trial", "true_op_time_ns", "l_gen_ns", "l_network_ns", "l_exec_ns", "l_follow_ns",
+            "friction_ns", "true_total_ns", "clock_err_op_ns", "clock_err_veh_ns",
+            "recorded_op_ns", "recorded_veh_ns",
+        )
 
 
 class TestStationaryFriction:
@@ -295,6 +312,10 @@ class TestConfigFile:
         assert "[clock_op]" not in text
         parsed = parse_config(text)
         assert parsed.clock_models is None
+
+    def test_a_byte_order_mark_is_dropped(self):
+        cfg = replace(preset("static_wifi"), clock_models=ZERO_CLOCKS)
+        assert parse_config("\ufeff" + render_config(cfg)) == cfg
 
     def test_parse_errors(self):
         with pytest.raises(ConfigInvalid):

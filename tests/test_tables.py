@@ -68,6 +68,15 @@ def test_int64_bounds_round_trip():
             read_int_columns(f"v\n{beyond}\n", ("v",), "t")
 
 
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_a_byte_order_mark_is_dropped(truth, encode):
+    for text in ("m2m_ns\n5\n-7\n", "5\n-7\n"):
+        assert read_int_columns(encode("\ufeff" + text), ("m2m_ns",), "s") == [[5, -7]]
+    with pytest.raises(ConfigInvalid, match="s line 2: no integer m2m_ns"):
+        read_int_columns(encode("\ufeffm2m_ns\n\ufeff5\n"), ("m2m_ns",), "s")
+    assert GroundTruth.from_csv("\ufeff" + truth.to_csv()) == truth
+
+
 def test_a_headerless_table_of_several_columns_is_refused():
     with pytest.raises(ConfigInvalid, match="t: no header naming a,b"):
         read_int_columns("1,2\n", ("a", "b"), "t")
